@@ -3,7 +3,6 @@
 from .errors import (
     CableTooShort,
     ContactOutsideHull,
-    ContactOutsideTriangle,
     DegenerateFormation,
     InconsistentRedundancy,
     InelasticityViolated,
@@ -42,9 +41,6 @@ from .equilibrium import (
     inverse_kinematics,
     oracle_equilibrium,
     solve_equilibrium,
-    solve_pentagon,
-    solve_quadrilateral,
-    solve_triangle,
 )
 from .optimizer import (
     CostWeights,

@@ -25,7 +25,6 @@ from . import kernels
 from .errors import (
     CableTooShort,
     ContactOutsideHull,
-    ContactOutsideTriangle,
     InconsistentRedundancy,
     InelasticityViolated,
     InfeasibleFormation,
@@ -237,142 +236,7 @@ def _subset_residual(v, z_r, r, idx, u, q, z):
     return worst
 
 
-# --------------------------------------------------------- branch solvers
-def _check_taut_args(formation, taut, size):
-    taut = tuple(int(i) for i in taut)
-    if len(set(taut)) != len(taut):
-        raise ValueError("taut indices must be distinct")
-    if any(i < 0 or i >= formation.n for i in taut):
-        raise ValueError("taut index out of range")
-    if len(taut) != size and size is not None:
-        raise ValueError(f"expected {size} taut indices, got {len(taut)}")
-    return tuple(sorted(taut))
-
-
-def solve_triangle(formation: Formation, taut=(0, 1, 2)) -> ObjectEquilibrium:
-    """Three-cable equilibrium via the closed-form contact system.
-
-    Relabels the taut triple into canonical sheet/world frames, solves the
-    2x2 stationarity system of the hang quadratic for the contact point,
-    recovers the local object position and height, and checks that the
-    energy Hessian is positive definite and the contact stays inside the
-    taut triangle.
-    """
-    taut = _check_taut_args(formation, taut, 3)
-    v = formation.layout.holding_points
-    r = formation.robot_positions
-    z_r = formation.holding_height
-    i1, i2, i3 = taut
-    if _subset_isometric(v, r, taut):
-        u, q, z = _flat_candidate(v, z_r, r, taut)
-        return _build_equilibrium(formation, u, q, z)
-    vt, vo_org, vang = _canonical(v, i1, i2)
-    rt, ro_org, rang = _canonical(r, i1, i2)
-    xv2 = vt[i2][0]
-    xv3, yv3 = vt[i3]
-    x2 = rt[i2][0]
-    x3, y3 = rt[i3]
-    if abs(xv2) < 1e-12 or abs(yv3) < 1e-12 or abs(x2) < 1e-12 or abs(y3) < 1e-12:
-        raise SingularSystem("degenerate taut triple")
-    a11 = (xv2**2 - x2**2) / xv2
-    a12 = x2 * (xv3 * x2 - x3 * xv2) / (xv2 * yv3)
-    b1 = (xv2**2 - x2**2) / 2.0
-    a21 = xv3 * x2 - x3 * xv2
-    a22 = x2 * (yv3**2 - y3**2) / yv3
-    b2 = x3 * (x2**2 - xv2**2) / 2.0 + x2 * (xv3**2 + yv3**2 - x3**2 - y3**2) / 2.0
-    det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-12:
-        raise SingularSystem(f"contact system determinant {det:.3e}")
-    xvo = (b1 * a22 - a12 * b2) / det
-    yvo = (a11 * b2 - b1 * a21) / det
-    # local object position from the pairwise-difference relations
-    xo = (xv2 / x2) * xvo + (x2**2 - xv2**2) / (2 * x2)
-    yo = (
-        (xv3 / y3 - (x3 / y3) * (xv2 / x2)) * xvo
-        + (yv3 / y3) * yvo
-        - (x3 / y3) * (x2**2 - xv2**2) / (2 * x2)
-        + (x3**2 + y3**2 - xv3**2 - yv3**2) / (2 * y3)
-    )
-    # energy Hessian in the contact coordinates: 2 (M^T M - I) with M the
-    # contact-to-object sensitivity; must be positive definite for a minimum
-    M = np.linalg.solve(np.array([rt[i2], rt[i3]]), np.array([vt[i2], vt[i3]]))
-    evals = np.linalg.eigvalsh(2.0 * (M.T @ M - np.eye(2)))
-    if not np.all(evals > 1e-12):
-        raise SingularSystem(f"hang-energy Hessian not positive definite: {evals}")
-    drop2 = (xvo**2 + yvo**2) - (xo**2 + yo**2)
-    if drop2 < -1e-9:
-        raise SingularSystem("negative squared hang depth")
-    z = z_r - np.sqrt(max(drop2, 0.0))
-    u = _from_canonical(np.array([xvo, yvo]), vo_org, vang)
-    if not point_in_polygon(u, v[list(taut)], tol=1e-9):
-        raise ContactOutsideTriangle(f"contact {u} outside taut triangle")
-    q = _from_canonical(np.array([xo, yo]), ro_org, rang)
-    if _subset_residual(v, z_r, r, taut, u, q, z) > TAUT_TOL:
-        raise NoConvergence("taut residual above tolerance")
-    return _build_equilibrium(formation, u, q, z)
-
-
-def solve_quadrilateral(formation: Formation, taut=(0, 1, 2, 3)) -> ObjectEquilibrium:
-    """Four-cable equilibrium: exact hang minimization on the 1-DOF manifold.
-
-    The three anchored difference equations leave (generically) a line of
-    solutions; the hang quadratic is minimized exactly along it. Uniformly
-    scaled formations drop rank and the minimization runs over the full
-    null space instead.
-    """
-    taut = _check_taut_args(formation, taut, 4)
-    v = formation.layout.holding_points
-    r = formation.robot_positions
-    z_r = formation.holding_height
-    if _subset_isometric(v, r, taut):
-        u, q, z = _flat_candidate(v, z_r, r, taut)
-        return _build_equilibrium(formation, u, q, z)
-    cands = _stationary_candidates(v, z_r, r, taut)
-    if not cands:
-        raise ContactOutsideHull("no interior minimum on the taut manifold")
-    u, q, z = min(cands, key=lambda c: c[2])
-    if not point_in_polygon(u, v[list(taut)], tol=1e-9):
-        raise ContactOutsideHull(f"contact {u} outside taut hull")
-    if _subset_residual(v, z_r, r, taut, u, q, z) > TAUT_TOL:
-        raise NoConvergence("taut residual above tolerance")
-    return _build_equilibrium(formation, u, q, z)
-
-
-def solve_pentagon(formation: Formation, taut) -> ObjectEquilibrium:
-    """Five-or-more-cable equilibrium; redundant cables verified consistent.
-
-    Five taut equalities pin all five unknowns (four anchored differences
-    plus the anchor depth relation); with more than five, the system is
-    solved rank-aware over the full set and every remaining cable must
-    agree within 1e-6.
-    """
-    taut = _check_taut_args(formation, taut, None)
-    if len(taut) < 5:
-        raise ValueError(f"pentagon branch needs at least 5 taut cables, got {len(taut)}")
-    v = formation.layout.holding_points
-    r = formation.robot_positions
-    z_r = formation.holding_height
-    if _subset_isometric(v, r, taut):
-        u, q, z = _flat_candidate(v, z_r, r, taut)
-        return _build_equilibrium(formation, u, q, z)
-    base = taut[:5]
-    cands = _stationary_candidates(v, z_r, r, base)
-    if not cands:
-        # anchored system inconsistent or without interior minimum
-        raise NoConvergence("five-cable system has no consistent solution")
-    u, q, z = min(cands, key=lambda c: c[2])
-    if _subset_residual(v, z_r, r, base, u, q, z) > TAUT_TOL:
-        raise NoConvergence("taut residual above tolerance")
-    for k in taut[5:]:
-        lk = np.linalg.norm(v[k] - u)
-        dk = np.sqrt(np.sum((r[k] - q) ** 2) + (z_r - z) ** 2)
-        if abs(lk - dk) > 1e-6:
-            raise InconsistentRedundancy(
-                f"cable {k} off by {abs(lk - dk):.2e} at the five-cable solution"
-            )
-    return _build_equilibrium(formation, u, q, z)
-
-
+# --------------------------------------------------------- known taut set
 def _require_feasible(formation):
     stretch = formation.stretch()
     if stretch > 1e-9:
@@ -384,23 +248,42 @@ def _require_feasible(formation):
 def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
     """Object position for a known taut/slack assignment.
 
-    Dispatches on the taut count: >=5 pentagon branch, 4 quadrilateral,
-    3 triangle. The flags are trusted; slack-cable admissibility is the
-    caller's concern (see solve_equilibrium for discovery + validation).
+    Minimizes the hang quadratic exactly on the taut-equality manifold of
+    the first five taut cables (five equalities pin every unknown); any
+    further taut cable must agree within 1e-6 at that solution. The flags
+    are trusted; slack-cable admissibility is the caller's concern (see
+    solve_equilibrium for discovery + validation).
     """
     flags = [bool(f) for f in taut_flags]
     if len(flags) != formation.n:
         raise ValueError(f"expected {formation.n} flags, got {len(flags)}")
     _require_feasible(formation)
-    taut = tuple(i for i, f in enumerate(flags) if f)
-    m = len(taut)
-    if m < 3:
-        raise TooFewTaut(f"need at least 3 taut cables, got {m}")
-    if m >= 5:
-        return solve_pentagon(formation, taut)
-    if m == 4:
-        return solve_quadrilateral(formation, taut)
-    return solve_triangle(formation, taut)
+    taut = [i for i, f in enumerate(flags) if f]
+    if len(taut) < 3:
+        raise TooFewTaut(f"need at least 3 taut cables, got {len(taut)}")
+    v = formation.layout.holding_points
+    r = formation.robot_positions
+    z_r = formation.holding_height
+    if _subset_isometric(v, r, taut):
+        u, q, z = _flat_candidate(v, z_r, r, taut)
+        return _build_equilibrium(formation, u, q, z)
+    base = taut[:5]
+    cands = _stationary_candidates(v, z_r, r, base)
+    if not cands:
+        # inconsistent taut system or indefinite hang Hessian
+        raise SingularSystem("no interior minimum on the taut manifold")
+    u, q, z = min(cands, key=lambda c: c[2])
+    if not point_in_polygon(u, v[taut], tol=1e-9):
+        raise ContactOutsideHull(f"contact {u} outside taut hull")
+    if _subset_residual(v, z_r, r, base, u, q, z) > TAUT_TOL:
+        raise NoConvergence("taut residual above tolerance")
+    for k in taut[5:]:
+        off = _subset_residual(v, z_r, r, [k], u, q, z)
+        if off > 1e-6:
+            raise InconsistentRedundancy(
+                f"cable {k} off by {off:.2e} at the five-cable solution"
+            )
+    return _build_equilibrium(formation, u, q, z)
 
 
 # ------------------------------------------------- equilibrium discovery

@@ -20,11 +20,7 @@ class InfeasibleFormation(SheetPlanError):
 
 
 class SingularSystem(SheetPlanError):
-    """Taut-cable linear system is singular or its energy Hessian is not PD."""
-
-
-class ContactOutsideTriangle(SheetPlanError):
-    """Triangle-branch contact point fell outside the taut triangle."""
+    """Taut-cable system has no interior hang minimum (inconsistent or indefinite)."""
 
 
 class ContactOutsideHull(SheetPlanError):
@@ -32,7 +28,7 @@ class ContactOutsideHull(SheetPlanError):
 
 
 class NoConvergence(SheetPlanError):
-    """Iterative branch failed to reach its residual tolerance."""
+    """Solved taut-cable state misses its residual tolerance."""
 
 
 class InconsistentRedundancy(SheetPlanError):

@@ -280,7 +280,7 @@ def _verify_clearances(timeline: PlanTimeline, obstacle: ObstacleSpec, safety: S
 
 
 def sample_timeline(segments, formation: Formation, dt: float, mode: str,
-                    schedule=None, solve_fast=False) -> PlanTimeline:
+                    schedule=None) -> PlanTimeline:
     """Sample piecewise pose programs into a full timeline.
 
     segments: list of (duration, pose_fn) with pose_fn(t_local) -> (xy, theta)
@@ -306,7 +306,7 @@ def sample_timeline(segments, formation: Formation, dt: float, mode: str,
         poses[k] = [xy[0], xy[1], theta]
         robots[k] = xy + offsets @ _rot(theta).T
         placed = Formation(robots[k], formation.layout)
-        eq = solve_equilibrium(placed, fast=solve_fast)
+        eq = solve_equilibrium(placed)
         objects[k] = eq.world_position
         contacts[k] = eq.sheet_contact
         taut[k] = [c.taut for c in eq.cables]

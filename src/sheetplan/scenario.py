@@ -150,6 +150,8 @@ def _parse_lines(text):
             values = [float(tok) for tok in rhs.split()]
         except ValueError:
             raise ParseError(lineno, f"non-numeric value in {raw.strip()!r}") from None
+        if not all(np.isfinite(values)):
+            raise ParseError(lineno, f"non-finite value in {raw.strip()!r}")
         if key in _SCALAR_KEYS and len(values) != 1:
             raise ParseError(lineno, f"{key} takes one number, got {len(values)}")
         if key in _PAIR_KEYS and len(values) != 2:

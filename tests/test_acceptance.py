@@ -9,11 +9,11 @@ import pytest
 
 from sheetplan import (
     CrossingSchedule,
+    direct_kinematics,
     load_scenario,
     oracle_equilibrium,
     run_pipeline,
     solve_equilibrium,
-    solve_triangle,
 )
 from sheetplan.planner import crossing_pose
 
@@ -35,8 +35,8 @@ def test_criterion_1_paper_height_reproduction():
     """Measured crossing heights from the fixed triangular-sheet geometry."""
     t0 = time.time()
     layout = equilateral_layout(side=1.6, z_r=0.79)
-    z1 = solve_triangle(equilateral_formation(layout, 1.04), (0, 1, 2)).z
-    z2 = solve_triangle(equilateral_formation(layout, 1.277), (0, 1, 2)).z
+    z1 = direct_kinematics(equilateral_formation(layout, 1.04), [1, 1, 1]).z
+    z2 = direct_kinematics(equilateral_formation(layout, 1.277), [1, 1, 1]).z
     elapsed = time.time() - t0
     ok = abs(z1 - 0.090) <= 0.005 and abs(z2 - 0.234) <= 0.005 and elapsed < 1.0
     report(1, ok, f"side 1.04 -> z={z1:.4f} (0.090±0.005), "

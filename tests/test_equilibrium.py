@@ -1,8 +1,9 @@
-"""Equilibrium solvers: branch closed forms, discovery, oracle agreement."""
+"""Equilibrium solvers: known taut sets, discovery, oracle agreement."""
 import numpy as np
 import pytest
 
 from sheetplan import (
+    ContactOutsideHull,
     Formation,
     InconsistentRedundancy,
     InfeasibleFormation,
@@ -12,14 +13,16 @@ from sheetplan import (
     direct_kinematics,
     oracle_equilibrium,
     solve_equilibrium,
-    solve_pentagon,
-    solve_quadrilateral,
-    solve_triangle,
 )
 from sheetplan.equilibrium import FEAS_TOL, TAUT_TOL, cable_distances
 from sheetplan import kernels
 
-from conftest import draw_transport_case, equilateral_formation, regular_polygon
+from conftest import (
+    draw_consistent_target,
+    draw_transport_case,
+    equilateral_formation,
+    regular_polygon,
+)
 
 Z_R = 0.79
 
@@ -35,7 +38,7 @@ def residuals(formation, eq):
 class TestTriangle:
     def test_symmetric_side_1_2(self, triangle_layout):
         f = equilateral_formation(triangle_layout, 1.2)
-        eq = solve_triangle(f, (0, 1, 2))
+        eq = direct_kinematics(f, [1, 1, 1])
         # symmetry forces the contact to the sheet centroid; the drop is
         # sqrt(l^2 - s^2/3) with l = 1.6/sqrt(3)
         expected = Z_R - np.sqrt((1.6**2 - 1.2**2) / 3.0)
@@ -47,25 +50,25 @@ class TestTriangle:
 
     def test_paper_crossing_height(self, triangle_layout):
         f = equilateral_formation(triangle_layout, 1.04)
-        eq = solve_triangle(f, (0, 1, 2))
+        eq = direct_kinematics(f, [1, 1, 1])
         assert eq.z == pytest.approx(0.088, abs=5e-3)   # measured: 9.0 cm
 
     def test_flat_limit(self, triangle_layout):
         f = equilateral_formation(triangle_layout, 1.6)
-        eq = solve_triangle(f, (0, 1, 2))
+        eq = direct_kinematics(f, [1, 1, 1])
         assert eq.z == pytest.approx(Z_R, abs=1e-12)
         assert eq.flat
 
     def test_hessian_assertion_fires_for_anisotropic_stretch(self):
         # thin sheet triangle contracted in x but stretched toward the pair
         # limit in y: the hang-energy Hessian goes indefinite and the
-        # closed-form branch must refuse rather than return a saddle
+        # known-taut-set solver must refuse rather than return a saddle
         v = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.3]])
         layout = SheetLayout(v, Z_R)
         c = v.mean(axis=0)
         f = Formation(c + (v - c) @ np.diag([0.5, 1.2]).T, layout)
         with pytest.raises(SingularSystem):
-            solve_triangle(f, (0, 1, 2))
+            direct_kinematics(f, [1, 1, 1])
         # discovery still matches brute force via the boundary families
         eq = solve_equilibrium(f)
         orc = oracle_equilibrium(f, 1e-3)
@@ -73,14 +76,12 @@ class TestTriangle:
         assert eq.boundary_contact
 
     def test_matches_oracle_randomly(self):
-        from sheetplan import ContactOutsideTriangle
-
         rng = np.random.default_rng(21)
         for _ in range(10):
             layout, f = draw_transport_case(rng, 3, slack_pull=False)
             try:
-                eq = solve_triangle(f, (0, 1, 2))
-            except (ContactOutsideTriangle, SingularSystem):
+                eq = direct_kinematics(f, [1, 1, 1])
+            except (ContactOutsideHull, SingularSystem):
                 # taut-interior hypothesis wrong: discovery must still agree
                 eq = solve_equilibrium(f)
             orc = oracle_equilibrium(f, 1e-3)
@@ -91,7 +92,7 @@ class TestQuadrilateral:
     def test_symmetric_square(self):
         layout = SheetLayout(regular_polygon(4, 1.6 / np.sqrt(2), phase=np.pi / 4), Z_R)
         f = Formation(regular_polygon(4, 1.4 / np.sqrt(2), phase=np.pi / 4), layout)
-        eq = solve_quadrilateral(f, (0, 1, 2, 3))
+        eq = direct_kinematics(f, [1, 1, 1, 1])
         # center contact, drop sqrt((1.6/sqrt2)^2 - (1.4/sqrt2)^2)
         assert eq.z == pytest.approx(0.79 - np.sqrt(1.28 - 0.98), abs=1e-9)
         assert eq.z == pytest.approx(0.24228, abs=1e-5)
@@ -100,30 +101,16 @@ class TestQuadrilateral:
     def test_flat_limit(self):
         layout = SheetLayout(regular_polygon(4, 1.6 / np.sqrt(2), phase=np.pi / 4), Z_R)
         f = Formation(layout.holding_points.copy(), layout)
-        eq = solve_quadrilateral(f, (0, 1, 2, 3))
+        eq = direct_kinematics(f, [1, 1, 1, 1])
         assert eq.z == pytest.approx(Z_R, abs=1e-12)
         assert eq.flat
-
-    def test_asymmetric_matches_oracle(self):
-        rng = np.random.default_rng(8)
-        checked = 0
-        while checked < 8:
-            layout, f = draw_transport_case(rng, 4, slack_pull=False)
-            eq = solve_equilibrium(f)
-            if eq.taut_count != 4 or eq.boundary_contact:
-                continue
-            quad = solve_quadrilateral(f, (0, 1, 2, 3))
-            orc = oracle_equilibrium(f, 1e-3)
-            assert quad.z == pytest.approx(orc.z, abs=2e-3)
-            assert quad.z == pytest.approx(eq.z, abs=1e-10)
-            checked += 1
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             layout, f = draw_transport_case(rng, 4, slack_pull=False)
             try:
-                eq = solve_quadrilateral(f, (0, 1, 2, 3))
+                eq = direct_kinematics(f, [1, 1, 1, 1])
             except Exception:
                 continue
             _, taut_res = residuals(f, eq)
@@ -134,7 +121,7 @@ class TestPentagon:
     def test_symmetric(self):
         layout = SheetLayout(regular_polygon(5, 0.9), Z_R)
         f = Formation(regular_polygon(5, 0.6), layout)
-        eq = solve_pentagon(f, (0, 1, 2, 3, 4))
+        eq = direct_kinematics(f, [1, 1, 1, 1, 1])
         assert eq.z == pytest.approx(Z_R - np.sqrt(0.81 - 0.36), abs=1e-9)
         assert eq.z == pytest.approx(0.11918, abs=1e-5)
         assert np.allclose(eq.sheet_contact, [0.0, 0.0], atol=1e-9)
@@ -142,7 +129,7 @@ class TestPentagon:
     def test_flat_limit(self):
         layout = SheetLayout(regular_polygon(5, 0.9), Z_R)
         f = Formation(layout.holding_points.copy(), layout)
-        eq = solve_pentagon(f, (0, 1, 2, 3, 4))
+        eq = direct_kinematics(f, [1, 1, 1, 1, 1])
         assert eq.z == pytest.approx(Z_R, abs=1e-12)
 
     def test_residual_tolerance(self):
@@ -152,14 +139,14 @@ class TestPentagon:
             eq = solve_equilibrium(f)
             if eq.taut_count != 5 or eq.boundary_contact:
                 continue
-            pent = solve_pentagon(f, (0, 1, 2, 3, 4))
+            pent = direct_kinematics(f, [1, 1, 1, 1, 1])
             _, taut_res = residuals(f, pent)
             assert taut_res < 1e-9
 
     def test_redundant_consistent_hexagon(self):
         layout = SheetLayout(regular_polygon(6, 0.9), Z_R)
         f = Formation(regular_polygon(6, 0.6), layout)
-        eq = solve_pentagon(f, (0, 1, 2, 3, 4, 5))
+        eq = direct_kinematics(f, [1, 1, 1, 1, 1, 1])
         assert eq.z == pytest.approx(Z_R - np.sqrt(0.81 - 0.36), abs=1e-7)
         assert eq.taut_count == 6
 
@@ -169,26 +156,54 @@ class TestPentagon:
         pts[5] *= 1.02          # cable 5 can no longer be taut with the rest
         f = Formation(pts, layout)
         with pytest.raises(InconsistentRedundancy):
-            solve_pentagon(f, (0, 1, 2, 3, 4, 5))
+            direct_kinematics(f, [1, 1, 1, 1, 1, 1])
 
 
 class TestDirectKinematics:
     def test_dispatch_triangle(self, triangle_layout):
+        # the all-taut flags of the symmetric triangle give the same contact
+        # as taut-set discovery
         f = equilateral_formation(triangle_layout, 1.2)
         a = direct_kinematics(f, [1, 1, 1])
-        b = solve_triangle(f, (0, 1, 2))
+        b = solve_equilibrium(f)
+        assert b.taut_count == 3
         assert np.allclose(a.world_position, b.world_position, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_asymmetric_matches_oracle(self, n):
+        # on interior all-taut cases the known-taut-set solve reproduces
+        # discovery (to round-off) and the brute-force oracle; random carries
+        # of five or more robots almost never keep every cable taut, so
+        # those cases are built by inverse kinematics instead
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 8:
+            if n <= 4:
+                layout, f = draw_transport_case(rng, n, slack_pull=False)
+            else:
+                layout, f, _, _ = draw_consistent_target(rng, n)
+            eq = solve_equilibrium(f)
+            if eq.taut_count != n or eq.boundary_contact:
+                continue
+            dk = direct_kinematics(f, [c.taut for c in eq.cables])
+            orc = oracle_equilibrium(f, 1e-3)
+            assert dk.z == pytest.approx(orc.z, abs=2e-3)
+            assert dk.z == pytest.approx(eq.z, abs=1e-10)
+            checked += 1
 
     def test_triangle_subformation_of_five(self):
         # alternating taut triple of a five-robot team: the slack robots'
-        # flags are simply ignored by the dispatch
+        # flags drop them, leaving the three-robot team on holding points
+        # 0, 2, 4
         layout = SheetLayout(regular_polygon(5, 1.0), Z_R)
         r = 0.62 * layout.holding_points
         for i in (1, 3):
             r[i] = 0.45 * layout.holding_points[i]
         f = Formation(r, layout)
         a = direct_kinematics(f, [1, 0, 1, 0, 1])
-        b = solve_triangle(f, (0, 2, 4))
+        keep = [0, 2, 4]
+        sub = Formation(r[keep], SheetLayout(layout.holding_points[keep], Z_R))
+        b = direct_kinematics(sub, [1, 1, 1])
         assert np.allclose(a.world_position, b.world_position, atol=1e-12)
 
     def test_too_few_taut(self):

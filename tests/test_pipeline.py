@@ -173,6 +173,28 @@ class TestInfeasiblePipeline:
         assert err.value.obstacle_index == 0
 
 
+class TestBypassRun:
+    def test_tall_obstacle_is_bypassed(self):
+        # one obstacle taller than any crossing height, in a corridor wide
+        # enough to go around it
+        text = open(CORRIDOR).read()
+        for old, new in (
+            ("corridor_point = 6.0 0.0", "corridor_point = 8.0 0.0"),
+            ("corridor_width = 2.0", "corridor_width = 4.0"),
+            ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
+            ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 3.5 0.0 0.1 0.76"),
+            ("goal = 5.6 0.0", "goal = 7.0 0.0"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        scenario = parse_scenario(text)
+        report = run_pipeline(scenario)
+        assert report.obstacle_modes == ("bypassed",)
+        assert report.min_horizontal_clearance >= scenario.safety.delta_r - 1e-9
+        step = scenario.speed * scenario.dt
+        assert np.linalg.norm(report.final_object[:2] - report.goal) <= 2 * step
+
+
 class TestCli:
     def test_validate(self, capsys):
         assert cli_main(["validate", CORRIDOR]) == 0

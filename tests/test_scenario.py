@@ -67,6 +67,15 @@ class TestParsing:
     def test_non_numeric(self):
         with pytest.raises(ParseError):
             parse_scenario(MINIMAL.replace("goal = 5.6 0.0", "goal = five 0.0"))
+        # non-finite numbers would slip through every clearance check later
+        line = MINIMAL.splitlines().index("obstacle = 2.2 0.0 0.1 0.05") + 1
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(MINIMAL.replace("obstacle = 2.2 0.0 0.1 0.05",
+                                               f"obstacle = 2.2 0.0 0.1 {bad}"))
+            assert err.value.line == line
+        with pytest.raises(ParseError):
+            parse_scenario(MINIMAL.replace("goal = 5.6 0.0", "goal = nan 0.0"))
 
     def test_wrong_arity(self):
         with pytest.raises(ParseError):

@@ -58,10 +58,9 @@ from .planner import (
     crossing_path,
     crossing_pose,
     formation_to_robots,
-    plan_local,
     select_sides,
 )
 from .scenario import Scenario, load_formation_file, load_scenario
-from .pipeline import RunReport, export_report, run_pipeline
+from .pipeline import RunReport, export_report, plan_local, run_pipeline
 
 __version__ = "0.1.0"

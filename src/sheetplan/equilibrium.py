@@ -34,7 +34,7 @@ from .errors import (
     SingularSystem,
     TooFewTaut,
 )
-from .geometry import Formation, SheetLayout, cross2, point_in_polygon
+from .geometry import Formation, SheetLayout, cross2, point_in_polygon, rotation
 
 SLACK_BAND = 1e-6        # cable counts as slack only below geodesic - band
 FEAS_TOL = 1e-7          # allowed violation of the cable inequality
@@ -124,15 +124,11 @@ def _canonical(points, i1, i2):
     o = points[i1]
     d = points[i2] - points[i1]
     ang = np.arctan2(d[1], d[0])
-    c, s = np.cos(-ang), np.sin(-ang)
-    rot = np.array([[c, -s], [s, c]])
-    return (points - o) @ rot.T, o, float(ang)
+    return (points - o) @ rotation(-ang).T, o, float(ang)
 
 
 def _from_canonical(p, origin, ang):
-    c, s = np.cos(ang), np.sin(ang)
-    rot = np.array([[c, -s], [s, c]])
-    return np.asarray(p) @ rot.T + origin
+    return np.asarray(p) @ rotation(ang).T + origin
 
 
 def _subset_isometric(v, r, idx, tol=1e-9):
@@ -171,8 +167,7 @@ def _stationary_candidates(v, z_r, r, idx, edge=None):
         rhs.append(float(vt[k] @ vt[k] - rt[k] @ rt[k]))
     if edge is not None:
         a, b = edge
-        c, s = np.cos(-vang), np.sin(-vang)
-        rot = np.array([[c, -s], [s, c]])
+        rot = rotation(-vang)
         a2 = (np.asarray(a) - vo_org) @ rot.T
         b2 = (np.asarray(b) - vo_org) @ rot.T
         e = b2 - a2

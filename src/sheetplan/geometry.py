@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFormation, InvalidHeight, NonConvexResult
+from .errors import DegenerateFormation, InvalidHeight, NonConvexResult, ValidationError
 
 AREA_TOL = 1e-9          # signed-area tolerance for convexity tests (m^2)
 FRAME_TOL = 1e-9         # coincident-point tolerance for frame construction (m)
@@ -22,6 +22,18 @@ def as_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (N, 2) point array, got shape {pts.shape}")
     return pts
+
+
+def rotation(angle) -> np.ndarray:
+    """2x2 counterclockwise rotation matrix by `angle` radians."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def require_finite(field, value):
+    """Raise ValidationError(field) unless every entry of `value` is finite."""
+    if not np.isfinite(value).all():
+        raise ValidationError(field, "must be finite")
 
 
 def cross2(a, b) -> float:
@@ -84,6 +96,8 @@ class SafetyParams:
     z_safe: float = 0.04
 
     def __post_init__(self):
+        require_finite("delta_r", self.delta_r)
+        require_finite("z_safe", self.z_safe)
         if self.delta_r <= 0 or self.z_safe <= 0:
             raise ValueError("safety margins must be positive")
 
@@ -103,6 +117,8 @@ class SheetLayout:
         pts = as_points(self.holding_points)
         object.__setattr__(self, "holding_points", pts)
         object.__setattr__(self, "holding_height", float(self.holding_height))
+        require_finite("holding_points", pts)
+        require_finite("holding_height", self.holding_height)
         if len(pts) < 3:
             raise NonConvexResult("sheet layout needs at least 3 holding points")
         check_convex_ccw(pts, what="sheet layout")
@@ -133,6 +149,7 @@ class Formation:
     def __post_init__(self):
         pts = as_points(self.robot_positions)
         object.__setattr__(self, "robot_positions", pts)
+        require_finite("robot_positions", pts)
         if len(pts) != self.layout.n:
             raise ValueError(
                 f"formation has {len(pts)} robots for {self.layout.n} holding points"
@@ -173,9 +190,7 @@ class Formation:
 
     def transformed(self, angle, center, translation) -> "Formation":
         """Rigidly rotate about `center` by `angle`, then translate."""
-        c, s = np.cos(angle), np.sin(angle)
-        rot = np.array([[c, -s], [s, c]])
-        pts = (self.robot_positions - center) @ rot.T + center + translation
+        pts = (self.robot_positions - center) @ rotation(angle).T + center + translation
         return Formation(pts, self.layout)
 
 
@@ -188,14 +203,10 @@ class LocalFrame:
     local_coords: np.ndarray = field(repr=False)
 
     def to_world(self, local_points) -> np.ndarray:
-        c, s = np.cos(self.rotation), np.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return np.asarray(local_points) @ rot.T + self.origin
+        return np.asarray(local_points) @ rotation(self.rotation).T + self.origin
 
     def to_local(self, world_points) -> np.ndarray:
-        c, s = np.cos(-self.rotation), np.sin(-self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return (np.asarray(world_points) - self.origin) @ rot.T
+        return (np.asarray(world_points) - self.origin) @ rotation(-self.rotation).T
 
 
 def to_local_frame(points) -> LocalFrame:
@@ -212,12 +223,10 @@ def to_local_frame(points) -> LocalFrame:
     d = pts[1] - pts[0]
     if np.linalg.norm(d) < FRAME_TOL:
         raise DegenerateFormation("first two robots coincide")
-    rotation = float(np.arctan2(d[1], d[0]))
+    angle = float(np.arctan2(d[1], d[0]))
     origin = pts[0].copy()
-    c, s = np.cos(-rotation), np.sin(-rotation)
-    rot = np.array([[c, -s], [s, c]])
-    local = (pts - origin) @ rot.T
-    return LocalFrame(origin=origin, rotation=rotation, local_coords=local)
+    local = (pts - origin) @ rotation(-angle).T
+    return LocalFrame(origin=origin, rotation=angle, local_coords=local)
 
 
 def _circle_two(a, b):

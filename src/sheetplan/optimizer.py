@@ -26,7 +26,13 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .errors import NoFeasibleFormation, SheetPlanError
-from .geometry import Formation, FormationIndicators, SafetyParams, indicators
+from .geometry import (
+    Formation,
+    FormationIndicators,
+    SafetyParams,
+    indicators,
+    require_finite,
+)
 
 EVAL_BUDGET = 500
 STEP_MIN = 1e-5
@@ -62,6 +68,9 @@ class ObstacleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        require_finite("center", self.center)
+        require_finite("radius", self.radius)
+        require_finite("height", self.height)
         if self.radius < 0 or self.height < 0:
             raise ValueError("obstacle radius and height must be nonnegative")
 

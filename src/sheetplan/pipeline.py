@@ -4,7 +4,13 @@ For each obstacle in centerline order: optimize the formation shape, transit
 along the corridor to the maneuver start, morph into the new shape in place,
 then execute the crossing (or bypass) maneuver. The object's position is
 re-solved from the cable model at every sample, and the whole run is
-deterministic for a fixed scenario.
+deterministic for a fixed scenario. `plan_local` is the same sampler run
+over a single maneuver.
+
+A crossing runs along a track parallel to the approach direction, offset
+laterally into a robot-free channel through the formation, following the
+four-step schedule of `planner.crossing_pose`. A bypass shifts the centroid
+laterally around the obstacle along a trapezoid, with no rotation.
 
 Robot offsets are carried in world orientation throughout; maneuvers apply
 their rotation on top and fold it into the offsets when they finish, so the
@@ -18,20 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import solve_equilibrium
-from .errors import IoError, PipelineInfeasible, SheetPlanError
-from .geometry import Formation
-from .optimizer import optimize_formation
+from .errors import IoError, PipelineInfeasible, PlanInfeasible, SheetPlanError
+from .geometry import Formation, SafetyParams, rotation
+from .optimizer import FormationSolution, ObstacleSpec, optimize_formation
 from .planner import (
+    CrossingSchedule,
     PlanTimeline,
-    _bypass_profile,
-    _crossing_schedule,
-    _rot,
     crossing_pose,
+    outward_normals,
+    select_sides,
     wrap_angle,
 )
 from .scenario import Scenario
 
 FMT = "%.9g"
+DEFAULT_OMEGA = 0.2        # rad/s, rotation rate of the formation
+START_MARGIN = 0.05        # extra approach clearance before rotating in place
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,86 @@ class RunReport:
     final_object: np.ndarray
     goal: np.ndarray
     dt: float
+
+
+def _track_offset(offsets, lateral, theta1, theta2, margin):
+    """Lateral channel for the obstacle track through the formation.
+
+    The obstacle sweeps a line parallel to the motion through the polygon;
+    every robot must stay `margin` away from it in both the entry and exit
+    orientations (a triangle always has a robot on the centroid line, so a
+    centered track would hit it). Returns the feasible offset closest to
+    the centroid line, or None when no channel is wide enough.
+    """
+    ys = []
+    for ang in (theta1, theta1 + theta2):
+        ys.extend((offsets @ rotation(ang).T) @ lateral)
+    ys = np.sort(np.asarray(ys))
+    candidates = []
+    for a, b in zip(ys, ys[1:]):
+        lo, hi = a + margin, b - margin
+        if hi < lo:
+            continue
+        candidates.append(float(np.clip(0.0, lo, hi)))
+    if not candidates:
+        return None
+    # smallest lateral excursion; ties resolved toward positive y
+    return min(candidates, key=lambda y: (abs(y), -np.sign(y)))
+
+
+def _crossing_schedule(solution, obstacle, safety, approach, depart, v, omega, dt):
+    """Build the schedule plus the track geometry.
+
+    approach/depart are world-frame unit directions; the returned abscissas
+    are measured along the approach and track_y is the centroid track's
+    lateral position relative to the obstacle center.
+    """
+    formation = solution.formation
+    approach = np.asarray(approach, dtype=float)
+    lateral = np.array([-approach[1], approach[0]])
+    entering, exiting, theta1, theta2 = select_sides(formation, approach, depart)
+    offsets = formation.robot_positions - formation.centroid()
+    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
+    margin = obstacle.radius + safety.delta_r
+    y_off = _track_offset(offsets, lateral, theta1, theta2, margin + 1e-6)
+    if y_off is None:
+        raise PlanInfeasible(
+            f"no robot-free channel of width {2 * margin:.3f} m through the formation"
+        )
+    # entering side line distance ahead of the centroid once aligned
+    pts_in = offsets @ rotation(theta1).T
+    side = [entering, (entering + 1) % formation.n]
+    d_in = float(0.5 * (pts_in[side] @ approach).sum())
+    pts_out = offsets @ rotation(theta1 + theta2).T
+    rear_extent = float(-np.min(pts_out @ approach))
+    x_start = -(r_max + margin + START_MARGIN)
+    x_enter_done = margin - d_in
+    x_clear = rear_extent + margin
+    T1 = max(abs(theta1) / omega, dt)
+    T2 = T1 + (x_enter_done - x_start) / v
+    T3 = T2 + abs(theta2) / omega
+    T4 = T3 + (x_clear - x_enter_done) / v
+    normals = outward_normals(formation.robot_positions)
+    schedule = CrossingSchedule(
+        theta1=theta1, theta2=theta2, T1=T1, T2=T2, T3=T3, T4=T4, v=v,
+        entering_side=entering, exiting_side=exiting,
+        n_in=normals[entering], n_out=normals[exiting],
+    )
+    return schedule, x_start, x_clear, -y_off
+
+
+def _bypass_profile(solution, obstacle, w_convex, safety):
+    """Lateral trapezoid offsets for a bypass: (leg length, shift)."""
+    W = solution.indicators.W
+    shift = obstacle.radius + W / 2.0 + safety.delta_r
+    if shift + W / 2.0 > w_convex / 2.0 + 1e-9:
+        raise PlanInfeasible(
+            f"bypass shift {shift:.3f} m does not fit a corridor of width {w_convex:.3f} m"
+        )
+    offsets = solution.formation.robot_positions - solution.formation.centroid()
+    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
+    along = obstacle.radius + safety.delta_r + r_max
+    return along, shift
 
 
 def _translate_runner(xy_from, xy_to, theta, offsets, v):
@@ -83,18 +171,20 @@ def _morph_runner(xy, theta, offsets_from, offsets_to, v):
 
 def _crossing_runner(schedule, x_start, track_y, center, psi, theta_acc, offsets):
     """Four-step crossing maneuver; rotation applied on top of world offsets."""
-    rot_w = _rot(psi)
+    rot_w = rotation(psi)
 
     def fn(t):
         x, dtheta = crossing_pose(schedule, t)
         xy = center + rot_w @ np.array([x_start + x, track_y])
-        return xy, theta_acc + dtheta, xy + offsets @ _rot(dtheta).T
+        return xy, theta_acc + dtheta, xy + offsets @ rotation(dtheta).T
 
     return schedule.T4, fn
 
 
-def _bypass_runner(obstacle, psi, theta_acc, offsets, along, shift, v, r_max):
-    rot_w = _rot(psi)
+def _bypass_runner(obstacle, psi, theta_acc, offsets, along, shift, v):
+    """Bypass trapezoid: shift out diagonally, pass straight, shift back."""
+    rot_w = rotation(psi)
+    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
     x0 = -(along + shift + r_max)
     t_diag = float(np.hypot(shift, shift)) / v
     t_pass = 2.0 * along / v
@@ -175,14 +265,13 @@ def run_pipeline(scenario: Scenario) -> RunReport:
         new_offsets = (
             solution.formation.robot_positions - solution.formation.centroid()
         )
-        r_max = float(np.max(np.linalg.norm(new_offsets, axis=1)))
 
         if solution.mode == "crossing":
             schedule, x_start, x_clear, track_y = _crossing_schedule(
                 solution, obstacle, scenario.safety, approach, depart,
                 v, scenario.omega, dt,
             )
-            start_xy = obstacle.center + _rot(psi) @ np.array([x_start, track_y])
+            start_xy = obstacle.center + rotation(psi) @ np.array([x_start, track_y])
             segments.extend(
                 _transit_runners(centroid, start_xy, corridor, theta_acc, offsets, v)
             )
@@ -192,15 +281,15 @@ def run_pipeline(scenario: Scenario) -> RunReport:
                                  theta_acc, new_offsets)
             )
             turn = schedule.theta1 + schedule.theta2
-            n_out_world = _rot(turn) @ schedule.n_out
+            n_out_world = rotation(turn) @ schedule.n_out
             exit_angle = wrap_angle(
                 float(np.arctan2(n_out_world[1], n_out_world[0]))
                 - float(np.arctan2(depart[1], depart[0]))
             )
             angles.append((schedule.theta1, schedule.theta2, exit_angle))
             theta_acc += turn
-            offsets = new_offsets @ _rot(turn).T
-            centroid = obstacle.center + _rot(psi) @ np.array([x_clear, track_y])
+            offsets = new_offsets @ rotation(turn).T
+            centroid = obstacle.center + rotation(psi) @ np.array([x_clear, track_y])
         else:
             try:
                 along, shift = _bypass_profile(
@@ -209,9 +298,9 @@ def run_pipeline(scenario: Scenario) -> RunReport:
             except SheetPlanError as exc:
                 raise PipelineInfeasible(index, f"obstacle {index}: {exc}") from exc
             total, fn, x0, x_end = _bypass_runner(
-                obstacle, psi, theta_acc, new_offsets, along, shift, v, r_max
+                obstacle, psi, theta_acc, new_offsets, along, shift, v
             )
-            start_xy = obstacle.center + _rot(psi) @ np.array([x0, 0.0])
+            start_xy = obstacle.center + rotation(psi) @ np.array([x0, 0.0])
             segments.extend(
                 _transit_runners(centroid, start_xy, corridor, theta_acc, offsets, v)
             )
@@ -219,7 +308,7 @@ def run_pipeline(scenario: Scenario) -> RunReport:
             segments.append((total, fn))
             angles.append(None)
             offsets = new_offsets
-            centroid = obstacle.center + _rot(psi) @ np.array([x_end, 0.0])
+            centroid = obstacle.center + rotation(psi) @ np.array([x_end, 0.0])
 
     # final transit: land the object on the goal
     placed = Formation(centroid + offsets, layout)
@@ -228,11 +317,90 @@ def run_pipeline(scenario: Scenario) -> RunReport:
     target = np.asarray(scenario.goal, dtype=float) - object_offset
     segments.extend(_transit_runners(centroid, target, corridor, theta_acc, offsets, v))
 
-    timeline = _sample_segments(segments, layout, dt)
+    timeline = _sample_segments(segments, layout, dt, "pipeline", None)
     return _build_report(scenario, timeline, modes, angles)
 
 
-def _sample_segments(segments, layout, dt) -> PlanTimeline:
+def plan_local(
+    solution: FormationSolution,
+    obstacle: ObstacleSpec,
+    w_convex: float,
+    dt: float,
+    v: float,
+    omega: float = DEFAULT_OMEGA,
+    safety: SafetyParams = SafetyParams(),
+    approach=(1.0, 0.0),
+    depart=None,
+) -> PlanTimeline:
+    """Generate the local timeline that takes the formation past one obstacle.
+
+    Crossing mode follows the four-step schedule through the obstacle;
+    bypass mode shifts laterally around it. Both are the maneuvers of
+    `run_pipeline`, sampled on their own. The sampled timeline is verified
+    against the object and robot clearance requirements and PlanInfeasible
+    is raised when no safe motion exists.
+    """
+    approach = np.asarray(approach, dtype=float)
+    approach = approach / np.linalg.norm(approach)
+    depart_v = approach if depart is None else np.asarray(depart, dtype=float)
+    depart_v = depart_v / np.linalg.norm(depart_v)
+    psi = float(np.arctan2(approach[1], approach[0]))
+    formation = solution.formation
+    offsets = formation.robot_positions - formation.centroid()
+    ind = solution.indicators
+
+    if solution.mode == "crossing":
+        if (obstacle.z_obs > ind.z_obsmax + 1e-9
+                or obstacle.d_obs > ind.d_obsmax + 1e-9
+                or ind.W > w_convex + 1e-9):
+            raise PlanInfeasible("formation does not satisfy the crossing constraints")
+        schedule, x_start, _, track_y = _crossing_schedule(
+            solution, obstacle, safety, approach, depart_v, v, omega, dt
+        )
+        segment = _crossing_runner(
+            schedule, x_start, track_y, obstacle.center, psi, 0.0, offsets
+        )
+        mode = "crossing"
+    elif solution.mode == "bypassing":
+        along, shift = _bypass_profile(solution, obstacle, w_convex, safety)
+        total, fn, _, _ = _bypass_runner(obstacle, psi, 0.0, offsets, along, shift, v)
+        segment, schedule, mode = (total, fn), None, "bypassing"
+    else:
+        raise PlanInfeasible(f"no local plan for mode {solution.mode!r}")
+
+    timeline = _sample_segments([segment], formation.layout, dt, mode, schedule)
+    _verify_clearances(timeline, obstacle, safety)
+    return timeline
+
+
+def _verify_clearances(timeline: PlanTimeline, obstacle: ObstacleSpec, safety: SafetyParams):
+    """Object must clear the obstacle top; robots must clear its disc.
+
+    Written as `not (x >= bound)` so that a NaN fails the check.
+    """
+    for k in range(len(timeline)):
+        obj = timeline.objects[k]
+        horiz = float(np.linalg.norm(obj[:2] - obstacle.center))
+        if not (horiz > obstacle.radius + safety.delta_r):
+            if not (obj[2] - obstacle.z_obs >= safety.z_safe - 1e-9):
+                raise PlanInfeasible(
+                    f"object clearance {obj[2] - obstacle.z_obs:.4f} m below "
+                    f"z_safe at t={timeline.times[k]:.2f}"
+                )
+        dists = np.linalg.norm(timeline.robots[k] - obstacle.center, axis=1)
+        if not (float(np.min(dists)) >= obstacle.radius + safety.delta_r - 1e-9):
+            raise PlanInfeasible(
+                f"robot within the obstacle margin at t={timeline.times[k]:.2f}"
+            )
+
+
+def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
+    """Sample piecewise maneuvers into a full timeline.
+
+    segments: list of (duration, fn) with fn(t_local) -> (xy, theta, robots)
+    in world coordinates; the object equilibrium is re-solved at every
+    sample from the placed formation.
+    """
     total = sum(d for d, _ in segments)
     count = int(np.ceil(total / dt - 1e-9)) + 1
     times = np.arange(count) * dt
@@ -259,29 +427,40 @@ def _sample_segments(segments, layout, dt) -> PlanTimeline:
         taut[k] = [c.taut for c in eq.cables]
     return PlanTimeline(
         times=times, poses=poses, robots=robots, objects=objects,
-        contacts=contacts, taut=taut, mode="pipeline", schedule=None,
+        contacts=contacts, taut=taut, mode=mode, schedule=schedule,
     )
 
 
 def _build_report(scenario, timeline, modes, angles) -> RunReport:
+    """Derive the run metrics and re-check every clearance on the samples.
+
+    Checks are written as `not (x >= bound)` so that a NaN fails them.
+    """
+    safety = scenario.safety
     min_vert = np.inf
-    min_horiz = np.inf
+    robot_clearances = []              # per obstacle: min robot distance to its disc
     for index, obstacle in enumerate(scenario.obstacles):
         horiz = np.linalg.norm(timeline.objects[:, :2] - obstacle.center, axis=1)
-        over = horiz <= obstacle.radius + scenario.safety.delta_r
+        over = ~(horiz > obstacle.radius + safety.delta_r)
         if np.any(over):
             vert = float(np.min(timeline.objects[over, 2]) - obstacle.z_obs)
             min_vert = min(min_vert, vert)
-            if modes[index] == "crossed" and vert < scenario.safety.z_safe - 1e-9:
+            if modes[index] == "crossed" and not (vert >= safety.z_safe - 1e-9):
                 raise PipelineInfeasible(
                     index, f"object clearance {vert:.4f} below z_safe over obstacle {index}"
                 )
         robot_d = np.linalg.norm(
             timeline.robots - obstacle.center[None, None, :], axis=2
         )
-        min_horiz = min(min_horiz, float(np.min(robot_d) - obstacle.radius))
-    if scenario.obstacles and min_horiz < scenario.safety.delta_r - 1e-9:
-        raise PipelineInfeasible(0, f"robot clearance {min_horiz:.4f} below delta_r")
+        robot_clearances.append(float(np.min(robot_d) - obstacle.radius))
+    min_horiz = np.inf
+    if robot_clearances:
+        worst = int(np.argmin(robot_clearances))
+        min_horiz = robot_clearances[worst]
+        if not (min_horiz >= safety.delta_r - 1e-9):
+            raise PipelineInfeasible(
+                worst, f"robot clearance {min_horiz:.4f} below delta_r at obstacle {worst}"
+            )
     path_lengths = np.sum(
         np.linalg.norm(np.diff(timeline.robots, axis=0), axis=2), axis=0
     )
@@ -290,9 +469,10 @@ def _build_report(scenario, timeline, modes, angles) -> RunReport:
     ])
     rmse = float(np.sqrt(np.mean(deviations**2)))
     final_object = timeline.objects[-1]
-    if np.linalg.norm(final_object[:2] - scenario.goal) > 2.0 * scenario.speed * scenario.dt:
+    miss = np.linalg.norm(final_object[:2] - scenario.goal)
+    if not (miss <= 2.0 * scenario.speed * scenario.dt):
         raise PipelineInfeasible(
-            -1, f"final object {final_object[:2]} missed goal {scenario.goal}"
+            None, f"final object {final_object[:2]} missed the goal {scenario.goal}"
         )
     return RunReport(
         scenario_name=scenario.name,

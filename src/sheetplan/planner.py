@@ -1,11 +1,10 @@
-"""Local path generation: rigid-formation obstacle crossing and bypassing.
+"""Crossing geometry: side selection and the piecewise crossing path.
 
-A crossing runs along a track parallel to the approach direction, offset
-laterally into a robot-free channel through the formation, as four steps:
-rotate to present the entering side, translate the obstacle through the
-formation, rotate to present the exiting side, translate clear. The
-centroid path is the exact piecewise schedule in `crossing_pose`.
-Bypassing shifts the centroid laterally around the obstacle, no rotation.
+A crossing presents one side of the formation to the obstacle as four
+steps: rotate to present the entering side, translate the obstacle through
+the formation, rotate to present the exiting side, translate clear. The
+centroid path is the exact piecewise schedule in `crossing_pose`. Timelines
+that carry a formation along such paths are sampled in `pipeline`.
 """
 from __future__ import annotations
 
@@ -13,13 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import solve_equilibrium
-from .errors import InvalidSchedule, PlanInfeasible
-from .geometry import Formation, SafetyParams, as_points
-from .optimizer import FormationSolution, ObstacleSpec
-
-DEFAULT_OMEGA = 0.2        # rad/s, rotation rate of the formation
-START_MARGIN = 0.05        # extra approach clearance before rotating in place
+# Unused here: perfbench/spans.py wraps `planner.solve_equilibrium` by name,
+# so the benchmark's traced runs need this module to bind it.
+from .equilibrium import solve_equilibrium  # noqa: F401
+from .errors import InvalidSchedule
+from .geometry import Formation, as_points, rotation
 
 
 def wrap_angle(a: float) -> float:
@@ -153,9 +150,7 @@ def formation_to_robots(poses, formation: Formation) -> np.ndarray:
     offsets = formation.robot_positions - formation.centroid()
     out = np.zeros((len(poses), formation.n, 2))
     for k, pose in enumerate(poses):
-        c, s = np.cos(pose.theta), np.sin(pose.theta)
-        rot = np.array([[c, -s], [s, c]])
-        out[k] = np.array([pose.x, pose.y]) + offsets @ rot.T
+        out[k] = np.array([pose.x, pose.y]) + offsets @ rotation(pose.theta).T
     return out
 
 
@@ -174,223 +169,3 @@ class PlanTimeline:
 
     def __len__(self):
         return len(self.times)
-
-
-def _rot(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _track_offset(offsets, lateral, theta1, theta2, margin):
-    """Lateral channel for the obstacle track through the formation.
-
-    The obstacle sweeps a line parallel to the motion through the polygon;
-    every robot must stay `margin` away from it in both the entry and exit
-    orientations (a triangle always has a robot on the centroid line, so a
-    centered track would hit it). Returns the feasible offset closest to
-    the centroid line, or None when no channel is wide enough.
-    """
-    ys = []
-    for ang in (theta1, theta1 + theta2):
-        ys.extend((offsets @ _rot(ang).T) @ lateral)
-    ys = np.sort(np.asarray(ys))
-    candidates = []
-    for a, b in zip(ys, ys[1:]):
-        lo, hi = a + margin, b - margin
-        if hi < lo:
-            continue
-        candidates.append(float(np.clip(0.0, lo, hi)))
-    if not candidates:
-        return None
-    # smallest lateral excursion; ties resolved toward positive y
-    return min(candidates, key=lambda y: (abs(y), -np.sign(y)))
-
-
-def _crossing_schedule(solution, obstacle, safety, approach, depart, v, omega, dt):
-    """Build the schedule plus the track geometry.
-
-    approach/depart are world-frame unit directions; the returned abscissas
-    are measured along the approach and track_y is the centroid track's
-    lateral position relative to the obstacle center.
-    """
-    formation = solution.formation
-    approach = np.asarray(approach, dtype=float)
-    lateral = np.array([-approach[1], approach[0]])
-    entering, exiting, theta1, theta2 = select_sides(formation, approach, depart)
-    offsets = formation.robot_positions - formation.centroid()
-    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
-    margin = obstacle.radius + safety.delta_r
-    y_off = _track_offset(offsets, lateral, theta1, theta2, margin + 1e-6)
-    if y_off is None:
-        raise PlanInfeasible(
-            f"no robot-free channel of width {2 * margin:.3f} m through the formation"
-        )
-    # entering side line distance ahead of the centroid once aligned
-    pts_in = offsets @ _rot(theta1).T
-    side = [entering, (entering + 1) % formation.n]
-    d_in = float(0.5 * (pts_in[side] @ approach).sum())
-    pts_out = offsets @ _rot(theta1 + theta2).T
-    rear_extent = float(-np.min(pts_out @ approach))
-    x_start = -(r_max + margin + START_MARGIN)
-    x_enter_done = margin - d_in
-    x_clear = rear_extent + margin
-    T1 = max(abs(theta1) / omega, dt)
-    T2 = T1 + (x_enter_done - x_start) / v
-    T3 = T2 + abs(theta2) / omega
-    T4 = T3 + (x_clear - x_enter_done) / v
-    normals = outward_normals(formation.robot_positions)
-    schedule = CrossingSchedule(
-        theta1=theta1, theta2=theta2, T1=T1, T2=T2, T3=T3, T4=T4, v=v,
-        entering_side=entering, exiting_side=exiting,
-        n_in=normals[entering], n_out=normals[exiting],
-    )
-    return schedule, x_start, x_clear, -y_off
-
-
-def _bypass_profile(solution, obstacle, w_convex, safety):
-    """Lateral trapezoid offsets for a bypass: (leg length, shift)."""
-    W = solution.indicators.W
-    shift = obstacle.radius + W / 2.0 + safety.delta_r
-    if shift + W / 2.0 > w_convex / 2.0 + 1e-9:
-        raise PlanInfeasible(
-            f"bypass shift {shift:.3f} m does not fit a corridor of width {w_convex:.3f} m"
-        )
-    offsets = solution.formation.robot_positions - solution.formation.centroid()
-    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
-    along = obstacle.radius + safety.delta_r + r_max
-    return along, shift
-
-
-def _verify_clearances(timeline: PlanTimeline, obstacle: ObstacleSpec, safety: SafetyParams):
-    """Object must clear the obstacle top; robots must clear its disc."""
-    for k in range(len(timeline)):
-        obj = timeline.objects[k]
-        horiz = float(np.linalg.norm(obj[:2] - obstacle.center))
-        if horiz <= obstacle.radius + safety.delta_r:
-            if obj[2] - obstacle.z_obs < safety.z_safe - 1e-9:
-                raise PlanInfeasible(
-                    f"object clearance {obj[2] - obstacle.z_obs:.4f} m below "
-                    f"z_safe at t={timeline.times[k]:.2f}"
-                )
-        dists = np.linalg.norm(timeline.robots[k] - obstacle.center, axis=1)
-        if float(np.min(dists)) < obstacle.radius + safety.delta_r - 1e-9:
-            raise PlanInfeasible(
-                f"robot within the obstacle margin at t={timeline.times[k]:.2f}"
-            )
-
-
-def sample_timeline(segments, formation: Formation, dt: float, mode: str,
-                    schedule=None) -> PlanTimeline:
-    """Sample piecewise pose programs into a full timeline.
-
-    segments: list of (duration, pose_fn) with pose_fn(t_local) -> (xy, theta)
-    in world coordinates; the object equilibrium is re-solved at every
-    sample from the transformed formation.
-    """
-    total = sum(d for d, _ in segments)
-    count = int(np.ceil(total / dt - 1e-9)) + 1
-    times = np.arange(count) * dt
-    poses = np.zeros((count, 3))
-    robots = np.zeros((count, formation.n, 2))
-    objects = np.zeros((count, 3))
-    contacts = np.zeros((count, 2))
-    taut = np.zeros((count, formation.n), dtype=bool)
-    offsets = formation.robot_positions - formation.centroid()
-    for k, t in enumerate(times):
-        t_rel = min(float(t), total)
-        for i, (duration, fn) in enumerate(segments):
-            if t_rel <= duration + 1e-12 or i == len(segments) - 1:
-                xy, theta = fn(min(t_rel, duration))
-                break
-            t_rel -= duration
-        poses[k] = [xy[0], xy[1], theta]
-        robots[k] = xy + offsets @ _rot(theta).T
-        placed = Formation(robots[k], formation.layout)
-        eq = solve_equilibrium(placed)
-        objects[k] = eq.world_position
-        contacts[k] = eq.sheet_contact
-        taut[k] = [c.taut for c in eq.cables]
-    return PlanTimeline(
-        times=times, poses=poses, robots=robots, objects=objects,
-        contacts=contacts, taut=taut, mode=mode, schedule=schedule,
-    )
-
-
-def plan_local(
-    solution: FormationSolution,
-    obstacle: ObstacleSpec,
-    w_convex: float,
-    dt: float,
-    v: float,
-    omega: float = DEFAULT_OMEGA,
-    safety: SafetyParams = SafetyParams(),
-    approach=(1.0, 0.0),
-    depart=None,
-) -> PlanTimeline:
-    """Generate the local timeline that takes the formation past one obstacle.
-
-    Crossing mode follows the four-step schedule through the obstacle;
-    bypass mode shifts laterally around it. The sampled timeline is verified
-    against the object and robot clearance requirements and PlanInfeasible
-    is raised when no safe motion exists.
-    """
-    approach = np.asarray(approach, dtype=float)
-    approach = approach / np.linalg.norm(approach)
-    depart_v = approach if depart is None else np.asarray(depart, dtype=float)
-    depart_v = depart_v / np.linalg.norm(depart_v)
-    psi = np.arctan2(approach[1], approach[0])
-    rot_w = _rot(psi)
-    ind = solution.indicators
-
-    if solution.mode == "crossing":
-        if (obstacle.z_obs > ind.z_obsmax + 1e-9
-                or obstacle.d_obs > ind.d_obsmax + 1e-9
-                or ind.W > w_convex + 1e-9):
-            raise PlanInfeasible("formation does not satisfy the crossing constraints")
-        schedule, x_start, _, track_y = _crossing_schedule(
-            solution, obstacle, safety, approach, depart_v, v, omega, dt
-        )
-
-        # 2-D rotations commute, so the schedule's theta applies directly to
-        # the world-frame offsets; only the centroid path needs re-embedding.
-        # track_y shifts the path into a robot-free channel past the obstacle.
-        def pose_fn(t):
-            x, theta = crossing_pose(schedule, t)
-            xy = obstacle.center + rot_w @ np.array([x_start + x, track_y])
-            return xy, theta
-
-        timeline = sample_timeline(
-            [(schedule.T4, pose_fn)], solution.formation, dt,
-            mode="crossing", schedule=schedule,
-        )
-    elif solution.mode == "bypassing":
-        along, shift = _bypass_profile(solution, obstacle, w_convex, safety)
-        offsets = solution.formation.robot_positions - solution.formation.centroid()
-        r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
-        x0 = -(along + shift + r_max + START_MARGIN)
-        # trapezoid: shift out diagonally, pass straight, shift back
-        t_diag = np.hypot(shift, shift) / v
-        t_pass = 2.0 * along / v
-
-        def pose_fn(t):
-            if t <= t_diag:
-                frac = t / t_diag
-                loc = np.array([x0 + frac * shift, frac * shift])
-            elif t <= t_diag + t_pass:
-                loc = np.array([x0 + shift + (t - t_diag) * v, shift])
-            elif t <= 2 * t_diag + t_pass:
-                frac = (t - t_diag - t_pass) / t_diag
-                loc = np.array([x0 + shift + t_pass * v + frac * shift, (1 - frac) * shift])
-            else:
-                loc = np.array([x0 + 2 * shift + t_pass * v, 0.0])
-            return obstacle.center + rot_w @ loc, 0.0
-
-        total = 2 * t_diag + t_pass
-        timeline = sample_timeline(
-            [(total, pose_fn)], solution.formation, dt, mode="bypassing",
-        )
-    else:
-        raise PlanInfeasible(f"no local plan for mode {solution.mode!r}")
-
-    _verify_clearances(timeline, obstacle, safety)
-    return timeline

@@ -9,8 +9,10 @@ from sheetplan import (
     Formation,
     InvalidHeight,
     NonConvexResult,
+    ObstacleSpec,
     SafetyParams,
     SheetLayout,
+    ValidationError,
     circumscribed_diameter,
     indicators,
     min_enclosing_circle,
@@ -129,6 +131,19 @@ class TestPolygonValidation:
         layout = equilateral_layout()
         with pytest.raises(ValueError):
             Formation(regular_polygon(4, 0.5), layout)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, build", [
+        ("robot_positions",
+         lambda bad: Formation([[bad, 0.0], [1.0, 0.0], [0.5, 0.8]], equilateral_layout())),
+        ("holding_height", lambda bad: equilateral_layout(z_r=bad)),
+        ("height", lambda bad: ObstacleSpec((0.0, 0.0), 0.1, bad)),
+        ("delta_r", lambda bad: SafetyParams(bad, 0.04)),
+    ])
+    def test_non_finite_rejected(self, field, build, bad):
+        with pytest.raises(ValidationError) as err:
+            build(bad)
+        assert err.value.field == field
 
     def test_point_in_polygon_boundary(self):
         poly = regular_polygon(4, 1.0)

@@ -1,4 +1,6 @@
 """End-to-end scenario runs, export formats, and the CLI."""
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -12,11 +14,12 @@ from sheetplan import (
     run_pipeline,
 )
 from sheetplan.cli import main as cli_main
-from sheetplan.pipeline import RunReport
+from sheetplan.pipeline import RunReport, _build_report
 from sheetplan.scenario import parse_scenario
 
 CORRIDOR = "scenarios/corridor.txt"
 TURNED = "scenarios/turned_corridor.txt"
+REFERENCE = "perfbench/reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +69,21 @@ class TestCorridorRun:
         t = corridor_report.timeline.times
         assert np.allclose(np.diff(t), 0.1, atol=1e-12)
 
-    def test_determinism_byte_identical(self, tmp_path):
-        scenario = load_scenario(CORRIDOR)
-        paths_a = export_report(run_pipeline(scenario), tmp_path / "a")
-        paths_b = export_report(run_pipeline(scenario), tmp_path / "b")
-        for a, b in zip(paths_a, paths_b):
-            with open(a, "rb") as fa, open(b, "rb") as fb:
-                assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("fixture, name", [
+    ("corridor_report", "corridor"),
+    ("turned_report", "turned_corridor"),
+])
+def test_golden_outputs(fixture, name, request, tmp_path):
+    """Every exported file matches the sha256 recorded in the reference."""
+    paths = export_report(request.getfixturevalue(fixture), tmp_path / name)
+    digests = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    with open(REFERENCE) as fh:
+        assert digests == json.load(fh)["outputs"][name]
 
 
 class TestTurnedCorridorRun:
@@ -170,6 +181,66 @@ class TestInfeasiblePipeline:
         scenario = parse_scenario(text)
         with pytest.raises(PipelineInfeasible) as err:
             run_pipeline(scenario)
+        assert err.value.obstacle_index == 0
+
+
+def hand_timeline(robots, objects):
+    robots = np.asarray(robots, dtype=float)
+    count, n = robots.shape[:2]
+    return PlanTimeline(
+        times=0.1 * np.arange(count), poses=np.zeros((count, 3)), robots=robots,
+        objects=np.asarray(objects, dtype=float), contacts=np.zeros((count, 2)),
+        taut=np.ones((count, n), dtype=bool), mode="pipeline",
+    )
+
+
+class TestBuildReport:
+    """Clearance and goal checks on hand-built timelines past the two
+    corridor obstacles: (2.2, 0) with radius 0.1 and (4.2, 0) with radius 0.2."""
+
+    modes = ("crossed", "crossed")
+    angles = (None, None)
+    clear_robots = [[3.0, 0.5], [3.0, -0.5], [3.5, 0.0]]
+
+    def test_robot_clearance_names_the_nearest_obstacle(self):
+        scenario = load_scenario(CORRIDOR)
+        tl = hand_timeline(
+            [self.clear_robots, [[4.2, 0.22], [5.0, 0.6], [5.0, -0.6]]],
+            [[3.2, 0.0, 0.3], [5.6, 0.0, 0.3]],
+        )
+        with pytest.raises(PipelineInfeasible) as err:
+            _build_report(scenario, tl, self.modes, self.angles)
+        assert err.value.obstacle_index == 1
+        assert "robot clearance 0.0200" in str(err.value)
+
+    def test_goal_miss_names_no_obstacle(self):
+        scenario = load_scenario(CORRIDOR)
+        tl = hand_timeline(
+            [self.clear_robots, [[4.7, 0.5], [4.7, -0.5], [5.2, 0.0]]],
+            [[3.2, 0.0, 0.3], [5.0, 0.0, 0.3]],
+        )
+        with pytest.raises(PipelineInfeasible) as err:
+            _build_report(scenario, tl, self.modes, self.angles)
+        assert err.value.obstacle_index is None
+        assert "goal" in str(err.value)
+
+    def test_nan_robot_fails_the_clearance_check(self):
+        scenario = load_scenario(CORRIDOR)
+        tl = hand_timeline(
+            [self.clear_robots, [[np.nan, 0.5], [4.7, -0.5], [5.2, 0.0]]],
+            [[3.2, 0.0, 0.3], [5.6, 0.0, 0.3]],
+        )
+        with pytest.raises(PipelineInfeasible, match="robot clearance nan"):
+            _build_report(scenario, tl, self.modes, self.angles)
+
+    def test_nan_object_height_fails_the_clearance_check(self):
+        scenario = load_scenario(CORRIDOR)
+        tl = hand_timeline(
+            [self.clear_robots, [[4.7, 0.5], [4.7, -0.5], [5.2, 0.0]]],
+            [[2.2, 0.0, np.nan], [5.6, 0.0, 0.3]],
+        )
+        with pytest.raises(PipelineInfeasible) as err:
+            _build_report(scenario, tl, self.modes, self.angles)
         assert err.value.obstacle_index == 0
 
 

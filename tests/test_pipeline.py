@@ -69,6 +69,13 @@ class TestCorridorRun:
         t = corridor_report.timeline.times
         assert np.allclose(np.diff(t), 0.1, atol=1e-12)
 
+    def test_determinism_byte_identical(self, tmp_path):
+        scenario = load_scenario(CORRIDOR)
+        paths_a = export_report(run_pipeline(scenario), tmp_path / "a")
+        paths_b = export_report(run_pipeline(scenario), tmp_path / "b")
+        for a, b in zip(paths_a, paths_b):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()
 
 
 @pytest.mark.parametrize("fixture, name", [

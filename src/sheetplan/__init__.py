@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    MAX_ROBOTS,
     Formation,
     FormationIndicators,
     LocalFrame,
@@ -52,12 +53,9 @@ from .optimizer import (
     optimize_formation,
 )
 from .planner import (
-    CentroidPose,
     CrossingSchedule,
     PlanTimeline,
-    crossing_path,
     crossing_pose,
-    formation_to_robots,
     select_sides,
 )
 from .scenario import Scenario, load_formation_file, load_scenario

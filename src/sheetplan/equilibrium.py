@@ -327,28 +327,42 @@ def _edge_candidates(v, z_r, r, n):
     return out
 
 
-def _validate_candidate(v, z_r, r, z, u, q):
-    if not point_in_polygon(u, v, tol=1e-9):
-        return False
-    rho = np.linalg.norm(v - u, axis=1)
-    d = np.sqrt(np.sum((r - q) ** 2, axis=1) + (z_r - z) ** 2)
-    if np.any(d > rho + FEAS_TOL):
-        return False
-    _, z_low = kernels.lowest_point(r, z_r, rho)
-    return abs(z_low - z) <= ENERGY_TOL
+def _rank(candidate):
+    """Selection key: lowest z, then larger taut sets, then index order."""
+    z, _, _, idx, _ = candidate
+    return (z, -len(idx), idx)
+
+
+def _points_in_polygon_mask(pts, poly, tol=1e-9):
+    """`point_in_polygon` for each row of an (M, 2) array of points."""
+    e = poly[np.arange(1, len(poly) + 1) % len(poly)] - poly
+    cross = e[:, 0] * (pts[:, None, 1] - poly[:, 1]) - e[:, 1] * (pts[:, None, 0] - poly[:, 0])
+    return np.all(cross >= -tol, axis=1)
 
 
 def _select_best(v, z_r, r, candidates):
-    best = None
-    best_key = None
-    for z, u, q, idx, boundary in candidates:
-        if not _validate_candidate(v, z_r, r, z, u, q):
-            continue
-        key = (z, -len(idx), idx)
-        if best is None or key < best_key:
-            best = (z, u, q, idx, boundary)
-            best_key = key
-    return best
+    """Best candidate of one family that validates, or None.
+
+    A candidate validates when its contact lies on the sheet, no cable is
+    longer than its geodesic, and its height is the lowest point of the
+    cable balls for its contact. Every candidate of a solve shares the robot
+    positions as ball centers, so the lowest points of all candidates that
+    pass the first two checks come from one batched kernel call.
+    """
+    if not candidates:
+        return None
+    z = np.array([c[0] for c in candidates])
+    u = np.array([c[1] for c in candidates])
+    q = np.array([c[2] for c in candidates])
+    rho = np.linalg.norm(v[None] - u[:, None], axis=2)
+    d = np.sqrt(np.sum((r[None] - q[:, None]) ** 2, axis=2) + ((z_r - z) ** 2)[:, None])
+    ok = _points_in_polygon_mask(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
+    kept = np.flatnonzero(ok)
+    if len(kept) == 0:
+        return None
+    _, z_low = kernels.lowest_point_grid(r, z_r, rho[kept])
+    valid = [candidates[k] for k, zl in zip(kept, z_low) if abs(zl - z[k]) <= ENERGY_TOL]
+    return min(valid, key=_rank, default=None)
 
 
 def solve_equilibrium(formation: Formation, fast: bool = False) -> ObjectEquilibrium:
@@ -371,13 +385,13 @@ def solve_equilibrium(formation: Formation, fast: bool = False) -> ObjectEquilib
     n = formation.n
 
     interior = _interior_candidates(v, z_r, r, n) + _ridge_candidates(v, z_r, r)
-    if fast:
-        best = _select_best(v, z_r, r, interior)
-        if best is not None and point_in_polygon(best[1], v, tol=-1e-9):
-            z, u, q, idx, boundary = best
-            return _build_equilibrium(formation, u, q, z, boundary=boundary)
+    best = _select_best(v, z_r, r, interior)
+    if fast and best is not None and point_in_polygon(best[1], v, tol=-1e-9):
+        z, u, q, idx, boundary = best
+        return _build_equilibrium(formation, u, q, z, boundary=boundary)
 
-    best = _select_best(v, z_r, r, interior + _edge_candidates(v, z_r, r, n))
+    edge = _select_best(v, z_r, r, _edge_candidates(v, z_r, r, n))
+    best = min((b for b in (best, edge) if b is not None), key=_rank, default=None)
     if best is None:
         raise NoEquilibrium(
             "no candidate equilibrium validated; feasible input should always "
@@ -389,16 +403,6 @@ def solve_equilibrium(formation: Formation, fast: bool = False) -> ObjectEquilib
 
 
 # -------------------------------------------------------------- the oracle
-def _points_in_polygon_mask(pts, poly, tol=1e-9):
-    m = np.ones(len(pts), dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        e = b - a
-        m &= (e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])) >= -tol
-    return m
-
-
 def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> ObjectEquilibrium:
     """Brute-force equilibrium: nested search independent of the solvers.
 

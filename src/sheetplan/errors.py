@@ -90,8 +90,11 @@ class ParseError(SheetPlanError):
         self.line = line
 
 
-class ValidationError(SheetPlanError):
-    """Scenario violates an invariant."""
+class ValidationError(SheetPlanError, ValueError):
+    """An input value violates an invariant (a scenario field or an argument).
+
+    Also a ValueError, so callers that catch ValueError keep catching it.
+    """
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")

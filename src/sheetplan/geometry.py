@@ -15,6 +15,7 @@ from .errors import DegenerateFormation, InvalidHeight, NonConvexResult, Validat
 
 AREA_TOL = 1e-9          # signed-area tolerance for convexity tests (m^2)
 FRAME_TOL = 1e-9         # coincident-point tolerance for frame construction (m)
+MAX_ROBOTS = 8           # largest team the solver is tested and benchmarked for
 
 
 def as_points(points) -> np.ndarray:
@@ -38,12 +39,6 @@ def require_finite(field, value):
 
 def cross2(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def polygon_signed_area(points) -> float:
-    pts = as_points(points)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def check_convex_ccw(points, what="polygon"):
@@ -77,17 +72,6 @@ def point_in_polygon(p, polygon, tol=1e-12) -> bool:
     return True
 
 
-def pairwise_distances(points) -> dict:
-    pts = as_points(points)
-    n = len(pts)
-    return {
-        (i, j): float(np.linalg.norm(pts[i] - pts[j]))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    }
-
-
 @dataclass(frozen=True)
 class SafetyParams:
     """Clearance margins: robot safety radius and object-obstacle gap."""
@@ -96,10 +80,10 @@ class SafetyParams:
     z_safe: float = 0.04
 
     def __post_init__(self):
-        require_finite("delta_r", self.delta_r)
-        require_finite("z_safe", self.z_safe)
-        if self.delta_r <= 0 or self.z_safe <= 0:
-            raise ValueError("safety margins must be positive")
+        for name in ("delta_r", "z_safe"):
+            require_finite(name, getattr(self, name))
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,9 +105,13 @@ class SheetLayout:
         require_finite("holding_height", self.holding_height)
         if len(pts) < 3:
             raise NonConvexResult("sheet layout needs at least 3 holding points")
+        if len(pts) > MAX_ROBOTS:
+            raise ValidationError(
+                "holding_points", f"at most {MAX_ROBOTS} holding points, got {len(pts)}"
+            )
         check_convex_ccw(pts, what="sheet layout")
         if self.holding_height <= 0:
-            raise ValueError("holding height must be positive")
+            raise ValidationError("holding_height", "must be positive")
 
     @property
     def n(self) -> int:
@@ -151,8 +139,9 @@ class Formation:
         object.__setattr__(self, "robot_positions", pts)
         require_finite("robot_positions", pts)
         if len(pts) != self.layout.n:
-            raise ValueError(
-                f"formation has {len(pts)} robots for {self.layout.n} holding points"
+            raise ValidationError(
+                "robot_positions",
+                f"formation has {len(pts)} robots for {self.layout.n} holding points",
             )
         check_convex_ccw(pts, what="formation")
 
@@ -187,11 +176,6 @@ class Formation:
 
     def translated(self, delta) -> "Formation":
         return Formation(self.robot_positions + np.asarray(delta), self.layout)
-
-    def transformed(self, angle, center, translation) -> "Formation":
-        """Rigidly rotate about `center` by `angle`, then translate."""
-        pts = (self.robot_positions - center) @ rotation(angle).T + center + translation
-        return Formation(pts, self.layout)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .equilibrium import (
     inverse_kinematics,
     solve_equilibrium,
 )
-from .errors import NoFeasibleFormation, SheetPlanError
+from .errors import NoFeasibleFormation, SheetPlanError, ValidationError
 from .geometry import (
     Formation,
     FormationIndicators,
@@ -50,8 +50,9 @@ class CostWeights:
     l5: float = 10.0
 
     def __post_init__(self):
-        if min(self.l1, self.l2, self.l3, self.l4, self.l5) <= 0:
-            raise ValueError("all cost weights must be positive")
+        for name in ("l1", "l2", "l3", "l4", "l5"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(name, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,9 @@ class ObstacleSpec:
         require_finite("center", self.center)
         require_finite("radius", self.radius)
         require_finite("height", self.height)
-        if self.radius < 0 or self.height < 0:
-            raise ValueError("obstacle radius and height must be nonnegative")
+        for name in ("radius", "height"):
+            if getattr(self, name) < 0:
+                raise ValidationError(name, "must be nonnegative")
 
     @property
     def d_obs(self) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import solve_equilibrium
-from .errors import IoError, PipelineInfeasible, PlanInfeasible, SheetPlanError
+from .errors import IoError, PipelineInfeasible, PlanInfeasible, SheetPlanError, ValidationError
 from .geometry import Formation, SafetyParams, rotation
 from .optimizer import FormationSolution, ObstacleSpec, optimize_formation
 from .planner import (
@@ -338,12 +338,14 @@ def plan_local(
     bypass mode shifts laterally around it. Both are the maneuvers of
     `run_pipeline`, sampled on their own. The sampled timeline is verified
     against the object and robot clearance requirements and PlanInfeasible
-    is raised when no safe motion exists.
+    is raised when no safe motion exists. ValidationError is raised when dt,
+    v or omega is not positive and finite, or a direction has zero length.
     """
-    approach = np.asarray(approach, dtype=float)
-    approach = approach / np.linalg.norm(approach)
-    depart_v = approach if depart is None else np.asarray(depart, dtype=float)
-    depart_v = depart_v / np.linalg.norm(depart_v)
+    for name, value in (("dt", dt), ("v", v), ("omega", omega)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValidationError(name, f"must be positive and finite, got {value}")
+    approach = _unit("approach", approach)
+    depart_v = approach if depart is None else _unit("depart", depart)
     psi = float(np.arctan2(approach[1], approach[0]))
     formation = solution.formation
     offsets = formation.robot_positions - formation.centroid()
@@ -371,6 +373,15 @@ def plan_local(
     timeline = _sample_segments([segment], formation.layout, dt, mode, schedule)
     _verify_clearances(timeline, obstacle, safety)
     return timeline
+
+
+def _unit(field, direction):
+    """`direction` scaled to unit length; ValidationError unless nonzero and finite."""
+    d = np.asarray(direction, dtype=float)
+    norm = float(np.linalg.norm(d))
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValidationError(field, f"must be a nonzero finite direction, got {direction}")
+    return d / norm
 
 
 def _verify_clearances(timeline: PlanTimeline, obstacle: ObstacleSpec, safety: SafetyParams):

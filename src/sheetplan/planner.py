@@ -16,23 +16,13 @@ import numpy as np
 # so the benchmark's traced runs need this module to bind it.
 from .equilibrium import solve_equilibrium  # noqa: F401
 from .errors import InvalidSchedule
-from .geometry import Formation, as_points, rotation
+from .geometry import Formation, as_points
 
 
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi]."""
     w = (a + np.pi) % (2.0 * np.pi) - np.pi
     return float(np.pi) if w == -np.pi else float(w)
-
-
-@dataclass(frozen=True)
-class CentroidPose:
-    """Formation centroid sample: planar position, rotation, timestamp."""
-
-    x: float
-    y: float
-    theta: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -126,32 +116,6 @@ def crossing_pose(schedule: CrossingSchedule, t: float):
     if t <= s.T4:
         return s.v * (t + s.delta_T - s.T3), s.theta1 + s.theta2
     return s.v * (s.T4 + s.delta_T - s.T3), s.theta1 + s.theta2
-
-
-def crossing_path(schedule: CrossingSchedule, dt: float):
-    """Sample the crossing pose sequence at uniform dt (pose held past T4)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    count = int(np.ceil(schedule.T4 / dt)) + 1
-    poses = []
-    for k in range(count):
-        t = k * dt
-        x, theta = crossing_pose(schedule, t)
-        poses.append(CentroidPose(x=x, y=0.0, theta=theta, t=t))
-    return poses
-
-
-def formation_to_robots(poses, formation: Formation) -> np.ndarray:
-    """Rigidly carry the formation along a centroid pose sequence.
-
-    Robot offsets from the centroid rotate with theta and translate with the
-    pose, so pairwise distances are exactly preserved.
-    """
-    offsets = formation.robot_positions - formation.centroid()
-    out = np.zeros((len(poses), formation.n, 2))
-    for k, pose in enumerate(poses):
-        out[k] = np.array([pose.x, pose.y]) + offsets @ rotation(pose.theta).T
-    return out
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheetplan import (
+    CostWeights,
     DegenerateFormation,
     Formation,
     InvalidHeight,
@@ -12,6 +13,7 @@ from sheetplan import (
     ObstacleSpec,
     SafetyParams,
     SheetLayout,
+    SheetPlanError,
     ValidationError,
     circumscribed_diameter,
     indicators,
@@ -144,6 +146,29 @@ class TestPolygonValidation:
         with pytest.raises(ValidationError) as err:
             build(bad)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("field, build", [
+        ("delta_r", lambda: SafetyParams(0, 0.04)),
+        ("z_safe", lambda: SafetyParams(0.05, -0.01)),
+        ("radius", lambda: ObstacleSpec((0.0, 0.0), -1, 0.1)),
+        ("height", lambda: ObstacleSpec((0.0, 0.0), 0.1, -0.1)),
+        ("robot_positions",
+         lambda: Formation(regular_polygon(4, 0.5), equilateral_layout())),
+        ("holding_height", lambda: equilateral_layout(z_r=0.0)),
+        ("l4", lambda: CostWeights(l4=-1.0)),
+    ])
+    def test_out_of_range_rejected(self, field, build):
+        with pytest.raises(SheetPlanError) as err:
+            build()
+        assert isinstance(err.value, ValidationError)
+        assert isinstance(err.value, ValueError)     # `except ValueError` still catches it
+        assert err.value.field == field
+
+    def test_robot_count_limit(self):
+        assert SheetLayout(regular_polygon(8, 1.0), 0.79).n == 8
+        with pytest.raises(ValidationError) as err:
+            SheetLayout(regular_polygon(9, 1.0), 0.79)
+        assert err.value.field == "holding_points"
 
     def test_point_in_polygon_boundary(self):
         poly = regular_polygon(4, 1.0)

@@ -1,8 +1,7 @@
-"""Compiled and pure kernels must agree; both must match first principles."""
+"""The lowest-point kernels: scalar and batched agree and match first principles."""
 import numpy as np
 import pytest
 
-from sheetplan import _hangcore_py
 from sheetplan import kernels
 
 
@@ -14,29 +13,26 @@ def _random_instance(rng, n):
     return centers, rho
 
 
-def test_backends_agree_scalar():
-    rng = np.random.default_rng(42)
-    for _ in range(400):
-        n = int(rng.integers(2, 8))
-        centers, rho = _random_instance(rng, n)
-        q_py, z_py = _hangcore_py.lowest_point(centers, 0.79, rho)
-        q_c, z_c = kernels.lowest_point(centers, 0.79, rho)
-        if q_py is None:
-            assert q_c is None
-            continue
-        assert z_c == pytest.approx(z_py, abs=1e-12)
-        assert np.allclose(q_c, q_py, atol=1e-12)
-
-
-def test_backends_agree_grid():
-    rng = np.random.default_rng(43)
-    centers = rng.uniform(-1, 1, (5, 2))
-    pts = rng.uniform(-0.5, 0.5, (200, 2))
+def test_grid_empty_and_nonempty_rows():
+    # batched validation relies on empty rows reading (0, +inf) and on the
+    # other rows matching the scalar kernel, whatever their neighbours
+    centers = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.2]])
+    rng = np.random.default_rng(46)
+    pts = rng.uniform(-0.3, 0.3, (12, 2))
     rho = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) * 1.2
-    q_py, z_py = _hangcore_py.lowest_point_grid(centers, 0.79, rho)
-    q_c, z_c = kernels.lowest_point_grid(centers, 0.79, rho)
-    assert np.allclose(z_c, z_py, atol=1e-12)
-    assert np.allclose(q_c, q_py, atol=1e-12)
+    empty = np.array([1, 4, 5, 11])
+    rho[empty] = 0.3                   # balls 2 m apart with radius 0.3: disjoint
+    q_g, z_g = kernels.lowest_point_grid(centers, 0.79, rho)
+    for k in range(len(rho)):
+        q_s, z_s = kernels.lowest_point(centers, 0.79, rho[k])
+        if k in empty:
+            assert q_s is None
+            assert z_g[k] == np.inf
+            assert np.all(q_g[k] == 0.0)
+        else:
+            assert np.isfinite(z_g[k])
+            assert abs(z_g[k] - z_s) <= 1e-12
+            assert np.max(np.abs(q_g[k] - q_s)) <= 1e-12
 
 
 def test_grid_matches_scalar():
@@ -83,7 +79,7 @@ def test_empty_intersection():
 
 
 def test_brute_force_agreement():
-    """Both kernels against a dense direct search over the object position."""
+    """The scalar kernel against a dense direct search over the object position."""
     rng = np.random.default_rng(45)
     for _ in range(20):
         n = int(rng.integers(2, 6))

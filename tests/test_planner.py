@@ -9,14 +9,13 @@ from sheetplan import (
     ObstacleSpec,
     SafetyParams,
     SheetLayout,
-    crossing_path,
+    ValidationError,
     crossing_pose,
-    formation_to_robots,
     optimize_formation,
     plan_local,
     select_sides,
 )
-from sheetplan.planner import CentroidPose, outward_normals, wrap_angle
+from sheetplan.planner import outward_normals, wrap_angle
 
 from conftest import equilateral_formation, equilateral_layout, regular_polygon
 
@@ -110,50 +109,9 @@ class TestCrossingPath:
             assert x == pytest.approx(expect[0], abs=1e-12)
             assert theta == pytest.approx(expect[1], abs=1e-12)
 
-    def test_sampling_grid(self):
-        s = make_schedule(np.deg2rad(6.0), 0.0, 1.0, 3.0, 3.0, 6.0)
-        poses = crossing_path(s, 0.25)
-        assert len(poses) == int(np.ceil(6.0 / 0.25)) + 1
-        assert all(p.y == 0.0 for p in poses)
-        ts = [p.t for p in poses]
-        assert np.allclose(np.diff(ts), 0.25)
-
     def test_invalid_schedule(self):
         with pytest.raises(InvalidSchedule):
             make_schedule(0.1, 0.0, 2.0, 1.0, 3.0, 4.0)
-
-
-class TestFormationToRobots:
-    def test_pure_translation(self, triangle_layout):
-        f = equilateral_formation(triangle_layout, 1.2)
-        poses = [CentroidPose(x=0.3 * k, y=0.1 * k, theta=0.0, t=0.1 * k) for k in range(5)]
-        robots = formation_to_robots(poses, f)
-        offsets = f.robot_positions - f.centroid()
-        for k, p in enumerate(poses):
-            assert np.allclose(robots[k], [p.x, p.y] + offsets, atol=1e-15)
-
-    def test_half_turn_negates_offsets(self, triangle_layout):
-        f = equilateral_formation(triangle_layout, 1.2)
-        poses = [CentroidPose(x=0.0, y=0.0, theta=np.pi, t=0.0)]
-        robots = formation_to_robots(poses, f)
-        offsets = f.robot_positions - f.centroid()
-        assert np.allclose(robots[0], -offsets, atol=1e-12)
-
-    def test_rigid_distances(self, triangle_layout):
-        f = equilateral_formation(triangle_layout, 1.2)
-        rng = np.random.default_rng(6)
-        poses = [
-            CentroidPose(x=float(rng.uniform(-3, 3)), y=float(rng.uniform(-3, 3)),
-                         theta=float(rng.uniform(-np.pi, np.pi)), t=0.1 * k)
-            for k in range(40)
-        ]
-        robots = formation_to_robots(poses, f)
-        base = [np.linalg.norm(f.robot_positions[i] - f.robot_positions[j])
-                for i in range(3) for j in range(i + 1, 3)]
-        for k in range(len(poses)):
-            got = [np.linalg.norm(robots[k, i] - robots[k, j])
-                   for i in range(3) for j in range(i + 1, 3)]
-            assert np.max(np.abs(np.array(got) - base)) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +181,20 @@ class TestPlanLocal:
         for k in range(len(tl)):
             d = np.linalg.norm(tl.robots[k] - obstacle.center, axis=1)
             assert np.min(d) >= obstacle.radius + safety.delta_r - 1e-9
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("v", {"v": 0.0}),
+        ("v", {"v": np.nan}),
+        ("omega", {"omega": 0.0}),
+        ("omega", {"omega": np.inf}),
+        ("dt", {"dt": -0.1}),
+        ("dt", {"dt": 0.0}),
+        ("approach", {"approach": (0.0, 0.0)}),
+        ("depart", {"depart": (0.0, 0.0)}),
+    ])
+    def test_invalid_arguments_rejected(self, crossing_plan, field, kwargs):
+        solution, obstacle, _ = crossing_plan
+        args = {"dt": 0.1, "v": 0.1, **kwargs}
+        with pytest.raises(ValidationError) as err:
+            plan_local(solution, obstacle, 2.0, **args)
+        assert err.value.field == field

@@ -33,6 +33,7 @@ from .errors import (
     ObjectOutsideFormation,
     SingularSystem,
     TooFewTaut,
+    ValidationError,
 )
 from .geometry import Formation, SheetLayout, cross2, point_in_polygon, rotation
 
@@ -251,7 +252,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
     """
     flags = [bool(f) for f in taut_flags]
     if len(flags) != formation.n:
-        raise ValueError(f"expected {formation.n} flags, got {len(flags)}")
+        raise ValidationError("taut_flags", f"expected {formation.n} flags, got {len(flags)}")
     _require_feasible(formation)
     taut = [i for i, f in enumerate(flags) if f]
     if len(taut) < 3:
@@ -481,11 +482,11 @@ def inverse_kinematics(
     v = layout.holding_points
     z_r = layout.holding_height
     if len(phis) != layout.n:
-        raise ValueError(f"expected {layout.n} angles, got {len(phis)}")
+        raise ValidationError("phis", f"expected {layout.n} angles, got {len(phis)}")
     if not point_in_polygon(contact, v, tol=-1e-9):
-        raise ValueError("contact must lie strictly inside the sheet polygon")
+        raise ValidationError("contact", "must lie strictly inside the sheet polygon")
     if not object_height < z_r:
-        raise ValueError("object height must be below the holding height")
+        raise ValidationError("object_height", "must be below the holding height")
     l = layout.cable_lengths(contact)
     h = z_r - object_height
     short = l * l - h * h

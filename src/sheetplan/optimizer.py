@@ -151,7 +151,7 @@ class _Chart:
             return None
         try:
             formation = inverse_kinematics(self.layout, v_o, z_o, phis)
-        except (SheetPlanError, ValueError):
+        except SheetPlanError:
             return None
         try:
             eq = solve_equilibrium(formation, fast=True)
@@ -216,7 +216,6 @@ def optimize_formation(
     w_convex: float,
     weights: CostWeights = CostWeights(),
     safety: SafetyParams = SafetyParams(),
-    budget: int = EVAL_BUDGET,
 ) -> FormationSolution:
     """Optimal crossing (or bypassing) formation for one obstacle.
 
@@ -224,10 +223,10 @@ def optimize_formation(
     that descends the squared constraint violation when the start is
     infeasible, then an objective phase with hard constraint rejection.
     Raises NoFeasibleFormation when neither crossing nor bypassing
-    constraints can be met.
+    constraints can be met, and ValidationError unless w_convex > 0.
     """
-    if w_convex <= 0:
-        raise ValueError("w_convex must be positive")
+    if not (w_convex > 0):
+        raise ValidationError("w_convex", "must be positive")
     try:
         chart = _Chart(initial, safety)
         if chart.decode(chart.x0) is None:
@@ -235,10 +234,10 @@ def optimize_formation(
     except SheetPlanError:
         chart = _shrunk_start(initial, safety)
 
-    crossing = _run_program(chart, obstacle, w_convex, weights, budget, mode="crossing")
+    crossing = _run_program(chart, obstacle, w_convex, weights, mode="crossing")
     if crossing is not None:
         return crossing
-    bypassing = _run_program(chart, obstacle, w_convex, weights, budget, mode="bypassing")
+    bypassing = _run_program(chart, obstacle, w_convex, weights, mode="bypassing")
     if bypassing is not None:
         return bypassing
     raise NoFeasibleFormation(
@@ -247,7 +246,7 @@ def optimize_formation(
     )
 
 
-def _run_program(chart, obstacle, w_convex, weights, budget, mode):
+def _run_program(chart, obstacle, w_convex, weights, mode):
     safety = chart.safety
 
     def constraint_values(ind):
@@ -264,7 +263,7 @@ def _run_program(chart, obstacle, w_convex, weights, budget, mode):
         formation, eq, ind = decoded
         j = cost_transport(formation, chart.initial, eq.sheet_contact,
                            chart.v_o0, weights)
-        j += -weights.l3 * (w_convex - ind.W) ** 2
+        j += cost_pass(ind.W, w_convex, weights)
         if mode == "crossing":
             # penalty-form crossing terms (see module docstring)
             j += weights.l4 * (ind.z_obsmax - obstacle.z_obs) ** 2
@@ -290,10 +289,10 @@ def _run_program(chart, obstacle, w_convex, weights, budget, mode):
     x = chart.x0.copy()
     used = 0
     if violation(x) > 0:
-        x, fv, used = _pattern_search(x, violation, budget // 2, steps0)
+        x, fv, used = _pattern_search(x, violation, EVAL_BUDGET // 2, steps0)
         if fv > 0:
             return None
-    x, _, more = _pattern_search(x, hard_cost, budget - used, steps0)
+    x, _, more = _pattern_search(x, hard_cost, EVAL_BUDGET - used, steps0)
     used += more
 
     decoded = chart.decode(x)

@@ -4,8 +4,8 @@ For each obstacle in centerline order: optimize the formation shape, transit
 along the corridor to the maneuver start, morph into the new shape in place,
 then execute the crossing (or bypass) maneuver. The object's position is
 re-solved from the cable model at every sample, and the whole run is
-deterministic for a fixed scenario. `plan_local` is the same sampler run
-over a single maneuver.
+deterministic for a fixed scenario. `plan_local` samples the same maneuver
+step for a single obstacle.
 
 A crossing runs along a track parallel to the approach direction, offset
 laterally into a robot-free channel through the formation, following the
@@ -84,19 +84,18 @@ def _track_offset(offsets, lateral, theta1, theta2, margin):
     return min(candidates, key=lambda y: (abs(y), -np.sign(y)))
 
 
-def _crossing_schedule(solution, obstacle, safety, approach, depart, v, omega, dt):
+def _crossing_schedule(formation, offsets, r_max, obstacle, safety, approach, depart,
+                       v, omega, dt):
     """Build the schedule plus the track geometry.
 
-    approach/depart are world-frame unit directions; the returned abscissas
-    are measured along the approach and track_y is the centroid track's
-    lateral position relative to the obstacle center.
+    offsets are the robots relative to the centroid and r_max their largest
+    norm; approach/depart are world-frame unit directions. The returned
+    abscissas are measured along the approach and track_y is the centroid
+    track's lateral position relative to the obstacle center.
     """
-    formation = solution.formation
     approach = np.asarray(approach, dtype=float)
     lateral = np.array([-approach[1], approach[0]])
     entering, exiting, theta1, theta2 = select_sides(formation, approach, depart)
-    offsets = formation.robot_positions - formation.centroid()
-    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
     margin = obstacle.radius + safety.delta_r
     y_off = _track_offset(offsets, lateral, theta1, theta2, margin + 1e-6)
     if y_off is None:
@@ -125,7 +124,7 @@ def _crossing_schedule(solution, obstacle, safety, approach, depart, v, omega, d
     return schedule, x_start, x_clear, -y_off
 
 
-def _bypass_profile(solution, obstacle, w_convex, safety):
+def _bypass_profile(solution, r_max, obstacle, w_convex, safety):
     """Lateral trapezoid offsets for a bypass: (leg length, shift)."""
     W = solution.indicators.W
     shift = obstacle.radius + W / 2.0 + safety.delta_r
@@ -133,8 +132,6 @@ def _bypass_profile(solution, obstacle, w_convex, safety):
         raise PlanInfeasible(
             f"bypass shift {shift:.3f} m does not fit a corridor of width {w_convex:.3f} m"
         )
-    offsets = solution.formation.robot_positions - solution.formation.centroid()
-    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
     along = obstacle.radius + safety.delta_r + r_max
     return along, shift
 
@@ -169,9 +166,8 @@ def _morph_runner(xy, theta, offsets_from, offsets_to, v):
     return duration, fn
 
 
-def _crossing_runner(schedule, x_start, track_y, center, psi, theta_acc, offsets):
+def _crossing_runner(schedule, x_start, track_y, center, rot_w, theta_acc, offsets):
     """Four-step crossing maneuver; rotation applied on top of world offsets."""
-    rot_w = rotation(psi)
 
     def fn(t):
         x, dtheta = crossing_pose(schedule, t)
@@ -181,10 +177,8 @@ def _crossing_runner(schedule, x_start, track_y, center, psi, theta_acc, offsets
     return schedule.T4, fn
 
 
-def _bypass_runner(obstacle, psi, theta_acc, offsets, along, shift, v):
+def _bypass_runner(obstacle, rot_w, theta_acc, offsets, r_max, along, shift, v):
     """Bypass trapezoid: shift out diagonally, pass straight, shift back."""
-    rot_w = rotation(psi)
-    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
     x0 = -(along + shift + r_max)
     t_diag = float(np.hypot(shift, shift)) / v
     t_pass = 2.0 * along / v
@@ -197,15 +191,13 @@ def _bypass_runner(obstacle, psi, theta_acc, offsets, along, shift, v):
             loc = np.array([x0 + frac * shift, frac * shift])
         elif t <= t_diag + t_pass:
             loc = np.array([x0 + shift + (t - t_diag) * v, shift])
-        elif t <= total:
+        else:
             frac = (t - t_diag - t_pass) / t_diag if t_diag > 0 else 1.0
             loc = np.array([x0 + shift + t_pass * v + frac * shift, (1 - frac) * shift])
-        else:
-            loc = np.array([x_end, 0.0])
         xy = obstacle.center + rot_w @ loc
         return xy, theta_acc, xy + offsets
 
-    return total, fn, x0, x_end
+    return (total, fn), x0, x_end
 
 
 def _transit_runners(xy_from, xy_to, corridor, theta, offsets, v):
@@ -227,11 +219,44 @@ def _transit_runners(xy_from, xy_to, corridor, theta, offsets, v):
     return runners
 
 
+def _maneuver(solution, obstacle, w_convex, safety, approach, depart, v, omega, dt,
+              theta_acc):
+    """The crossing or bypass of one obstacle by the optimized formation.
+
+    Returns (segment, start_xy, end_xy, schedule): the maneuver as one
+    (duration, fn) segment starting at heading theta_acc, the world centroid
+    where it starts and ends, and its CrossingSchedule (None for a bypass).
+    Raises PlanInfeasible when the formation cannot make the maneuver.
+    """
+    rot_w = rotation(float(np.arctan2(approach[1], approach[0])))
+    formation = solution.formation
+    offsets = formation.robot_positions - formation.centroid()
+    r_max = float(np.max(np.linalg.norm(offsets, axis=1)))
+    if solution.mode == "crossing":
+        schedule, x_start, x_end, track_y = _crossing_schedule(
+            formation, offsets, r_max, obstacle, safety, approach, depart, v, omega, dt
+        )
+        segment = _crossing_runner(
+            schedule, x_start, track_y, obstacle.center, rot_w, theta_acc, offsets
+        )
+    elif solution.mode == "bypassing":
+        along, shift = _bypass_profile(solution, r_max, obstacle, w_convex, safety)
+        segment, x_start, x_end = _bypass_runner(
+            obstacle, rot_w, theta_acc, offsets, r_max, along, shift, v
+        )
+        schedule, track_y = None, 0.0
+    else:
+        raise PlanInfeasible(f"no local plan for mode {solution.mode!r}")
+    return (segment, obstacle.center + rot_w @ np.array([x_start, track_y]),
+            obstacle.center + rot_w @ np.array([x_end, track_y]), schedule)
+
+
 def run_pipeline(scenario: Scenario) -> RunReport:
     """Run the optimize/plan/simulate pipeline over a whole scenario.
 
-    Raises PipelineInfeasible naming the first obstacle that admits neither
-    a crossing nor a bypassing plan.
+    Raises PipelineInfeasible naming the first obstacle for which no
+    formation is found or the chosen crossing or bypass cannot be planned,
+    and (with the obstacle index None) a run whose object misses the goal.
     """
     corridor = scenario.corridor
     v = scenario.speed
@@ -240,12 +265,10 @@ def run_pipeline(scenario: Scenario) -> RunReport:
     modes = []
     angles = []
 
-    layout = scenario.initial_formation.layout
-    offsets = (
-        scenario.initial_formation.robot_positions
-        - scenario.initial_formation.centroid()
-    )
-    centroid = scenario.initial_formation.centroid()
+    initial = scenario.initial_formation
+    layout = initial.layout
+    offsets = initial.robot_positions - initial.centroid()
+    centroid = initial.centroid()
     theta_acc = 0.0
 
     for index, obstacle in enumerate(scenario.obstacles):
@@ -253,62 +276,37 @@ def run_pipeline(scenario: Scenario) -> RunReport:
         approach = corridor.direction_at(max(s_obs - 1e-9, 0.0))
         depart = corridor.direction_at(min(s_obs + 1e-6, corridor.length))
         w_convex = corridor.width_at(s_obs)
-        psi = float(np.arctan2(approach[1], approach[0]))
         current = Formation(centroid + offsets, layout)
         try:
             solution = optimize_formation(
                 current, obstacle, w_convex, scenario.weights, scenario.safety
             )
+            segment, start_xy, end_xy, schedule = _maneuver(
+                solution, obstacle, w_convex, scenario.safety, approach, depart,
+                v, scenario.omega, dt, theta_acc,
+            )
         except SheetPlanError as exc:
             raise PipelineInfeasible(index, f"obstacle {index}: {exc}") from exc
-        modes.append("crossed" if solution.mode == "crossing" else "bypassed")
-        new_offsets = (
-            solution.formation.robot_positions - solution.formation.centroid()
-        )
-
-        if solution.mode == "crossing":
-            schedule, x_start, x_clear, track_y = _crossing_schedule(
-                solution, obstacle, scenario.safety, approach, depart,
-                v, scenario.omega, dt,
-            )
-            start_xy = obstacle.center + rotation(psi) @ np.array([x_start, track_y])
-            segments.extend(
-                _transit_runners(centroid, start_xy, corridor, theta_acc, offsets, v)
-            )
-            segments.append(_morph_runner(start_xy, theta_acc, offsets, new_offsets, v))
-            segments.append(
-                _crossing_runner(schedule, x_start, track_y, obstacle.center, psi,
-                                 theta_acc, new_offsets)
-            )
-            turn = schedule.theta1 + schedule.theta2
-            n_out_world = rotation(turn) @ schedule.n_out
-            exit_angle = wrap_angle(
-                float(np.arctan2(n_out_world[1], n_out_world[0]))
-                - float(np.arctan2(depart[1], depart[0]))
-            )
-            angles.append((schedule.theta1, schedule.theta2, exit_angle))
-            theta_acc += turn
-            offsets = new_offsets @ rotation(turn).T
-            centroid = obstacle.center + rotation(psi) @ np.array([x_clear, track_y])
-        else:
-            try:
-                along, shift = _bypass_profile(
-                    solution, obstacle, w_convex, scenario.safety
-                )
-            except SheetPlanError as exc:
-                raise PipelineInfeasible(index, f"obstacle {index}: {exc}") from exc
-            total, fn, x0, x_end = _bypass_runner(
-                obstacle, psi, theta_acc, new_offsets, along, shift, v
-            )
-            start_xy = obstacle.center + rotation(psi) @ np.array([x0, 0.0])
-            segments.extend(
-                _transit_runners(centroid, start_xy, corridor, theta_acc, offsets, v)
-            )
-            segments.append(_morph_runner(start_xy, theta_acc, offsets, new_offsets, v))
-            segments.append((total, fn))
+        new_offsets = solution.formation.robot_positions - solution.formation.centroid()
+        segments.extend(_transit_runners(centroid, start_xy, corridor, theta_acc, offsets, v))
+        segments.append(_morph_runner(start_xy, theta_acc, offsets, new_offsets, v))
+        segments.append(segment)
+        centroid = end_xy
+        if schedule is None:
+            modes.append("bypassed")
             angles.append(None)
             offsets = new_offsets
-            centroid = obstacle.center + rotation(psi) @ np.array([x_end, 0.0])
+            continue
+        modes.append("crossed")
+        turn = schedule.theta1 + schedule.theta2
+        n_out_world = rotation(turn) @ schedule.n_out
+        exit_angle = wrap_angle(
+            float(np.arctan2(n_out_world[1], n_out_world[0]))
+            - float(np.arctan2(depart[1], depart[0]))
+        )
+        angles.append((schedule.theta1, schedule.theta2, exit_angle))
+        theta_acc += turn
+        offsets = new_offsets @ rotation(turn).T
 
     # final transit: land the object on the goal
     placed = Formation(centroid + offsets, layout)
@@ -335,43 +333,32 @@ def plan_local(
     """Generate the local timeline that takes the formation past one obstacle.
 
     Crossing mode follows the four-step schedule through the obstacle;
-    bypass mode shifts laterally around it. Both are the maneuvers of
-    `run_pipeline`, sampled on their own. The sampled timeline is verified
-    against the object and robot clearance requirements and PlanInfeasible
-    is raised when no safe motion exists. ValidationError is raised when dt,
-    v or omega is not positive and finite, or a direction has zero length.
+    bypass mode shifts laterally around it. This is the maneuver step of
+    `run_pipeline`, sampled on its own. PlanInfeasible is raised when no
+    safe motion exists: a crossing formation that misses the crossing
+    constraints, a maneuver that cannot be planned, or a sample that breaks
+    the object or robot clearance. ValidationError is raised when dt, v or
+    omega is not positive and finite, or a direction has zero length.
     """
     for name, value in (("dt", dt), ("v", v), ("omega", omega)):
         if not (np.isfinite(value) and value > 0):
             raise ValidationError(name, f"must be positive and finite, got {value}")
     approach = _unit("approach", approach)
-    depart_v = approach if depart is None else _unit("depart", depart)
-    psi = float(np.arctan2(approach[1], approach[0]))
-    formation = solution.formation
-    offsets = formation.robot_positions - formation.centroid()
+    depart = approach if depart is None else _unit("depart", depart)
+    segment, _, _, schedule = _maneuver(
+        solution, obstacle, w_convex, safety, approach, depart, v, omega, dt, 0.0
+    )
     ind = solution.indicators
-
-    if solution.mode == "crossing":
-        if (obstacle.z_obs > ind.z_obsmax + 1e-9
-                or obstacle.d_obs > ind.d_obsmax + 1e-9
-                or ind.W > w_convex + 1e-9):
-            raise PlanInfeasible("formation does not satisfy the crossing constraints")
-        schedule, x_start, _, track_y = _crossing_schedule(
-            solution, obstacle, safety, approach, depart_v, v, omega, dt
-        )
-        segment = _crossing_runner(
-            schedule, x_start, track_y, obstacle.center, psi, 0.0, offsets
-        )
-        mode = "crossing"
-    elif solution.mode == "bypassing":
-        along, shift = _bypass_profile(solution, obstacle, w_convex, safety)
-        total, fn, _, _ = _bypass_runner(obstacle, psi, 0.0, offsets, along, shift, v)
-        segment, schedule, mode = (total, fn), None, "bypassing"
-    else:
-        raise PlanInfeasible(f"no local plan for mode {solution.mode!r}")
-
-    timeline = _sample_segments([segment], formation.layout, dt, mode, schedule)
-    _verify_clearances(timeline, obstacle, safety)
+    if schedule is not None and (obstacle.z_obs > ind.z_obsmax + 1e-9
+                                 or obstacle.d_obs > ind.d_obsmax + 1e-9
+                                 or ind.W > w_convex + 1e-9):
+        raise PlanInfeasible("formation does not satisfy the crossing constraints")
+    timeline = _sample_segments([segment], solution.formation.layout, dt, solution.mode, schedule)
+    (vert,), (robot,) = _clearances(timeline, [obstacle], safety)
+    if not (vert >= safety.z_safe - 1e-9):
+        raise PlanInfeasible(f"object clearance {vert:.4f} m below z_safe")
+    if not (robot >= safety.delta_r - 1e-9):
+        raise PlanInfeasible(f"robot clearance {robot:.4f} m below delta_r")
     return timeline
 
 
@@ -384,25 +371,26 @@ def _unit(field, direction):
     return d / norm
 
 
-def _verify_clearances(timeline: PlanTimeline, obstacle: ObstacleSpec, safety: SafetyParams):
-    """Object must clear the obstacle top; robots must clear its disc.
+def _clearances(timeline: PlanTimeline, obstacles, safety: SafetyParams):
+    """Least object and robot clearance at each obstacle along a timeline.
 
-    Written as `not (x >= bound)` so that a NaN fails the check.
+    Returns two lists: the object's least height above the obstacle top
+    while over its margin disc (+inf when it never is), and the robots'
+    least distance to its disc. A position not clearly outside the disc
+    counts as over it, and a NaN makes the clearance NaN; callers check
+    `not (x >= bound)` so that a NaN fails.
     """
-    for k in range(len(timeline)):
-        obj = timeline.objects[k]
-        horiz = float(np.linalg.norm(obj[:2] - obstacle.center))
-        if not (horiz > obstacle.radius + safety.delta_r):
-            if not (obj[2] - obstacle.z_obs >= safety.z_safe - 1e-9):
-                raise PlanInfeasible(
-                    f"object clearance {obj[2] - obstacle.z_obs:.4f} m below "
-                    f"z_safe at t={timeline.times[k]:.2f}"
-                )
-        dists = np.linalg.norm(timeline.robots[k] - obstacle.center, axis=1)
-        if not (float(np.min(dists)) >= obstacle.radius + safety.delta_r - 1e-9):
-            raise PlanInfeasible(
-                f"robot within the obstacle margin at t={timeline.times[k]:.2f}"
-            )
+    vertical, robot = [], []
+    for obstacle in obstacles:
+        horiz = np.linalg.norm(timeline.objects[:, :2] - obstacle.center, axis=1)
+        over = ~(horiz > obstacle.radius + safety.delta_r)
+        vertical.append(
+            float(np.min(timeline.objects[over, 2]) - obstacle.z_obs)
+            if np.any(over) else np.inf
+        )
+        robot_d = np.linalg.norm(timeline.robots - obstacle.center[None, None, :], axis=2)
+        robot.append(float(np.min(robot_d) - obstacle.radius))
+    return vertical, robot
 
 
 def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
@@ -448,22 +436,13 @@ def _build_report(scenario, timeline, modes, angles) -> RunReport:
     Checks are written as `not (x >= bound)` so that a NaN fails them.
     """
     safety = scenario.safety
-    min_vert = np.inf
-    robot_clearances = []              # per obstacle: min robot distance to its disc
-    for index, obstacle in enumerate(scenario.obstacles):
-        horiz = np.linalg.norm(timeline.objects[:, :2] - obstacle.center, axis=1)
-        over = ~(horiz > obstacle.radius + safety.delta_r)
-        if np.any(over):
-            vert = float(np.min(timeline.objects[over, 2]) - obstacle.z_obs)
-            min_vert = min(min_vert, vert)
-            if modes[index] == "crossed" and not (vert >= safety.z_safe - 1e-9):
-                raise PipelineInfeasible(
-                    index, f"object clearance {vert:.4f} below z_safe over obstacle {index}"
-                )
-        robot_d = np.linalg.norm(
-            timeline.robots - obstacle.center[None, None, :], axis=2
-        )
-        robot_clearances.append(float(np.min(robot_d) - obstacle.radius))
+    vertical, robot_clearances = _clearances(timeline, scenario.obstacles, safety)
+    for index, vert in enumerate(vertical):
+        if modes[index] == "crossed" and not (vert >= safety.z_safe - 1e-9):
+            raise PipelineInfeasible(
+                index, f"object clearance {vert:.4f} below z_safe over obstacle {index}"
+            )
+    min_vert = min(vertical, default=np.inf)
     min_horiz = np.inf
     if robot_clearances:
         worst = int(np.argmin(robot_clearances))

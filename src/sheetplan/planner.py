@@ -15,7 +15,7 @@ import numpy as np
 # Unused here: perfbench/spans.py wraps `planner.solve_equilibrium` by name,
 # so the benchmark's traced runs need this module to bind it.
 from .equilibrium import solve_equilibrium  # noqa: F401
-from .errors import InvalidSchedule
+from .errors import InvalidSchedule, ValidationError
 from .geometry import Formation, as_points
 
 
@@ -83,8 +83,9 @@ def select_sides(formation: Formation, approach, depart):
     """
     approach = np.asarray(approach, dtype=float)
     depart = np.asarray(depart, dtype=float)
-    if np.linalg.norm(approach) < 1e-12 or np.linalg.norm(depart) < 1e-12:
-        raise ValueError("approach and depart directions must be nonzero")
+    for name, direction in (("approach", approach), ("depart", depart)):
+        if not (np.linalg.norm(direction) >= 1e-12):
+            raise ValidationError(name, "must be a nonzero direction")
     a_ang = np.arctan2(approach[1], approach[0])
     d_ang = np.arctan2(depart[1], depart[0])
     normals = outward_normals(formation.robot_positions)

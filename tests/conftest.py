@@ -1,10 +1,17 @@
 """Shared fixtures and random-formation sampling for the test suite."""
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sheetplan import Formation, SheetLayout
+
+# Repository files, located from this file so that pytest runs from any directory.
+REPO = Path(__file__).resolve().parents[1]
+CORRIDOR = str(REPO / "scenarios" / "corridor.txt")
+TURNED = str(REPO / "scenarios" / "turned_corridor.txt")
+REFERENCE = str(REPO / "perfbench" / "reference.json")
 
 
 def regular_polygon(n, radius, center=(0.0, 0.0), phase=np.pi / 2):
@@ -140,7 +147,7 @@ def _kkt_target(rng, n):
     phis[n - 2], phis[n - 1] = best[1], best[2]
     try:
         built = inverse_kinematics(layout, u, z_o, phis, anchor=(0.0, 0.0))
-    except (SheetPlanError, ValueError):
+    except SheetPlanError:
         return None
     eq = solve_equilibrium(built)
     if eq.taut_count != n:
@@ -166,7 +173,7 @@ def _direct_target(rng, n):
     bearings = np.arctan2(*(v - contact).T[::-1]) + rng.uniform(-0.2, 0.2, n)
     try:
         built = inverse_kinematics(layout, contact, z_o, bearings)
-    except (SheetPlanError, ValueError):
+    except SheetPlanError:
         return None
     rho = layout.cable_lengths(contact)
     _, z_low = kernels.lowest_point(built.robot_positions, layout.holding_height, rho)

@@ -18,6 +18,8 @@ from sheetplan import (
 from sheetplan.planner import crossing_pose
 
 from conftest import (
+    CORRIDOR,
+    TURNED,
     draw_consistent_target,
     draw_transport_case,
     equilateral_formation,
@@ -110,7 +112,7 @@ def test_criterion_3_round_trip():
 @pytest.fixture(scope="module")
 def regression_runs():
     out = {}
-    for name in ("scenarios/corridor.txt", "scenarios/turned_corridor.txt"):
+    for name in (CORRIDOR, TURNED):
         scenario = load_scenario(name)
         t0 = time.time()
         out[name] = (scenario, run_pipeline(scenario), time.time() - t0)
@@ -168,7 +170,7 @@ def test_criterion_4_constraint_suite(regression_runs):
 
 
 def test_criterion_5_corridor_end_to_end(regression_runs):
-    scenario, rep, elapsed = regression_runs["scenarios/corridor.txt"]
+    scenario, rep, elapsed = regression_runs[CORRIDOR]
     both_crossed = rep.obstacle_modes == ("crossed", "crossed")
     angles_ok = all(
         abs(np.rad2deg(t1)) <= 30.0 and abs(exit_angle) < 1e-9

@@ -1,6 +1,8 @@
 """Equilibrium solvers: known taut sets, discovery, oracle agreement."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetplan import (
     ContactOutsideHull,
@@ -15,6 +17,7 @@ from sheetplan import (
     solve_equilibrium,
 )
 from sheetplan.equilibrium import FEAS_TOL, TAUT_TOL, cable_distances
+from sheetplan.geometry import rotation
 from sheetplan import kernels
 
 from conftest import (
@@ -277,6 +280,29 @@ class TestSolveEquilibrium:
             assert np.allclose(eq2.horizontal, eq.horizontal + shift, atol=1e-12)
             assert eq2.z == pytest.approx(eq.z, abs=1e-12)
             assert np.allclose(eq2.sheet_contact, eq.sheet_contact, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_rigid_motion_and_relabelling_invariance(self, seed, n):
+        rng = np.random.default_rng(seed)
+        layout, f, _, _ = draw_consistent_target(rng, n)
+        eq = solve_equilibrium(f)
+        # rotate and translate the robots: the sheet frame is unchanged
+        rot = rotation(rng.uniform(-np.pi, np.pi))
+        shift = rng.uniform(-5, 5, 2)
+        moved = solve_equilibrium(Formation(f.robot_positions @ rot.T + shift, layout))
+        assert abs(moved.z - eq.z) <= 1e-9
+        assert np.max(np.abs(moved.sheet_contact - eq.sheet_contact)) <= 1e-9
+        assert np.max(np.abs(moved.horizontal - (rot @ eq.horizontal + shift))) <= 1e-9
+        assert moved.taut_indices == eq.taut_indices
+        # relabel holding points and robots cyclically: index i becomes i + k
+        k = int(rng.integers(1, n))
+        relabelled = SheetLayout(np.roll(layout.holding_points, k, axis=0), layout.holding_height)
+        rolled = solve_equilibrium(Formation(np.roll(f.robot_positions, k, axis=0), relabelled))
+        assert abs(rolled.z - eq.z) <= 1e-9
+        assert np.max(np.abs(rolled.sheet_contact - eq.sheet_contact)) <= 1e-9
+        assert np.max(np.abs(rolled.horizontal - eq.horizontal)) <= 1e-9
+        assert rolled.taut_indices == tuple(sorted((i + k) % n for i in eq.taut_indices))
 
     def test_constraint_satisfaction(self):
         rng = np.random.default_rng(33)

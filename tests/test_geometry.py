@@ -16,13 +16,20 @@ from sheetplan import (
     SheetPlanError,
     ValidationError,
     circumscribed_diameter,
+    direct_kinematics,
     indicators,
+    inverse_kinematics,
     min_enclosing_circle,
+    optimize_formation,
+    select_sides,
     to_local_frame,
 )
 from sheetplan.geometry import point_in_polygon
 
 from conftest import equilateral_formation, equilateral_layout, regular_polygon
+
+CONTACT = (0.0, 0.0)                              # center of the equilateral sheet
+PHIS = np.pi / 2 + 2 * np.pi / 3 * np.arange(3)   # bearings of its holding points
 
 
 class TestLocalFrame:
@@ -162,6 +169,24 @@ class TestPolygonValidation:
             build()
         assert isinstance(err.value, ValidationError)
         assert isinstance(err.value, ValueError)     # `except ValueError` still catches it
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field, call", [
+        ("taut_flags", lambda f: direct_kinematics(f, [1, 1])),
+        ("phis", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, [0.0, 2.0])),
+        ("contact", lambda f: inverse_kinematics(f.layout, (5.0, 5.0), 0.3, PHIS)),
+        ("object_height", lambda f: inverse_kinematics(f.layout, CONTACT, 0.79, PHIS)),
+        ("w_convex", lambda f: optimize_formation(f, ObstacleSpec((0, 0), 0.1, 0.05), 0.0)),
+        ("w_convex", lambda f: optimize_formation(f, ObstacleSpec((0, 0), 0.1, 0.05), np.nan)),
+        ("approach", lambda f: select_sides(f, (0.0, 0.0), (1.0, 0.0))),
+        ("depart", lambda f: select_sides(f, (1.0, 0.0), (0.0, 0.0))),
+    ])
+    def test_bad_arguments_rejected(self, field, call):
+        carry = equilateral_formation(equilateral_layout(), 1.0)
+        with pytest.raises(SheetPlanError) as err:
+            call(carry)
+        assert isinstance(err.value, ValidationError)
+        assert isinstance(err.value, ValueError)
         assert err.value.field == field
 
     def test_robot_count_limit(self):

@@ -17,9 +17,7 @@ from sheetplan.cli import main as cli_main
 from sheetplan.pipeline import RunReport, _build_report
 from sheetplan.scenario import parse_scenario
 
-CORRIDOR = "scenarios/corridor.txt"
-TURNED = "scenarios/turned_corridor.txt"
-REFERENCE = "perfbench/reference.json"
+from conftest import CORRIDOR, REFERENCE, TURNED
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +187,25 @@ class TestInfeasiblePipeline:
         with pytest.raises(PipelineInfeasible) as err:
             run_pipeline(scenario)
         assert err.value.obstacle_index == 0
+
+    def test_crossing_without_channel(self, tmp_path, capsys):
+        # the optimizer picks a crossing, but no robot-free channel through
+        # the formation is wide enough for this obstacle's margin disc
+        text = open(CORRIDOR).read()
+        for old, new in (
+            ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
+            ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 2.2 0.0 0.2 0.02"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(PipelineInfeasible) as err:
+            run_pipeline(parse_scenario(text))
+        assert err.value.obstacle_index == 0
+        assert "no robot-free channel" in str(err.value)
+        f = tmp_path / "no_channel.txt"
+        f.write_text(text)
+        assert cli_main(["plan", str(f), "--out", str(tmp_path / "x")]) == 2
+        assert "infeasible: obstacle 0" in capsys.readouterr().err
 
 
 def hand_timeline(robots, objects):

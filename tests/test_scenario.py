@@ -5,7 +5,7 @@ import pytest
 from sheetplan import ParseError, ValidationError, load_scenario
 from sheetplan.scenario import Corridor, parse_formation, parse_scenario
 
-CORRIDOR = "scenarios/corridor.txt"
+from conftest import CORRIDOR
 
 MINIMAL = """
 sheet_height = 0.79

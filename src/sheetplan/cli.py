@@ -14,10 +14,8 @@ import sys
 
 from .equilibrium import solve_equilibrium
 from .errors import PipelineInfeasible, SheetPlanError
-from .pipeline import export_report, run_pipeline
+from .pipeline import FMT, export_report, run_pipeline
 from .scenario import load_formation_file, load_scenario
-
-FMT = "%.9g"
 
 
 def _cmd_plan(args):

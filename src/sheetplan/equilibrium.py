@@ -9,13 +9,18 @@ height, which reduces every solve to small exact linear algebra:
 * anchored pairwise differencing makes the taut-equality system linear in
   (contact, horizontal object position); a rank-revealing SVD exposes the
   solution manifold, and the hang depth is a quadratic along it;
+* one generator (`_stationary_points`) solves every such system of a solve
+  as one stack per row count, with the same rounding as one system at a
+  time; `direct_kinematics` calls it with its one taut subset;
 * the global equilibrium is the deepest validated candidate among interior
-  taut subsets, two-cable ridge hangs, and contacts pinned to a sheet edge;
+  taut subsets, two-cable ridge hangs, and contacts pinned to a sheet edge,
+  all validated in one batched call;
 * a brute-force grid oracle (`oracle_equilibrium`) provides an independent
   check by nested search over contact candidates.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,7 +40,7 @@ from .errors import (
     TooFewTaut,
     ValidationError,
 )
-from .geometry import Formation, SheetLayout, cross2, point_in_polygon, rotation
+from .geometry import Formation, SheetLayout, point_in_polygon, rotation
 
 SLACK_BAND = 1e-6        # cable counts as slack only below geodesic - band
 FEAS_TOL = 1e-7          # allowed violation of the cable inequality
@@ -120,16 +125,34 @@ def _build_equilibrium(formation, u, q, z, boundary=False) -> ObjectEquilibrium:
 
 
 # ------------------------------------------------------------------ frames
-def _canonical(points, i1, i2):
-    """Rotate/translate points so points[i1] is the origin, points[i2] on +x."""
-    o = points[i1]
-    d = points[i2] - points[i1]
-    ang = np.arctan2(d[1], d[0])
-    return (points - o) @ rotation(-ang).T, o, float(ang)
+def _T(a):
+    """Transpose of each matrix of a stack, as a view."""
+    return np.swapaxes(a, -1, -2)
 
 
-def _from_canonical(p, origin, ang):
-    return np.asarray(p) @ rotation(ang).T + origin
+def _dot(a, b):
+    """Row-wise dot product, rounded as the 1-D `a @ b` of each row is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _frames(points, pairs):
+    """Canonical frames: for every anchor pair (i1, i2) of the (P, 2) `pairs`,
+    the points rotated and translated so points[i1] is the origin and
+    points[i2] lies on +x.
+
+    `points` is (..., N, 2), one point set per leading index. Returns the
+    canonical points (..., P, N, 2); the same points rotated one at a time,
+    as the edge rows need (a 1-D product rounds differently from the 2-D
+    one); the origins (..., P, 2); and the rotations (..., P, 2, 2) back to
+    the original frame.
+    """
+    o = points[..., pairs[:, 0], :]
+    d = points[..., pairs[:, 1], :] - o
+    ang = np.arctan2(d[..., 1], d[..., 0])
+    fwd = _T(rotation(-ang))
+    rel = points[..., None, :, :] - o[..., None, :]
+    rows = (rel[..., None, :] @ fwd[..., None, :, :])[..., 0, :]
+    return rel @ fwd, rows, o, rotation(ang)
 
 
 def _subset_isometric(v, r, idx, tol=1e-9):
@@ -142,83 +165,118 @@ def _subset_isometric(v, r, idx, tol=1e-9):
 
 def _flat_candidate(v, z_r, r, idx):
     """Degenerate flat solution: contact at the taut centroid, zero drop."""
-    idx = list(idx)
-    vt, vo_org, vang = _canonical(v, idx[0], idx[1])
-    rt, ro_org, rang = _canonical(r, idx[0], idx[1])
-    u_c = vt[idx].mean(axis=0)
-    return _from_canonical(u_c, vo_org, vang), _from_canonical(u_c, ro_org, rang), z_r
+    canon, _, origin, back = _frames(np.array([v, r]), np.array([idx[:2]]))
+    u_c = canon[0, 0, list(idx)].mean(axis=0)
+    u, q = u_c @ _T(back[:, 0]) + origin[:, 0]
+    return u, q, z_r
 
 
-def _stationary_candidates(v, z_r, r, idx, edge=None):
-    """Minimum-energy points of the taut-equality manifold for one subset.
+# ------------------------------------------------------- stationary points
+def _plan(systems, n):
+    """Stack the anchored difference systems of `systems` by row count.
 
-    Builds the anchored difference system (linear in contact u and local
-    object position w), optionally pins u to the line through `edge`, and
-    minimizes the hang quadratic J = |w|^2 - |u|^2 over the null space.
-    Returns a list of (u, w, z) in original coordinates; empty when the
-    system is inconsistent or admits no interior minimum.
+    A system (idx, e) is a taut subset idx (ascending cable indices) whose
+    contact is pinned to the line of sheet edge e (from holding point e to
+    e + 1), or free when e < 0. Its rows are one per cable of idx[1:], in
+    order, then the edge row. Returns the anchor pairs (idx[0], idx[1]) as a
+    (P, 2) array, the number of systems, and one stack per row count: the
+    positions of its systems in `systems`, their anchor pair, the cable of
+    each row (0 in an edge row), the stack positions of the pinned systems,
+    and their (anchor pair, edge end) indices.
     """
-    idx = list(idx)
-    i1, i2 = idx[0], idx[1]
-    vt, vo_org, vang = _canonical(v, i1, i2)
-    rt, ro_org, rang = _canonical(r, i1, i2)
-    rows, rhs = [], []
-    for k in idx[1:]:
-        rows.append([2 * vt[k][0], 2 * vt[k][1], -2 * rt[k][0], -2 * rt[k][1]])
-        rhs.append(float(vt[k] @ vt[k] - rt[k] @ rt[k]))
-    if edge is not None:
-        a, b = edge
-        rot = rotation(-vang)
-        a2 = (np.asarray(a) - vo_org) @ rot.T
-        b2 = (np.asarray(b) - vo_org) @ rot.T
-        e = b2 - a2
-        rows.append([-e[1], e[0], 0.0, 0.0])
-        rhs.append(float(cross2(b2, a2)))
-    A = np.array(rows)
-    b_vec = np.array(rhs)
-    # overdetermined systems (redundant cables) pass through: the residual
-    # test below keeps only geometrically consistent ones
-    U, S, Vt = np.linalg.svd(A, full_matrices=True)
-    scale = max(float(S[0]), 1.0)
-    rank = int(np.sum(S > 1e-10 * scale))
-    S_inv = np.zeros((A.shape[1], A.shape[0]))
-    for i in range(rank):
-        S_inv[i, i] = 1.0 / S[i]
-    x0 = Vt.T @ (S_inv @ (U.T @ b_vec))
-    if np.linalg.norm(A @ x0 - b_vec) > 1e-8 * max(1.0, np.linalg.norm(b_vec)):
-        return []
-    Z = Vt[rank:].T
-    d = Z.shape[1]
-    u0, w0 = x0[:2], x0[2:]
-    out = []
+    pairs = sorted({idx[:2] for idx, _ in systems})
+    where = {p: k for k, p in enumerate(pairs)}
+    groups = {}
+    for s, (idx, e) in enumerate(systems):
+        groups.setdefault(len(idx) - 1 + (e >= 0), []).append(s)
+    stacks = []
+    for k, sel in sorted(groups.items()):
+        idxs = [systems[s][0] for s in sel]
+        pair = np.array([where[idx[:2]] for idx in idxs])
+        edge = np.array([systems[s][1] for s in sel])
+        pinned = np.flatnonzero(edge >= 0)
+        ends = (pair[pinned][None], np.stack([edge[pinned], (edge[pinned] + 1) % n]))
+        cables = np.array([idx[1:] + (0,) * (k + 1 - len(idx)) for idx in idxs])
+        stacks.append((np.array(sel), pair, cables, pinned, ends))
+    return np.array(pairs), len(systems), stacks
 
-    def emit(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        u = u0 + Z[:2] @ t
-        w = w0 + Z[2:] @ t
-        drop2 = float(u @ u - w @ w)
-        if drop2 < -1e-9:
-            return
-        z = z_r - np.sqrt(max(drop2, 0.0))
-        out.append((_from_canonical(u, vo_org, vang), _from_canonical(w, ro_org, rang), float(z)))
 
-    if d == 0:
-        emit(np.zeros(0))
-        return out
-    Zu, Zw = Z[:2], Z[2:]
-    H = 2.0 * (Zw.T @ Zw - Zu.T @ Zu)
-    g = 2.0 * (Zw.T @ w0 - Zu.T @ u0)
-    evals = np.linalg.eigvalsh(H)
-    if np.all(evals > 1e-12):
-        emit(np.linalg.solve(H, -g))
-    elif np.all(evals > -1e-12):
-        # positive semidefinite with a flat direction: minimum-norm minimizer
-        t = -np.linalg.pinv(H) @ g
-        if np.linalg.norm(H @ t + g) <= 1e-8:
-            emit(t)
-    # indefinite H: no interior minimum on this manifold; boundary-pinned
-    # candidate families cover those equilibria
-    return out
+def _stationary_points(v, z_r, r, plan):
+    """Minimum-energy point of the taut-equality manifold of every system.
+
+    Anchored differencing makes each system linear in the contact u and the
+    local object position w; an edge row pins u to the line of a sheet edge.
+    A rank-revealing SVD gives a particular solution and the null space, and
+    the hang quadratic J = |w|^2 - |u|^2 is minimized over it. The canonical
+    frames are computed once per anchor pair, and all systems with the same
+    number of rows are solved as one stack. Each stacked product keeps the
+    memory layout (transposed views, not copies) of the 2-D or 1-D product
+    of one system, so that a system rounds the same whatever it is stacked
+    with: the golden outputs print round-off.
+
+    Returns the contacts u (S, 2), object positions q (S, 2) and heights
+    z (S,) in original coordinates, and the mask of the systems that have a
+    minimum: consistent, with the hang quadratic bounded below along the
+    null space, at a real hang depth.
+    """
+    pairs, count, stacks = plan
+    canon, (vrows, _), origin, back = _frames(np.array([v, r]), pairs)
+    uq = np.zeros((2, count, 2))
+    z = np.zeros(count)
+    ok = np.zeros(count, dtype=bool)
+    for sel, pair, cables, pinned, ends in stacks:
+        vk, rk = canon[:, pair[:, None], cables]
+        A = np.concatenate([2 * vk, -2 * rk], axis=2)
+        b = _dot(vk, vk) - _dot(rk, rk)
+        if len(pinned):
+            a2, b2 = vrows[ends]
+            A[pinned, -1, :2] = (b2 - a2)[:, ::-1] * (-1.0, 1.0)
+            A[pinned, -1, 2:] = 0.0
+            b[pinned, -1] = b2[:, 0] * a2[:, 1] - b2[:, 1] * a2[:, 0]
+        # overdetermined systems (redundant cables) pass through: the residual
+        # test below keeps only geometrically consistent ones
+        U, S, Vt = np.linalg.svd(A)
+        live = S > 1e-10 * np.maximum(S[:, :1], 1.0)
+        rank = live.sum(axis=1)
+        # x0 = Vt^T S^+ U^T b, with the pseudo-inverse applied entrywise
+        scaled = np.zeros((len(sel), 4))
+        scaled[:, :S.shape[1]] = (1.0 / np.where(live, S, np.inf)) * (
+            _T(U) @ b[..., None])[:, :S.shape[1], 0]
+        x0 = (_T(Vt) @ scaled[..., None])[..., 0]
+        res = (A @ x0[..., None])[..., 0] - b
+        consistent = ~(np.sqrt(_dot(res, res)) > 1e-8 * np.maximum(1.0, np.sqrt(_dot(b, b))))
+        for rk_ in set(rank[consistent].tolist()):
+            g = np.flatnonzero(consistent & (rank == rk_))
+            Zt = Vt[g, rk_:]                     # null-space basis, one row each
+            Zu, Zw = Zt[:, :, :2], Zt[:, :, 2:]
+            u0, w0 = x0[g, :2], x0[g, 2:]
+            t = np.zeros((len(g), 4 - rk_))
+            has = np.ones(len(g), dtype=bool)
+            if rk_ < 4:
+                H = 2.0 * (Zw @ _T(Zw) - Zu @ _T(Zu))
+                grad = 2.0 * (Zw @ w0[..., None] - Zu @ u0[..., None])[..., 0]
+                evals = np.linalg.eigvalsh(H)
+                has = np.all(evals > 1e-12, axis=1)
+                if has.all():
+                    t = np.linalg.solve(H, -grad[..., None])[..., 0]
+                else:
+                    if has.any():
+                        t[has] = np.linalg.solve(H[has], -grad[has][..., None])[..., 0]
+                    for s in np.flatnonzero(~has & np.all(evals > -1e-12, axis=1)):
+                        # positive semidefinite with a flat direction: minimum-norm minimizer
+                        ts = -np.linalg.pinv(H[s]) @ grad[s]
+                        if np.linalg.norm(H[s] @ ts + grad[s]) <= 1e-8:
+                            t[s], has[s] = ts, True
+                    # indefinite H: no interior minimum on this manifold; the
+                    # edge-pinned systems cover those equilibria
+            uu = u0 + (_T(Zu) @ t[..., None])[..., 0]
+            ww = w0 + (_T(Zw) @ t[..., None])[..., 0]
+            drop2 = _dot(uu, uu) - _dot(ww, ww)
+            at, p = sel[g], pair[g]
+            uq[:, at] = (np.array([uu, ww])[..., None, :] @ _T(back[:, p]))[..., 0, :] + origin[:, p]
+            z[at] = z_r - np.sqrt(np.maximum(drop2, 0.0))
+            ok[at] = has & ~(drop2 < -1e-9)
+    return uq[0], uq[1], z, ok
 
 
 def _subset_residual(v, z_r, r, idx, u, q, z):
@@ -264,11 +322,11 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         u, q, z = _flat_candidate(v, z_r, r, taut)
         return _build_equilibrium(formation, u, q, z)
     base = taut[:5]
-    cands = _stationary_candidates(v, z_r, r, base)
-    if not cands:
+    u, q, z, ok = _stationary_points(v, z_r, r, _plan([(tuple(base), -1)], formation.n))
+    if not ok[0]:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
-    u, q, z = min(cands, key=lambda c: c[2])
+    u, q, z = u[0], q[0], z[0]
     if not point_in_polygon(u, v[taut], tol=1e-9):
         raise ContactOutsideHull(f"contact {u} outside taut hull")
     if _subset_residual(v, z_r, r, base, u, q, z) > TAUT_TOL:
@@ -283,78 +341,56 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
 
 
 # ------------------------------------------------- equilibrium discovery
-def _ridge_candidates(v, z_r, r):
-    """Two-cable fold-line hangs: deepest point below each sheet chord."""
-    out = []
-    n = len(v)
-    for i, j in itertools.combinations(range(n), 2):
-        Lv = float(np.linalg.norm(v[j] - v[i]))
-        Lr = float(np.linalg.norm(r[j] - r[i]))
-        if Lr >= Lv - 1e-12:
-            continue
-        u = 0.5 * (v[i] + v[j])
-        q = 0.5 * (r[i] + r[j])
-        z = z_r - 0.5 * np.sqrt(Lv * Lv - Lr * Lr)
-        out.append((float(z), u, q, (i, j), True))
-    return out
+@functools.lru_cache(maxsize=None)
+def _solve_plan(n):
+    """What every solve with n cables enumerates, built once per n.
 
-
-def _interior_candidates(v, z_r, r, n):
-    out = []
-    for m in range(n, 2, -1):
-        for idx in itertools.combinations(range(n), m):
-            if _subset_isometric(v, r, idx):
-                u, q, z = _flat_candidate(v, z_r, r, idx)
-                out.append((float(z), u, q, idx, False))
-                continue
-            for u, q, z in _stationary_candidates(v, z_r, r, list(idx)):
-                if point_in_polygon(u, v[list(idx)], tol=1e-9):
-                    out.append((float(z), u, q, idx, False))
-    return out
-
-
-def _edge_candidates(v, z_r, r, n):
-    out = []
-    for e in range(n):
-        a, b = v[e], v[(e + 1) % n]
-        ab = b - a
-        ab2 = float(ab @ ab)
-        for m in range(2, min(n, 4) + 1):
-            for idx in itertools.combinations(range(n), m):
-                for u, q, z in _stationary_candidates(v, z_r, r, list(idx), edge=(a, b)):
-                    s = float((u - a) @ ab) / ab2
-                    if -1e-9 <= s <= 1 + 1e-9:
-                        out.append((float(z), u, q, idx, True))
-    return out
-
-
-def _rank(candidate):
-    """Selection key: lowest z, then larger taut sets, then index order."""
-    z, _, _, idx, _ = candidate
-    return (z, -len(idx), idx)
+    Returns (systems, plan, hulls, ends, chords). Interior systems come
+    first: every taut subset of three or more cables, by decreasing size.
+    Then the edge-pinned ones: for each sheet edge, every subset of two to
+    four cables. `hulls` holds each interior subset padded to n cables by
+    repeating its last one (a zero-length polygon side excludes no point);
+    `ends` the two holding points of each edge system's edge; `chords` the
+    (i, j) cable pairs, i < j, of the ridge hangs.
+    """
+    interior = [
+        idx for m in range(n, 2, -1) for idx in itertools.combinations(range(n), m)
+    ]
+    edge = [
+        (idx, e)
+        for e in range(n)
+        for m in range(2, min(n, 4) + 1)
+        for idx in itertools.combinations(range(n), m)
+    ]
+    systems = [(idx, -1) for idx in interior] + edge
+    hulls = np.array([idx + idx[-1:] * (n - len(idx)) for idx in interior])
+    ends = np.array([(e, (e + 1) % n) for _, e in edge]).T
+    chords = np.array(list(itertools.combinations(range(n), 2))).T
+    return systems, _plan(systems, n), hulls, ends, chords
 
 
 def _points_in_polygon_mask(pts, poly, tol=1e-9):
-    """`point_in_polygon` for each row of an (M, 2) array of points."""
-    e = poly[np.arange(1, len(poly) + 1) % len(poly)] - poly
-    cross = e[:, 0] * (pts[:, None, 1] - poly[:, 1]) - e[:, 1] * (pts[:, None, 0] - poly[:, 0])
+    """`point_in_polygon` for each row of an (M, 2) array of points.
+
+    `poly` is one polygon (m, 2) for every point, or one per point (M, m, 2).
+    """
+    side = poly[..., np.arange(1, poly.shape[-2] + 1) % poly.shape[-2], :] - poly
+    rel = pts[:, None] - poly
+    cross = side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0]
     return np.all(cross >= -tol, axis=1)
 
 
-def _select_best(v, z_r, r, candidates):
-    """Best candidate of one family that validates, or None.
+def _select_best(v, z_r, r, z, u, q, idx):
+    """Position of the best candidate that validates, or None.
 
     A candidate validates when its contact lies on the sheet, no cable is
     longer than its geodesic, and its height is the lowest point of the
     cable balls for its contact. Every candidate of a solve shares the robot
     positions as ball centers, so the lowest points of all candidates that
-    pass the first two checks come from one batched kernel call.
+    pass the first two checks come from one batched kernel call. The best
+    is the lowest, then the one with more taut cables, then the first taut
+    set in index order.
     """
-    if not candidates:
-        return None
-    z = np.array([c[0] for c in candidates])
-    u = np.array([c[1] for c in candidates])
-    q = np.array([c[2] for c in candidates])
     rho = np.linalg.norm(v[None] - u[:, None], axis=2)
     d = np.sqrt(np.sum((r[None] - q[:, None]) ** 2, axis=2) + ((z_r - z) ** 2)[:, None])
     ok = _points_in_polygon_mask(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
@@ -362,22 +398,23 @@ def _select_best(v, z_r, r, candidates):
     if len(kept) == 0:
         return None
     _, z_low = kernels.lowest_point_grid(r, z_r, rho[kept])
-    valid = [candidates[k] for k, zl in zip(kept, z_low) if abs(zl - z[k]) <= ENERGY_TOL]
-    return min(valid, key=_rank, default=None)
+    valid = kept[np.abs(z_low - z[kept]) <= ENERGY_TOL]
+    return min(valid, key=lambda k: (z[k], -len(idx[k]), idx[k]), default=None)
 
 
-def solve_equilibrium(formation: Formation, fast: bool = False) -> ObjectEquilibrium:
+def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     """Find the physically valid equilibrium, discovering the taut set.
 
-    Enumerates candidate stationary configurations (interior taut subsets by
-    decreasing cardinality, fold-line ridge hangs, sheet-edge-pinned
-    contacts), validates each against the cable inequalities and the exact
-    lowest-point kernel, and returns the lowest-energy survivor. Ties favor
-    larger taut sets, then lexicographic order.
-
-    With fast=True the edge-pinned family is skipped as long as an interior
-    candidate validates strictly inside the sheet polygon (the common case
-    along transport timelines, where every cable stays taut).
+    The candidates are the stationary configurations of three families:
+    interior taut subsets of three or more cables (contact inside the
+    subset's hull; the flat contact when the subset is fully stretched),
+    two-cable fold-line ridge hangs, and subsets of two to four cables with
+    the contact pinned to a sheet edge (contact on that edge). One stacked
+    generator, `_stationary_points`, solves the interior and edge systems
+    together; all candidates are then validated against the cable
+    inequalities and the exact lowest-point kernel in one `_select_best`
+    call, and the lowest-energy survivor is returned. Ties favor larger
+    taut sets, then lexicographic order.
     """
     _require_feasible(formation)
     v = formation.layout.holding_points
@@ -385,22 +422,47 @@ def solve_equilibrium(formation: Formation, fast: bool = False) -> ObjectEquilib
     z_r = formation.holding_height
     n = formation.n
 
-    interior = _interior_candidates(v, z_r, r, n) + _ridge_candidates(v, z_r, r)
-    best = _select_best(v, z_r, r, interior)
-    if fast and best is not None and point_in_polygon(best[1], v, tol=-1e-9):
-        z, u, q, idx, boundary = best
-        return _build_equilibrium(formation, u, q, z, boundary=boundary)
+    systems, plan, hulls, ends, chords = _solve_plan(n)
+    u, q, z, ok = _stationary_points(v, z_r, r, plan)
+    ni = len(hulls)
+    a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
+    s = _dot(u[ni:] - a, ab) / _dot(ab, ab)
+    ok &= np.concatenate([
+        _points_in_polygon_mask(u[:ni], v[hulls]), (s >= -1e-9) & (s <= 1 + 1e-9)
+    ])
+    i, j = chords
+    lv = np.sqrt(_dot(v[j] - v[i], v[j] - v[i]))
+    lr = np.sqrt(_dot(r[j] - r[i], r[j] - r[i]))
+    if np.any(np.abs(lv - lr) <= 1e-9):
+        # a fully stretched subset hangs flat, whatever its stationary point
+        for k, (idx, _) in enumerate(systems[:ni]):
+            if _subset_isometric(v, r, idx):
+                u[k], q[k], z[k] = _flat_candidate(v, z_r, r, idx)
+                ok[k] = True
 
-    edge = _select_best(v, z_r, r, _edge_candidates(v, z_r, r, n))
-    best = min((b for b in (best, edge) if b is not None), key=_rank, default=None)
+    # two-cable fold-line ridges: the deepest point below each sheet chord
+    fold = ~(lr >= lv - 1e-12)
+    i, j, lv, lr = i[fold], j[fold], lv[fold], lr[fold]
+
+    inner, pinned = np.flatnonzero(ok[:ni]), ni + np.flatnonzero(ok[ni:])
+    cz = np.concatenate([z[inner], z_r - 0.5 * np.sqrt(lv * lv - lr * lr), z[pinned]])
+    cu = np.concatenate([u[inner], 0.5 * (v[i] + v[j]), u[pinned]])
+    cq = np.concatenate([q[inner], 0.5 * (r[i] + r[j]), q[pinned]])
+    idx = (
+        [systems[k][0] for k in inner]
+        + list(zip(i.tolist(), j.tolist()))
+        + [systems[k][0] for k in pinned]
+    )
+    best = _select_best(v, z_r, r, cz, cu, cq, idx)
     if best is None:
         raise NoEquilibrium(
             "no candidate equilibrium validated; feasible input should always "
             "admit one (solver bug signal)"
         )
-    z, u, q, idx, boundary = best
-    on_edge = not point_in_polygon(u, v, tol=-1e-9)
-    return _build_equilibrium(formation, u, q, z, boundary=boundary or on_edge)
+    on_edge = not point_in_polygon(cu[best], v, tol=-1e-9)
+    return _build_equilibrium(
+        formation, cu[best], cq[best], cz[best], boundary=bool(best >= len(inner)) or on_edge
+    )
 
 
 # -------------------------------------------------------------- the oracle

@@ -26,9 +26,16 @@ def as_points(points) -> np.ndarray:
 
 
 def rotation(angle) -> np.ndarray:
-    """2x2 counterclockwise rotation matrix by `angle` radians."""
+    """2x2 counterclockwise rotation matrix by `angle` radians.
+
+    An array of angles gives a C-contiguous (..., 2, 2) stack of them.
+    """
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    if np.ndim(angle) == 0:
+        return np.array([[c, -s], [s, c]])
+    out = np.empty(np.shape(angle) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out
 
 
 def require_finite(field, value):

@@ -135,7 +135,7 @@ class _Chart:
         self.layout = initial.layout
         self.initial = initial
         self.safety = safety
-        eq0 = solve_equilibrium(initial, fast=True)
+        eq0 = solve_equilibrium(initial)
         self.initial_eq = eq0
         self.v_o0 = eq0.sheet_contact
         # start point: the initial formation's own chart coordinates
@@ -154,7 +154,7 @@ class _Chart:
         except SheetPlanError:
             return None
         try:
-            eq = solve_equilibrium(formation, fast=True)
+            eq = solve_equilibrium(formation)
         except SheetPlanError:
             return None
         l, d = cable_distances(formation, eq)

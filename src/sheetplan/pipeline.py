@@ -310,7 +310,7 @@ def run_pipeline(scenario: Scenario) -> RunReport:
 
     # final transit: land the object on the goal
     placed = Formation(centroid + offsets, layout)
-    eq = solve_equilibrium(placed, fast=True)
+    eq = solve_equilibrium(placed)
     object_offset = eq.horizontal - centroid
     target = np.asarray(scenario.goal, dtype=float) - object_offset
     segments.extend(_transit_runners(centroid, target, corridor, theta_acc, offsets, v))

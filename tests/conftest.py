@@ -61,7 +61,13 @@ def random_transport_case(rng, n, slack_pull=True):
     if slack_pull and rng.random() < 0.4:
         k = int(rng.integers(n))
         r[k] = cen + rng.uniform(0.55, 0.85) * (r[k] - cen)
-    for i, j in itertools.combinations(range(n), 2):
+    return _carried(v, r)
+
+
+def _carried(v, r):
+    """(layout, formation) of robots r on sheet v, or None unless the robots
+    are strictly inside the sheet spacing and convex ccw."""
+    for i, j in itertools.combinations(range(len(v)), 2):
         if np.linalg.norm(r[i] - r[j]) >= np.linalg.norm(v[i] - v[j]) - 1e-4:
             return None
     if not _convex_ccw(r):
@@ -76,6 +82,40 @@ def draw_transport_case(rng, n, slack_pull=True, max_tries=200):
         if case is not None:
             return case
     raise RuntimeError("failed to draw a feasible random formation")
+
+
+def random_folded_case(rng, n):
+    """Random sheet with one wide edge whose two robots are pulled together.
+
+    Holding points sit on a jittered circle with a wide gap between points
+    n-1 and 0; the robots are contracted toward the centroid, and robots 0
+    and n-1 are pulled toward their midpoint. That edge folds, and the load
+    tends to hang from the fold line or pinned to the sheet boundary (the
+    boundary-contact regime). Returns (layout, formation) or None when the
+    draw fails the convexity/feasibility guards.
+    """
+    gap = rng.uniform(0.3, 0.4) * 2 * np.pi
+    step = (2 * np.pi - gap) / (n - 1)
+    ang = step * (np.arange(n) + rng.uniform(-0.2, 0.2, n))
+    rad = rng.uniform(0.7, 1.0, n)
+    v = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    if not _convex_ccw(v):
+        return None
+    cen = v.mean(axis=0)
+    r = cen + rng.uniform(0.8, 0.95) * (v - cen) + rng.normal(0.0, 0.01, (n, 2))
+    mid = 0.5 * (r[0] + r[-1])
+    pull = rng.uniform(0.3, 0.7)
+    r[0] = mid + pull * (r[0] - mid)
+    r[-1] = mid + pull * (r[-1] - mid)
+    return _carried(v, r)
+
+
+def draw_folded_case(rng, n, max_tries=200):
+    for _ in range(max_tries):
+        case = random_folded_case(rng, n)
+        if case is not None:
+            return case
+    raise RuntimeError("failed to draw a feasible folded formation")
 
 
 def _random_layout(rng, n, z_r=0.79):

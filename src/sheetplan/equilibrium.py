@@ -40,7 +40,7 @@ from .errors import (
     TooFewTaut,
     ValidationError,
 )
-from .geometry import Formation, SheetLayout, point_in_polygon, rotation
+from .geometry import Formation, SheetLayout, point_in_polygon, require_finite, rotation
 
 SLACK_BAND = 1e-6        # cable counts as slack only below geodesic - band
 FEAS_TOL = 1e-7          # allowed violation of the cable inequality
@@ -474,6 +474,9 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     around the incumbent so the final spacing is below grid_resolution.
     Inner loop: the exact lowest point of the cable balls at each contact.
     """
+    require_finite("grid_resolution", grid_resolution)
+    if not (grid_resolution > 0):
+        raise ValidationError("grid_resolution", "must be positive")
     _require_feasible(formation)
     v = formation.layout.holding_points
     r = formation.robot_positions

@@ -9,8 +9,12 @@ drop, enumerated exactly over active subsets of size 1, 2 and 3.
 `lowest_point` solves one instance; `lowest_point_grid` solves a batch that
 shares the centers (the candidates of one equilibrium solve, or one
 sheet-contact grid of the oracle), vectorized over the batch and over the
-active subsets.
+active subsets. Its membership test runs one ball at a time on the
+candidates that are still inside every ball so far; most candidates leave
+after two or three balls, so it makes far fewer tests than one of every
+candidate against all n balls, and returns the same bits.
 """
+import functools
 import itertools
 
 import numpy as np
@@ -19,7 +23,8 @@ BACKEND = "python"  # the numpy kernels are the only ones; benchmark records nam
 
 FEAS_TOL = 1e-7     # slack allowed when testing membership in each ball
 DROP_TOL = 1e-9     # tolerance on nonnegative squared drop
-BLOCK = 1 << 15     # batch rows x candidate points x centers per stacked block
+BLOCK = 1 << 13     # batch rows x candidate points per stacked block
+_TURN = np.array([1.0, -1.0])[:, None, None]   # (y, x) -> (y, -x), a quarter turn
 
 
 def lowest_point(centers, z_r, rho):
@@ -77,64 +82,93 @@ def lowest_point(centers, z_r, rho):
     return best_q, best_z
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n):
+    """Index arrays (2, pairs) and (3, triples) of every pair and triple of n centers."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
+    return pairs.reshape(-1, 2).T, triples.reshape(-1, 3).T
+
+
 def _subset_terms(r):
     """Radius-independent terms of every usable pair and triple of centers.
 
     Pairs of coincident centers and triples of collinear ones have no
-    trilateration point and are left out. Returns two lists of columns,
-    one entry per pair (i, j, d, L2) and per triple
-    (i, j, k, ax, ay, bx, by, det, |r_i|^2, |r_j|^2, |r_k|^2); a list is
-    empty when there is no such subset.
+    trilateration point and are left out. Returns, for the pairs and for the
+    triples, an index array (one row per member) and a float array with one
+    column per subset: rows (x_i, y_i, dx, dy, L2) for a pair, and
+    (x_i, y_i, ay, -ax, by, -bx, det, |r_i|^2, |r_j|^2, |r_k|^2) for a
+    triple, (ax, ay) = 2 (r_j - r_i) and (bx, by) = 2 (r_k - r_i). The
+    arrays have no columns when there is no such subset.
     """
-    pairs, triples = [], []
-    for i, j in itertools.combinations(range(len(r)), 2):
-        d = r[j] - r[i]
-        L2 = float(d @ d)
-        if L2 >= 1e-18:
-            pairs.append((i, j, d, L2))
-    for i, j, k in itertools.combinations(range(len(r)), 3):
-        ax, ay = 2.0 * (r[j] - r[i])
-        bx, by = 2.0 * (r[k] - r[i])
-        det = ax * by - ay * bx
-        if abs(det) >= 1e-14:
-            triples.append((i, j, k, ax, ay, bx, by, det,
-                            r[i] @ r[i], r[j] @ r[j], r[k] @ r[k]))
-    return [np.array(c) for c in zip(*pairs)], [np.array(c) for c in zip(*triples)]
+    pij, tijk = _subsets(len(r))
+    rt = r.T
+    ri = rt[:, pij[0]]
+    d = rt[:, pij[1]] - ri
+    # stacked matmuls round as the 1-D `d @ d` does; a sum of products may not
+    L2 = (d.T[:, None, :] @ d.T[:, :, None]).ravel()
+    ti = rt[:, tijk[0]]
+    e = 2.0 * (rt[:, tijk[1:]] - ti[:, None])   # (x, y) of a and b, per triple
+    det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
+    s = (r[:, None, :] @ r[:, :, None]).ravel()
+    keep, tkeep = L2 >= 1e-18, np.abs(det) >= 1e-14
+    pairs = np.concatenate([ri, d, L2[None]])
+    turned = (e[::-1] * _TURN).transpose(1, 0, 2).reshape(4, -1)
+    triples = np.concatenate([ti, turned, det[None], s[tijk]])
+    return ((pij.compress(keep, axis=1), pairs.compress(keep, axis=1)),
+            (tijk.compress(tkeep, axis=1), triples.compress(tkeep, axis=1)))
 
 
 def _lowest_block(r, z_r, rho, pairs, triples):
-    """`lowest_point_grid` on one block of rows, all candidates stacked."""
-    rho2 = rho * rho
-    points = [r[None].repeat(len(rho), axis=0)]
-    drops = [rho2]
-    if pairs:
-        i, j, d, L2 = pairs
-        ri2 = rho2[:, i]
-        a = (ri2 - rho2[:, j] + L2) / (2.0 * L2)
-        points.append(r[i] + a[:, :, None] * d)
-        drops.append(ri2 - a * a * L2)
-    if triples:
-        i, j, k, ax, ay, bx, by, det, si, sj, sk = triples
-        ri2 = rho2[:, i]
-        c1 = ri2 - rho2[:, j] + sj - si
-        c2 = ri2 - rho2[:, k] + sk - si
-        qt = np.stack([(c1 * by - ay * c2) / det, (ax * c2 - bx * c1) / det], axis=2)
-        points.append(qt)
-        drops.append(ri2 - np.sum((qt - r[i]) ** 2, axis=2))
-    q = np.concatenate(points, axis=1)          # (rows, candidates, 2)
-    drop2 = np.concatenate(drops, axis=1)       # (rows, candidates)
-    d2c = np.maximum(drop2, 0.0)
-    dx = q[:, :, None, 0] - r[:, 0]
-    dy = q[:, :, None, 1] - r[:, 1]
-    dd = dx * dx + dy * dy + d2c[:, :, None]
-    feas_rhs = rho2 + FEAS_TOL * (2.0 * rho + FEAS_TOL)
-    ok = (drop2 >= -DROP_TOL) & np.all(dd <= feas_rhs[:, None, :], axis=2)
-    z = np.where(ok, z_r - np.sqrt(d2c), np.inf)
+    """`lowest_point_grid` on one block of rows, all candidates stacked.
+
+    Every (candidate, row) entry is a column of one packed array with five
+    rows: x, y, clipped squared drop, flat entry index and batch row. The
+    entries with a negative drop go first; then each ball in turn keeps only
+    the entries inside it, so later balls test ever fewer entries. Each
+    entry meets the same comparisons as in a test of all balls at once, so
+    the result is the same to the bit.
+    """
+    rows, n = rho.shape
+    (pi, pf), (ti, tf) = pairs, triples
+    m = n + pi.shape[1]
+    packed = np.empty((5, m + ti.shape[1], rows))
+    q, drop2, at = packed[:2], packed[2], packed[3]
+    rho2 = (rho * rho).T
+    q[:, :n] = r.T[:, :, None]
+    drop2[:n] = rho2
+    g = rho2[pi]
+    L2 = pf[4, :, None]
+    a = (g[0] - g[1] + L2) / (2.0 * L2)
+    np.add(pf[:2, :, None], a * pf[2:4, :, None], out=q[:, n:m])
+    np.subtract(g[0], a * a * L2, out=drop2[n:m])
+    g = rho2[ti]
+    c1 = g[0] - g[1] + tf[8, :, None] - tf[7, :, None]
+    c2 = g[0] - g[2] + tf[9, :, None] - tf[7, :, None]
+    # x = (c1 by - ay c2) / det and y = (ax c2 - bx c1) / det, both at once
+    qt = np.divide(c1 * tf[4:6, :, None] - tf[2:4, :, None] * c2, tf[6, :, None],
+                   out=q[:, m:])
+    e = qt - tf[:2, :, None]
+    e *= e
+    np.subtract(g[0], e[0] + e[1], out=drop2[m:])
+    keep = (drop2 >= -DROP_TOL).ravel()
+    np.maximum(drop2, 0.0, out=drop2)
+    at[...] = np.arange(at.size, dtype=float).reshape(at.shape)
+    packed[4] = np.arange(rows, dtype=float)
+    live = packed.reshape(5, -1).compress(keep, axis=1)
+    bound = rho2 + FEAS_TOL * (2.0 * rho.T + FEAS_TOL)
+    for c, bk in zip(r[:, :, None], bound):
+        d = live[:2] - c
+        d *= d
+        live = live.compress(d[0] + d[1] + live[2] <= bk.take(live[4].astype(np.intp)), axis=1)
+    z = np.full(at.size, np.inf)
+    z[live[3].astype(np.intp)] = z_r - np.sqrt(live[2])
+    z = z.reshape(at.shape)
     # the first lowest candidate wins, in singles, pairs, triples order
-    best = np.argmin(z, axis=1)
-    rows = np.arange(len(z))
-    best_z = z[rows, best]
-    best_q = q[rows, best]
+    best = np.argmin(z, axis=0)
+    at = np.arange(rows)
+    best_z = z[best, at]
+    best_q = q[:, best, at].T
     best_q[np.isinf(best_z)] = 0.0
     return best_q, best_z
 
@@ -158,7 +192,7 @@ def lowest_point_grid(centers, z_r, rho_grid):
     G, n = rho.shape
     pairs, triples = _subset_terms(r)
     candidates = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
-    step = max(1, BLOCK // (candidates * n))
+    step = max(1, BLOCK // candidates)
     best_q = np.zeros((G, 2))
     best_z = np.full(G, np.inf)
     for lo in range(0, G, step):

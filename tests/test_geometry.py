@@ -21,6 +21,7 @@ from sheetplan import (
     inverse_kinematics,
     min_enclosing_circle,
     optimize_formation,
+    oracle_equilibrium,
     select_sides,
     to_local_frame,
 )
@@ -180,6 +181,8 @@ class TestPolygonValidation:
         ("w_convex", lambda f: optimize_formation(f, ObstacleSpec((0, 0), 0.1, 0.05), np.nan)),
         ("approach", lambda f: select_sides(f, (0.0, 0.0), (1.0, 0.0))),
         ("depart", lambda f: select_sides(f, (1.0, 0.0), (0.0, 0.0))),
+        *[("grid_resolution", lambda f, g=g: oracle_equilibrium(f, g))
+          for g in (0.0, -1e-3, np.nan, np.inf, -np.inf)],
     ])
     def test_bad_arguments_rejected(self, field, call):
         carry = equilateral_formation(equilateral_layout(), 1.0)

@@ -40,7 +40,17 @@ from .errors import (
     TooFewTaut,
     ValidationError,
 )
-from .geometry import Formation, SheetLayout, point_in_polygon, require_finite, rotation
+from .geometry import (
+    Formation,
+    SheetLayout,
+    dot,
+    pair_distances,
+    pair_index,
+    point_in_polygon,
+    points_in_polygon,
+    require_finite,
+    rotation,
+)
 
 SLACK_BAND = 1e-6        # cable counts as slack only below geodesic - band
 FEAS_TOL = 1e-7          # allowed violation of the cable inequality
@@ -92,24 +102,27 @@ class ObjectEquilibrium:
         return tuple(c.index for c in self.cables if c.taut)
 
 
-def cable_distances(formation: Formation, eq: ObjectEquilibrium):
-    """Per-cable (geodesic, euclidean) lengths at a solved equilibrium."""
-    v = formation.layout.holding_points
-    r = formation.robot_positions
-    z_r = formation.holding_height
-    l = np.linalg.norm(v - eq.sheet_contact, axis=1)
-    d = np.sqrt(
-        np.sum((r - eq.horizontal) ** 2, axis=1) + (z_r - eq.z) ** 2
-    )
+def _cables(v, z_r, r, u, q, z):
+    """Geodesic length l and robot-to-object distance d of every cable.
+
+    Contacts u, object positions q and heights z may carry leading
+    candidate axes; the cables are the last axis of l and d.
+    """
+    l = np.linalg.norm(v - np.asarray(u)[..., None, :], axis=-1)
+    d = np.sqrt(np.sum((r - np.asarray(q)[..., None, :]) ** 2, axis=-1)
+                + ((z_r - np.asarray(z)) ** 2)[..., None])
     return l, d
 
 
+def cable_distances(formation: Formation, eq: ObjectEquilibrium):
+    """Per-cable (geodesic, euclidean) lengths at a solved equilibrium."""
+    return _cables(formation.layout.holding_points, formation.holding_height,
+                   formation.robot_positions, eq.sheet_contact, eq.horizontal, eq.z)
+
+
 def _build_equilibrium(formation, u, q, z, boundary=False) -> ObjectEquilibrium:
-    v = formation.layout.holding_points
-    r = formation.robot_positions
     z_r = formation.holding_height
-    l = np.linalg.norm(v - u, axis=1)
-    d = np.sqrt(np.sum((r - q) ** 2, axis=1) + (z_r - z) ** 2)
+    l, d = _cables(formation.layout.holding_points, z_r, formation.robot_positions, u, q, z)
     cables = tuple(
         CableState(i, float(l[i]), "taut" if d[i] >= l[i] - SLACK_BAND else "slack")
         for i in range(formation.n)
@@ -130,11 +143,6 @@ def _T(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _dot(a, b):
-    """Row-wise dot product, rounded as the 1-D `a @ b` of each row is."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _frames(points, pairs):
     """Canonical frames: for every anchor pair (i1, i2) of the (P, 2) `pairs`,
     the points rotated and translated so points[i1] is the origin and
@@ -153,14 +161,6 @@ def _frames(points, pairs):
     rel = points[..., None, :, :] - o[..., None, :]
     rows = (rel[..., None, :] @ fwd[..., None, :, :])[..., 0, :]
     return rel @ fwd, rows, o, rotation(ang)
-
-
-def _subset_isometric(v, r, idx, tol=1e-9):
-    """True when the taut subset is fully stretched (sheet flat across it)."""
-    for i, j in itertools.combinations(idx, 2):
-        if abs(np.linalg.norm(v[i] - v[j]) - np.linalg.norm(r[i] - r[j])) > tol:
-            return False
-    return True
 
 
 def _flat_candidate(v, z_r, r, idx):
@@ -227,7 +227,7 @@ def _stationary_points(v, z_r, r, plan):
     for sel, pair, cables, pinned, ends in stacks:
         vk, rk = canon[:, pair[:, None], cables]
         A = np.concatenate([2 * vk, -2 * rk], axis=2)
-        b = _dot(vk, vk) - _dot(rk, rk)
+        b = dot(vk, vk) - dot(rk, rk)
         if len(pinned):
             a2, b2 = vrows[ends]
             A[pinned, -1, :2] = (b2 - a2)[:, ::-1] * (-1.0, 1.0)
@@ -244,7 +244,7 @@ def _stationary_points(v, z_r, r, plan):
             _T(U) @ b[..., None])[:, :S.shape[1], 0]
         x0 = (_T(Vt) @ scaled[..., None])[..., 0]
         res = (A @ x0[..., None])[..., 0] - b
-        consistent = ~(np.sqrt(_dot(res, res)) > 1e-8 * np.maximum(1.0, np.sqrt(_dot(b, b))))
+        consistent = ~(np.sqrt(dot(res, res)) > 1e-8 * np.maximum(1.0, np.sqrt(dot(b, b))))
         for rk_ in set(rank[consistent].tolist()):
             g = np.flatnonzero(consistent & (rank == rk_))
             Zt = Vt[g, rk_:]                     # null-space basis, one row each
@@ -271,23 +271,12 @@ def _stationary_points(v, z_r, r, plan):
                     # edge-pinned systems cover those equilibria
             uu = u0 + (_T(Zu) @ t[..., None])[..., 0]
             ww = w0 + (_T(Zw) @ t[..., None])[..., 0]
-            drop2 = _dot(uu, uu) - _dot(ww, ww)
+            drop2 = dot(uu, uu) - dot(ww, ww)
             at, p = sel[g], pair[g]
             uq[:, at] = (np.array([uu, ww])[..., None, :] @ _T(back[:, p]))[..., 0, :] + origin[:, p]
             z[at] = z_r - np.sqrt(np.maximum(drop2, 0.0))
             ok[at] = has & ~(drop2 < -1e-9)
     return uq[0], uq[1], z, ok
-
-
-def _subset_residual(v, z_r, r, idx, u, q, z):
-    """Worst taut-equality residual |l_k - ||p_o - p_k||| over the subset."""
-    worst = 0.0
-    h2 = (z_r - z) ** 2
-    for k in idx:
-        lk = np.linalg.norm(v[k] - u)
-        dk = np.sqrt(np.sum((r[k] - q) ** 2) + h2)
-        worst = max(worst, abs(lk - dk))
-    return worst
 
 
 # --------------------------------------------------------- known taut set
@@ -318,7 +307,8 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
     v = formation.layout.holding_points
     r = formation.robot_positions
     z_r = formation.holding_height
-    if _subset_isometric(v, r, taut):
+    if np.all(np.abs(pair_distances(v[taut]) - pair_distances(r[taut])) <= 1e-9):
+        # fully stretched: the sheet is flat across the taut subset
         u, q, z = _flat_candidate(v, z_r, r, taut)
         return _build_equilibrium(formation, u, q, z)
     base = taut[:5]
@@ -329,13 +319,14 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
     u, q, z = u[0], q[0], z[0]
     if not point_in_polygon(u, v[taut], tol=1e-9):
         raise ContactOutsideHull(f"contact {u} outside taut hull")
-    if _subset_residual(v, z_r, r, base, u, q, z) > TAUT_TOL:
+    l, d = _cables(v, z_r, r, u, q, z)
+    off = np.abs(l - d)         # taut-equality residual |l_k - ||p_o - p_k||| per cable
+    if np.max(off[base]) > TAUT_TOL:
         raise NoConvergence("taut residual above tolerance")
     for k in taut[5:]:
-        off = _subset_residual(v, z_r, r, [k], u, q, z)
-        if off > 1e-6:
+        if off[k] > 1e-6:
             raise InconsistentRedundancy(
-                f"cable {k} off by {off:.2e} at the five-cable solution"
+                f"cable {k} off by {off[k]:.2e} at the five-cable solution"
             )
     return _build_equilibrium(formation, u, q, z)
 
@@ -345,13 +336,14 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
 def _solve_plan(n):
     """What every solve with n cables enumerates, built once per n.
 
-    Returns (systems, plan, hulls, ends, chords). Interior systems come
+    Returns (systems, plan, hulls, ends, spans). Interior systems come
     first: every taut subset of three or more cables, by decreasing size.
     Then the edge-pinned ones: for each sheet edge, every subset of two to
     four cables. `hulls` holds each interior subset padded to n cables by
     repeating its last one (a zero-length polygon side excludes no point);
-    `ends` the two holding points of each edge system's edge; `chords` the
-    (i, j) cable pairs, i < j, of the ridge hangs.
+    `ends` the two holding points of each edge system's edge; `spans`
+    marks, for each interior subset, the cable pairs of `pair_index(n)`
+    with both cables in it.
     """
     interior = [
         idx for m in range(n, 2, -1) for idx in itertools.combinations(range(n), m)
@@ -365,19 +357,9 @@ def _solve_plan(n):
     systems = [(idx, -1) for idx in interior] + edge
     hulls = np.array([idx + idx[-1:] * (n - len(idx)) for idx in interior])
     ends = np.array([(e, (e + 1) % n) for _, e in edge]).T
-    chords = np.array(list(itertools.combinations(range(n), 2))).T
-    return systems, _plan(systems, n), hulls, ends, chords
-
-
-def _points_in_polygon_mask(pts, poly, tol=1e-9):
-    """`point_in_polygon` for each row of an (M, 2) array of points.
-
-    `poly` is one polygon (m, 2) for every point, or one per point (M, m, 2).
-    """
-    side = poly[..., np.arange(1, poly.shape[-2] + 1) % poly.shape[-2], :] - poly
-    rel = pts[:, None] - poly
-    cross = side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0]
-    return np.all(cross >= -tol, axis=1)
+    member = np.any(hulls[:, :, None] == np.arange(n), axis=1)
+    spans = member[:, pair_index(n)].all(axis=1)
+    return systems, _plan(systems, n), hulls, ends, spans
 
 
 def _select_best(v, z_r, r, z, u, q, idx):
@@ -391,9 +373,8 @@ def _select_best(v, z_r, r, z, u, q, idx):
     is the lowest, then the one with more taut cables, then the first taut
     set in index order.
     """
-    rho = np.linalg.norm(v[None] - u[:, None], axis=2)
-    d = np.sqrt(np.sum((r[None] - q[:, None]) ** 2, axis=2) + ((z_r - z) ** 2)[:, None])
-    ok = _points_in_polygon_mask(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
+    rho, d = _cables(v, z_r, r, u, q, z)
+    ok = points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
     kept = np.flatnonzero(ok)
     if len(kept) == 0:
         return None
@@ -422,27 +403,25 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     z_r = formation.holding_height
     n = formation.n
 
-    systems, plan, hulls, ends, chords = _solve_plan(n)
+    systems, plan, hulls, ends, spans = _solve_plan(n)
     u, q, z, ok = _stationary_points(v, z_r, r, plan)
     ni = len(hulls)
     a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
-    s = _dot(u[ni:] - a, ab) / _dot(ab, ab)
+    s = dot(u[ni:] - a, ab) / dot(ab, ab)
     ok &= np.concatenate([
-        _points_in_polygon_mask(u[:ni], v[hulls]), (s >= -1e-9) & (s <= 1 + 1e-9)
+        points_in_polygon(u[:ni], v[hulls]), (s >= -1e-9) & (s <= 1 + 1e-9)
     ])
-    i, j = chords
-    lv = np.sqrt(_dot(v[j] - v[i], v[j] - v[i]))
-    lr = np.sqrt(_dot(r[j] - r[i], r[j] - r[i]))
-    if np.any(np.abs(lv - lr) <= 1e-9):
+    lv, lr = pair_distances(v), pair_distances(r)
+    stretched = np.abs(lv - lr) <= 1e-9
+    if stretched.any():
         # a fully stretched subset hangs flat, whatever its stationary point
-        for k, (idx, _) in enumerate(systems[:ni]):
-            if _subset_isometric(v, r, idx):
-                u[k], q[k], z[k] = _flat_candidate(v, z_r, r, idx)
-                ok[k] = True
+        for k in np.flatnonzero(~np.any(spans[:, ~stretched], axis=1)):
+            u[k], q[k], z[k] = _flat_candidate(v, z_r, r, systems[k][0])
+            ok[k] = True
 
     # two-cable fold-line ridges: the deepest point below each sheet chord
     fold = ~(lr >= lv - 1e-12)
-    i, j, lv, lr = i[fold], j[fold], lv[fold], lr[fold]
+    (i, j), lv, lr = pair_index(n)[:, fold], lv[fold], lr[fold]
 
     inner, pinned = np.flatnonzero(ok[:ni]), ni + np.flatnonzero(ok[ni:])
     cz = np.concatenate([z[inner], z_r - 0.5 * np.sqrt(lv * lv - lr * lr), z[pinned]])
@@ -490,7 +469,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
         ys = np.linspace(center[1] - half, center[1] + half, npts)
         gx, gy = np.meshgrid(xs, ys)
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = pts[_points_in_polygon_mask(pts, v)]
+        pts = pts[points_in_polygon(pts, v)]
         step = 2 * half / (npts - 1)
         edge_chunks = []
         nv = len(v)
@@ -544,6 +523,9 @@ def inverse_kinematics(
     contact = np.asarray(contact, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    for name, value in (("contact", contact), ("object_height", object_height),
+                        ("phis", phis), ("anchor", anchor)):
+        require_finite(name, value)
     v = layout.holding_points
     z_r = layout.holding_height
     if len(phis) != layout.n:
@@ -562,13 +544,14 @@ def inverse_kinematics(
         )
     radial = np.sqrt(np.clip(short, 0.0, None))
     robots = anchor + radial[:, None] * np.column_stack([np.cos(phis), np.sin(phis)])
-    n = layout.n
-    for i, j in itertools.combinations(range(n), 2):
-        gap = np.linalg.norm(robots[i] - robots[j]) - np.linalg.norm(v[i] - v[j])
-        if gap >= -1e-9:
-            raise InelasticityViolated(
-                f"pair ({i},{j}) spacing within {gap:.2e} m of the sheet spacing"
-            )
+    gap = pair_distances(robots) - pair_distances(v)
+    tight = np.flatnonzero(gap >= -1e-9)
+    if len(tight):
+        k = tight[0]
+        i, j = pair_index(layout.n)[:, k]
+        raise InelasticityViolated(
+            f"pair ({i},{j}) spacing within {gap[k]:.2e} m of the sheet spacing"
+        )
     formation = Formation(robots, layout)   # raises NonConvexResult if disordered
     # anchor on the boundary is the deepest-hang limit (a robot directly
     # above the object); strictly outside can never balance

@@ -6,6 +6,7 @@ coordinates are planar robot positions at a fixed holding height.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -44,8 +45,33 @@ def require_finite(field, value):
         raise ValidationError(field, "must be finite")
 
 
-def cross2(a, b) -> float:
-    return a[0] * b[1] - a[1] * b[0]
+def dot(a, b):
+    """Row-wise dot product, rounded as the 1-D `a @ b` of each row is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def pair_index(n) -> np.ndarray:
+    """Read-only (2, n(n-1)/2) array of every pair i < j, in itertools.combinations order."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T
+    pairs.setflags(write=False)
+    return pairs
+
+
+def pair_distances(points) -> np.ndarray:
+    """Distance of every pair of the (..., N, 2) points, in `pair_index` order.
+
+    Each is rounded as the 1-D `np.linalg.norm` of its difference is; the
+    `axis=` form of `np.linalg.norm` and `np.hypot` round differently.
+    """
+    i, j = pair_index(points.shape[-2])
+    d = points[..., j, :] - points[..., i, :]
+    return np.sqrt(dot(d, d))
+
+
+def polygon_sides(polygon) -> np.ndarray:
+    """Side vectors of (..., m, 2) polygons: side i runs from vertex i to i + 1."""
+    return polygon.take(np.arange(1, polygon.shape[-2] + 1), axis=-2, mode="wrap") - polygon
 
 
 def check_convex_ccw(points, what="polygon"):
@@ -58,25 +84,31 @@ def check_convex_ccw(points, what="polygon"):
     n = len(pts)
     if n < 3:
         raise NonConvexResult(f"{what}: need at least 3 vertices, got {n}")
-    for i in range(n):
-        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-        if cross2(b - a, c - b) <= AREA_TOL:
-            raise NonConvexResult(
-                f"{what}: vertices {i},{(i + 1) % n},{(i + 2) % n} are not in "
-                "strictly convex counterclockwise position"
-            )
+    a = polygon_sides(pts)
+    b = np.concatenate([a[1:], a[:1]])
+    bad = np.flatnonzero(~(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > AREA_TOL))
+    if len(bad):
+        i = bad[0]
+        raise NonConvexResult(
+            f"{what}: vertices {i},{(i + 1) % n},{(i + 2) % n} are not in "
+            "strictly convex counterclockwise position"
+        )
+
+
+def points_in_polygon(points, polygon, tol=1e-9) -> np.ndarray:
+    """Mask of the (M, 2) points inside a convex ccw polygon (boundary within tol).
+
+    `polygon` is one polygon (m, 2) for every point, or one per point
+    (M, m, 2). A NaN point is outside.
+    """
+    side = polygon_sides(polygon)
+    rel = points[:, None] - polygon
+    return (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0] >= -tol).all(axis=1)
 
 
 def point_in_polygon(p, polygon, tol=1e-12) -> bool:
     """True when p lies inside the convex ccw polygon (boundary within tol)."""
-    pts = as_points(polygon)
-    p = np.asarray(p, dtype=float)
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if cross2(b - a, p - a) < -tol:
-            return False
-    return True
+    return bool(points_in_polygon(np.asarray(p, dtype=float)[None], as_points(polygon), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -169,14 +201,9 @@ class Formation:
         Negative means strictly feasible everywhere; 0 means some pair is
         fully stretched (flat sheet along that pair); positive is infeasible.
         """
-        r, v = self.robot_positions, self.layout.holding_points
-        worst = -np.inf
-        for i, j in itertools.combinations(range(self.n), 2):
-            worst = max(
-                worst,
-                float(np.linalg.norm(r[i] - r[j]) - np.linalg.norm(v[i] - v[j])),
-            )
-        return worst
+        return float(np.max(
+            pair_distances(self.robot_positions) - pair_distances(self.layout.holding_points)
+        ))
 
     def is_feasible(self, tol=1e-12) -> bool:
         return self.stretch() <= tol
@@ -302,11 +329,7 @@ def indicators(formation: Formation, object_height: float, safety: SafetyParams)
             f"{formation.holding_height}"
         )
     D = circumscribed_diameter(formation.robot_positions)
-    r = formation.robot_positions
-    L_min = min(
-        float(np.linalg.norm(r[i] - r[j]))
-        for i, j in itertools.combinations(range(formation.n), 2)
-    )
+    L_min = float(np.min(pair_distances(formation.robot_positions)))
     return FormationIndicators(
         W=D + 2.0 * safety.delta_r,
         D=D,

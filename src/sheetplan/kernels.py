@@ -19,6 +19,8 @@ import itertools
 
 import numpy as np
 
+from .geometry import dot, pair_index
+
 BACKEND = "python"  # the numpy kernels are the only ones; benchmark records name them
 
 FEAS_TOL = 1e-7     # slack allowed when testing membership in each ball
@@ -85,9 +87,8 @@ def lowest_point(centers, z_r, rho):
 @functools.lru_cache(maxsize=None)
 def _subsets(n):
     """Index arrays (2, pairs) and (3, triples) of every pair and triple of n centers."""
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
     triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
-    return pairs.reshape(-1, 2).T, triples.reshape(-1, 3).T
+    return pair_index(n), triples.reshape(-1, 3).T
 
 
 def _subset_terms(r):
@@ -106,11 +107,11 @@ def _subset_terms(r):
     ri = rt[:, pij[0]]
     d = rt[:, pij[1]] - ri
     # stacked matmuls round as the 1-D `d @ d` does; a sum of products may not
-    L2 = (d.T[:, None, :] @ d.T[:, :, None]).ravel()
+    L2 = dot(d.T, d.T)
     ti = rt[:, tijk[0]]
     e = 2.0 * (rt[:, tijk[1:]] - ti[:, None])   # (x, y) of a and b, per triple
     det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
-    s = (r[:, None, :] @ r[:, :, None]).ravel()
+    s = dot(r, r)
     keep, tkeep = L2 >= 1e-18, np.abs(det) >= 1e-14
     pairs = np.concatenate([ri, d, L2[None]])
     turned = (e[::-1] * _TURN).transpose(1, 0, 2).reshape(4, -1)

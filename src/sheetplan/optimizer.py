@@ -31,6 +31,8 @@ from .geometry import (
     FormationIndicators,
     SafetyParams,
     indicators,
+    pair_distances,
+    pair_index,
     require_finite,
 )
 
@@ -103,16 +105,15 @@ def cost_transport(candidate: Formation, initial: Formation,
                    candidate_contact, initial_contact, weights: CostWeights) -> float:
     """Transport cost: contact drift plus ordered-pair spacing changes."""
     dv = np.asarray(candidate_contact, dtype=float) - np.asarray(initial_contact, dtype=float)
-    total = weights.l1 * float(dv @ dv)
-    r, r0 = candidate.robot_positions, initial.robot_positions
+    d = pair_distances(candidate.robot_positions) - pair_distances(initial.robot_positions)
     n = candidate.n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = np.linalg.norm(r[i] - r[j]) - np.linalg.norm(r0[i] - r0[j])
-            total += weights.l2 * d * d
-    return total
+    i, j = pair_index(n)
+    terms = np.zeros((n, n))
+    terms[i, j] = terms[j, i] = weights.l2 * d * d
+    # added one ordered pair at a time, in row-major order, so that the sum
+    # rounds the same whatever numpy's summation order
+    ordered = np.append(weights.l1 * float(dv @ dv), terms[~np.eye(n, dtype=bool)])
+    return float(np.add.accumulate(ordered)[-1])
 
 
 def cost_pass(W: float, w_convex: float, weights: CostWeights) -> float:

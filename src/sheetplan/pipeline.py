@@ -25,7 +25,7 @@ import numpy as np
 
 from .equilibrium import solve_equilibrium
 from .errors import IoError, PipelineInfeasible, PlanInfeasible, SheetPlanError, ValidationError
-from .geometry import Formation, SafetyParams, rotation
+from .geometry import Formation, SafetyParams, pair_distances, pair_index, rotation
 from .optimizer import FormationSolution, ObstacleSpec, optimize_formation
 from .planner import (
     CrossingSchedule,
@@ -553,13 +553,9 @@ def export_report(report: RunReport, out_dir) -> list:
 
         pairs = os.path.join(out_dir, "pairwise_distances.csv")
         with open(pairs, "w", encoding="utf-8") as fh:
-            labels = [f"d_{i + 1}_{j + 1}" for i in range(n) for j in range(i + 1, n)]
+            labels = [f"d_{i + 1}_{j + 1}" for i, j in pair_index(n).T]
             fh.write(",".join(["t"] + labels) + "\n")
-            for k in range(len(tl)):
-                row = [tl.times[k]]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        row.append(float(np.linalg.norm(tl.robots[k, i] - tl.robots[k, j])))
+            for row in np.column_stack([tl.times, pair_distances(tl.robots)]):
                 fh.write(_fmt_row(row) + "\n")
         paths.append(pairs)
         return paths

@@ -16,7 +16,7 @@ import numpy as np
 # so the benchmark's traced runs need this module to bind it.
 from .equilibrium import solve_equilibrium  # noqa: F401
 from .errors import InvalidSchedule, ValidationError
-from .geometry import Formation, as_points
+from .geometry import Formation, as_points, dot, polygon_sides
 
 
 def wrap_angle(a: float) -> float:
@@ -63,14 +63,8 @@ class CrossingSchedule:
 
 def outward_normals(points) -> np.ndarray:
     """Unit outward normals of a ccw convex polygon's sides (side i spans vertices i, i+1)."""
-    pts = as_points(points)
-    n = len(pts)
-    normals = np.zeros((n, 2))
-    for i in range(n):
-        e = pts[(i + 1) % n] - pts[i]
-        nv = np.array([e[1], -e[0]])
-        normals[i] = nv / np.linalg.norm(nv)
-    return normals
+    nv = polygon_sides(as_points(points))[:, ::-1] * (1.0, -1.0)
+    return nv / np.sqrt(dot(nv, nv))[:, None]
 
 
 def select_sides(formation: Formation, approach, depart):

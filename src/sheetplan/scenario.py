@@ -38,7 +38,7 @@ from .optimizer import CostWeights, ObstacleSpec
 _SCALAR_KEYS = {"sheet_height", "corridor_width", "speed", "omega", "dt",
                 "delta_r", "z_safe"}
 _PAIR_KEYS = {"sheet_point", "robot", "corridor_point", "goal"}
-_DEFAULTS = {"speed": 0.1, "omega": 0.2, "dt": 0.1, "delta_r": 0.05, "z_safe": 0.04}
+_DEFAULTS = {"speed": 0.1, "omega": 0.2, "dt": 0.1}
 
 
 @dataclass(frozen=True)
@@ -63,30 +63,27 @@ class Corridor:
     def _cum(self):
         return np.concatenate([[0.0], np.cumsum(self.segment_lengths)])
 
-    def point_at(self, s: float) -> np.ndarray:
+    def _segment(self, s):
+        """Arclength table, s clipped to the centerline, and the segment holding it."""
         cum = self._cum()
         s = float(np.clip(s, 0.0, cum[-1]))
         k = int(np.searchsorted(cum, s, side="right") - 1)
-        k = min(k, len(self.points) - 2)
+        return cum, s, min(max(k, 0), len(self.points) - 2)
+
+    def point_at(self, s: float) -> np.ndarray:
+        cum, s, k = self._segment(s)
         seg = self.points[k + 1] - self.points[k]
         L = np.linalg.norm(seg)
         frac = (s - cum[k]) / L if L > 0 else 0.0
         return self.points[k] + frac * seg
 
     def direction_at(self, s: float) -> np.ndarray:
-        cum = self._cum()
-        s = float(np.clip(s, 0.0, cum[-1]))
-        k = int(np.searchsorted(cum, s, side="right") - 1)
-        k = min(max(k, 0), len(self.points) - 2)
+        _, _, k = self._segment(s)
         seg = self.points[k + 1] - self.points[k]
         return seg / np.linalg.norm(seg)
 
     def width_at(self, s: float) -> float:
-        cum = self._cum()
-        s = float(np.clip(s, 0.0, cum[-1]))
-        k = int(np.searchsorted(cum, s, side="right") - 1)
-        k = min(max(k, 0), len(self.widths) - 1)
-        return float(self.widths[k])
+        return float(self.widths[min(self._segment(s)[2], len(self.widths) - 1)])
 
     def project(self, point) -> float:
         """Arclength of the closest centerline point."""
@@ -236,15 +233,13 @@ def parse_scenario(text: str) -> Scenario:
     need("goal", "goal" in scalars, "missing")
     goal = np.array(scalars["goal"], dtype=float)
 
-    params = dict(_DEFAULTS)
+    params = {key: scalars.get(key, value) for key, value in _DEFAULTS.items()}
     for key in _DEFAULTS:
-        if key in scalars:
-            params[key] = scalars[key]
-    for key in ("speed", "omega", "dt", "delta_r", "z_safe"):
         need(key, params[key] > 0, "must be positive")
+    # unset margins and weights take the dataclasses' defaults
+    safety = SafetyParams(**{k: scalars[k] for k in ("delta_r", "z_safe") if k in scalars})
     try:
-        safety = SafetyParams(delta_r=params["delta_r"], z_safe=params["z_safe"])
-        weights = CostWeights(*scalars.get("weights", (1.0, 1.0, 1.0, 10.0, 10.0)))
+        weights = CostWeights(*scalars.get("weights", ()))
     except ValueError as exc:
         raise ValidationError("weights", str(exc)) from None
 

@@ -1,4 +1,6 @@
-"""Frames, enclosing circles and planning indicators."""
+"""Frames, enclosing circles, pair and polygon arithmetic, planning indicators."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,13 @@ from sheetplan import (
     select_sides,
     to_local_frame,
 )
-from sheetplan.geometry import point_in_polygon
+from sheetplan.geometry import (
+    check_convex_ccw,
+    pair_distances,
+    pair_index,
+    point_in_polygon,
+    points_in_polygon,
+)
 
 from conftest import equilateral_formation, equilateral_layout, regular_polygon
 
@@ -183,6 +191,12 @@ class TestPolygonValidation:
         ("depart", lambda f: select_sides(f, (1.0, 0.0), (0.0, 0.0))),
         *[("grid_resolution", lambda f, g=g: oracle_equilibrium(f, g))
           for g in (0.0, -1e-3, np.nan, np.inf, -np.inf)],
+        *[pytest.param(field, call, id=f"{field}-nonfinite") for field, call in (
+            ("contact", lambda f: inverse_kinematics(f.layout, (np.nan, 0.0), 0.3, PHIS)),
+            ("object_height", lambda f: inverse_kinematics(f.layout, CONTACT, -np.inf, PHIS)),
+            ("phis", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, PHIS + [np.nan, 0, 0])),
+            ("anchor", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, PHIS, (np.nan, 0.0))),
+        )],
     ])
     def test_bad_arguments_rejected(self, field, call):
         carry = equilateral_formation(equilateral_layout(), 1.0)
@@ -202,6 +216,39 @@ class TestPolygonValidation:
         poly = regular_polygon(4, 1.0)
         assert point_in_polygon(poly[0], poly, tol=1e-9)
         assert not point_in_polygon(np.array([2.0, 2.0]), poly)
+        assert not point_in_polygon([np.nan, 0.0], poly)
+        with pytest.raises(NonConvexResult):
+            check_convex_ccw([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+class TestPairAndPolygonArithmetic:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pair_distances_match_per_pair_norm(self, n):
+        """The same bytes as one 1-D `np.linalg.norm` per pair."""
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(200, n, 2)) * rng.choice([1e-6, 1.0, 1e3], (200, 1, 1))
+        pts[::4, -1] = pts[::4, 0]                   # coincident points
+        pairs = list(itertools.combinations(range(n), 2))
+        want = np.array([[np.linalg.norm(p[i] - p[j]) for i, j in pairs] for p in pts])
+        assert pair_index(n).T.tolist() == [list(ij) for ij in pairs]
+        assert pair_distances(pts).tobytes() == want.tobytes()
+        for p, w in zip(pts, want):
+            assert pair_distances(p).tobytes() == w.tobytes()
+
+    def test_points_in_polygon_forms_agree(self):
+        rng = np.random.default_rng(7)
+        polys = np.array([regular_polygon(5, s, center=c, phase=a) for s, c, a in zip(
+            rng.uniform(0.2, 1.5, 300), rng.normal(0, 0.3, (300, 2)), rng.uniform(0, 7, 300))])
+        pts = rng.uniform(-1.5, 1.5, (300, 2))
+        pts[:10] = polys[np.arange(10), np.arange(10) % 5]     # on a vertex
+        pts[10] = (np.nan, 0.0)
+        for tol in (1e-9, 0.0, -1e-9):
+            each = points_in_polygon(pts, polys, tol)
+            one = [points_in_polygon(p[None], poly, tol)[0] for p, poly in zip(pts, polys)]
+            assert each.tolist() == one
+            assert [point_in_polygon(p, poly, tol) for p, poly in zip(pts, polys)] == one
+            assert (each[:10] == (tol >= 0)).all() and not each[10]
+        assert 0 < each.sum() < len(pts) - 11
 
 
 class TestIndicators:

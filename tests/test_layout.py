@@ -1,0 +1,60 @@
+"""Static layout rules of the package, checked on its syntax trees.
+
+No module reaches into another module's private (`_`-prefixed) names, and
+no module imports a name it never uses, unless the import's line says why
+with `# noqa: F401`. `__init__.py` is exempt from the second rule: its
+imports are the package's public names.
+"""
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "sheetplan")
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+
+
+def _tree(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        source = fh.read()
+    return ast.parse(source), source.splitlines()
+
+
+def _package_imports(tree):
+    """(alias, bound name) of every import from within the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "sheetplan"
+        ):
+            for alias in node.names:
+                yield alias, alias.asname or alias.name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_imports(name):
+    tree, _ = _tree(name)
+    private = [alias.name for alias, _ in _package_imports(tree) if alias.name.startswith("_")]
+    modules = {bound for _, bound in _package_imports(tree)}
+    private += [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+    assert private == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
+def test_no_unused_imports(name):
+    tree, lines = _tree(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(bound)
+    assert unused == []

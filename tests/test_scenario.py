@@ -156,6 +156,16 @@ class TestValidation:
             parse_scenario(MINIMAL + "dt = 0\n")
         assert err.value.field == "dt"
 
+    @pytest.mark.parametrize("line, field", [
+        ("delta_r = 0", "delta_r"),
+        ("z_safe = -0.01", "z_safe"),
+        ("weights = 1 1 -1 10 10", "weights"),
+    ])
+    def test_margins_and_weights_name_their_field(self, line, field):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(MINIMAL + line + "\n")
+        assert err.value.field == field
+
 
 class TestCorridorGeometry:
     def test_projection_and_direction(self):

@@ -257,18 +257,14 @@ def _stationary_points(v, z_r, r, plan):
                 grad = 2.0 * (Zw @ w0[..., None] - Zu @ u0[..., None])[..., 0]
                 evals = np.linalg.eigvalsh(H)
                 has = np.all(evals > 1e-12, axis=1)
-                if has.all():
-                    t = np.linalg.solve(H, -grad[..., None])[..., 0]
-                else:
-                    if has.any():
-                        t[has] = np.linalg.solve(H[has], -grad[has][..., None])[..., 0]
-                    for s in np.flatnonzero(~has & np.all(evals > -1e-12, axis=1)):
-                        # positive semidefinite with a flat direction: minimum-norm minimizer
-                        ts = -np.linalg.pinv(H[s]) @ grad[s]
-                        if np.linalg.norm(H[s] @ ts + grad[s]) <= 1e-8:
-                            t[s], has[s] = ts, True
-                    # indefinite H: no interior minimum on this manifold; the
-                    # edge-pinned systems cover those equilibria
+                t[has] = np.linalg.solve(H[has], -grad[has][..., None])[..., 0]
+                for s in np.flatnonzero(~has & np.all(evals > -1e-12, axis=1)):
+                    # positive semidefinite with a flat direction: minimum-norm minimizer
+                    ts = -np.linalg.pinv(H[s]) @ grad[s]
+                    if np.linalg.norm(H[s] @ ts + grad[s]) <= 1e-8:
+                        t[s], has[s] = ts, True
+                # indefinite H: no interior minimum on this manifold; the
+                # edge-pinned systems cover those equilibria
             uu = u0 + (_T(Zu) @ t[..., None])[..., 0]
             ww = w0 + (_T(Zw) @ t[..., None])[..., 0]
             drop2 = dot(uu, uu) - dot(ww, ww)

@@ -58,6 +58,14 @@ def pair_index(n) -> np.ndarray:
     return pairs
 
 
+@functools.lru_cache(maxsize=None)
+def triple_index(n) -> np.ndarray:
+    """Read-only (3, C(n, 3)) array of every triple i < j < k, in itertools.combinations order."""
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    triples.setflags(write=False)
+    return triples
+
+
 def pair_distances(points) -> np.ndarray:
     """Distance of every pair of the (..., N, 2) points, in `pair_index` order.
 
@@ -205,9 +213,6 @@ class Formation:
             pair_distances(self.robot_positions) - pair_distances(self.layout.holding_points)
         ))
 
-    def is_feasible(self, tol=1e-12) -> bool:
-        return self.stretch() <= tol
-
     def translated(self, delta) -> "Formation":
         return Formation(self.robot_positions + np.asarray(delta), self.layout)
 
@@ -247,52 +252,39 @@ def to_local_frame(points) -> LocalFrame:
     return LocalFrame(origin=origin, rotation=angle, local_coords=local)
 
 
-def _circle_two(a, b):
-    center = 0.5 * (a + b)
-    return center, 0.5 * float(np.linalg.norm(a - b))
-
-
-def _circumcircle(a, b, c):
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14:
-        return None
-    a2, b2, c2 = a @ a, b @ b, c @ c
-    ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    center = np.array([ux, uy])
-    return center, float(np.linalg.norm(a - center))
-
-
 def min_enclosing_circle(points, tol=1e-9):
     """Exact minimum enclosing circle by combinatorial search.
 
-    Checks every pair (diameter circle) and triple (circumcircle) and keeps
-    the smallest circle containing all points. Deterministic; fine for the
-    small team sizes this toolkit targets.
+    Tests every pair's diameter circle and every non-collinear triple's
+    circumcircle at once and keeps the first smallest circle containing all
+    points, diameter circles first. Each is rounded as the 1-D arithmetic of
+    its own pair or triple is. Fine for the small team sizes this toolkit
+    targets.
     """
     pts = as_points(points)
     n = len(pts)
     if n == 1:
         return pts[0].copy(), 0.0
-    best = None
-    for i, j in itertools.combinations(range(n), 2):
-        center, radius = _circle_two(pts[i], pts[j])
-        if np.all(np.linalg.norm(pts - center, axis=1) <= radius + tol):
-            if best is None or radius < best[1]:
-                best = (center, radius)
-    if best is not None:
-        return best
-    for i, j, k in itertools.combinations(range(n), 3):
-        got = _circumcircle(pts[i], pts[j], pts[k])
-        if got is None:
-            continue
-        center, radius = got
-        if np.all(np.linalg.norm(pts - center, axis=1) <= radius + tol):
-            if best is None or radius < best[1]:
-                best = (center, radius)
-    if best is None:
+    i, j = pair_index(n)
+    a, b, c = pts[triple_index(n)]
+    d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1])
+               + c[:, 0] * (a[:, 1] - b[:, 1]))
+    keep = np.abs(d) >= 1e-14
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    a2, b2, c2 = dot(a, a), dot(b, b), dot(c, c)
+    ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
+    uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
+    centers = np.concatenate([0.5 * (pts[i] + pts[j]), np.stack([ux, uy], axis=1)])
+    e = a - centers[len(i):]
+    radii = np.concatenate([0.5 * pair_distances(pts), np.sqrt(dot(e, e))])
+    fits = np.flatnonzero(
+        (np.linalg.norm(pts - centers[:, None], axis=2) <= radii[:, None] + tol).all(axis=1)
+    )
+    if not len(fits):
         raise DegenerateFormation("no enclosing circle found (degenerate input)")
-    return best
+    fits = fits[(fits < len(i)) == (fits[0] < len(i))]   # diameter circles first
+    k = fits[np.argmin(radii[fits])]
+    return centers[k], float(radii[k])
 
 
 def circumscribed_diameter(points) -> float:

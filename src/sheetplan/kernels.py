@@ -14,12 +14,11 @@ candidates that are still inside every ball so far; most candidates leave
 after two or three balls, so it makes far fewer tests than one of every
 candidate against all n balls, and returns the same bits.
 """
-import functools
 import itertools
 
 import numpy as np
 
-from .geometry import dot, pair_index
+from .geometry import dot, pair_index, triple_index
 
 BACKEND = "python"  # the numpy kernels are the only ones; benchmark records name them
 
@@ -84,13 +83,6 @@ def lowest_point(centers, z_r, rho):
     return best_q, best_z
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(n):
-    """Index arrays (2, pairs) and (3, triples) of every pair and triple of n centers."""
-    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
-    return pair_index(n), triples.reshape(-1, 3).T
-
-
 def _subset_terms(r):
     """Radius-independent terms of every usable pair and triple of centers.
 
@@ -102,7 +94,7 @@ def _subset_terms(r):
     triple, (ax, ay) = 2 (r_j - r_i) and (bx, by) = 2 (r_k - r_i). The
     arrays have no columns when there is no such subset.
     """
-    pij, tijk = _subsets(len(r))
+    pij, tijk = pair_index(len(r)), triple_index(len(r))
     rt = r.T
     ri = rt[:, pij[0]]
     d = rt[:, pij[1]] - ri

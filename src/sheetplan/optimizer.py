@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (
-    ObjectEquilibrium,
-    SLACK_BAND,
-    cable_distances,
-    inverse_kinematics,
-    solve_equilibrium,
-)
+from .equilibrium import ObjectEquilibrium, inverse_kinematics, solve_equilibrium
 from .errors import NoFeasibleFormation, SheetPlanError, ValidationError
 from .geometry import (
     Formation,
@@ -158,11 +152,19 @@ class _Chart:
             eq = solve_equilibrium(formation)
         except SheetPlanError:
             return None
-        l, d = cable_distances(formation, eq)
-        if np.any(d < l - SLACK_BAND):
+        if eq.taut_count < formation.n:
             return None          # a cable went slack: taut constraint violated
         ind = indicators(formation, eq.z, self.safety)
         return formation, eq, ind
+
+
+def crossing_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_convex: float):
+    """Crossing constraint values; a formation may cross when none exceeds CONSTRAINT_TOL."""
+    return (
+        ind.W - w_convex,
+        obstacle.z_obs - ind.z_obsmax,
+        obstacle.d_obs - ind.d_obsmax,
+    )
 
 
 def _pattern_search(x, fun, budget, steps0):
@@ -252,11 +254,7 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
 
     def constraint_values(ind):
         if mode == "crossing":
-            return (
-                ind.W - w_convex,
-                obstacle.z_obs - ind.z_obsmax,
-                obstacle.d_obs - ind.d_obsmax,
-            )
+            return crossing_constraints(ind, obstacle, w_convex)
         # bypass: formation and obstacle must fit side by side
         return (ind.W - (w_convex - obstacle.d_obs - 2.0 * safety.delta_r),)
 
@@ -303,8 +301,7 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
     # recenter on the formation centroid and re-solve with full discovery
     formation = formation.translated(-formation.centroid())
     eq = solve_equilibrium(formation)
-    l, d = cable_distances(formation, eq)
-    if np.any(d < l - SLACK_BAND):
+    if eq.taut_count < formation.n:
         return None
     ind = indicators(formation, eq.z, safety)
     return FormationSolution(

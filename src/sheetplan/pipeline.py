@@ -26,7 +26,13 @@ import numpy as np
 from .equilibrium import solve_equilibrium
 from .errors import IoError, PipelineInfeasible, PlanInfeasible, SheetPlanError, ValidationError
 from .geometry import Formation, SafetyParams, pair_distances, pair_index, rotation
-from .optimizer import FormationSolution, ObstacleSpec, optimize_formation
+from .optimizer import (
+    CONSTRAINT_TOL,
+    FormationSolution,
+    ObstacleSpec,
+    crossing_constraints,
+    optimize_formation,
+)
 from .planner import (
     CrossingSchedule,
     PlanTimeline,
@@ -348,10 +354,9 @@ def plan_local(
     segment, _, _, schedule = _maneuver(
         solution, obstacle, w_convex, safety, approach, depart, v, omega, dt, 0.0
     )
-    ind = solution.indicators
-    if schedule is not None and (obstacle.z_obs > ind.z_obsmax + 1e-9
-                                 or obstacle.d_obs > ind.d_obsmax + 1e-9
-                                 or ind.W > w_convex + 1e-9):
+    if schedule is not None and any(
+        c > CONSTRAINT_TOL for c in crossing_constraints(solution.indicators, obstacle, w_convex)
+    ):
         raise PlanInfeasible("formation does not satisfy the crossing constraints")
     timeline = _sample_segments([segment], solution.formation.layout, dt, solution.mode, schedule)
     (vert,), (robot,) = _clearances(timeline, [obstacle], safety)
@@ -484,6 +489,12 @@ def _fmt_row(values):
     return ",".join(FMT % val for val in values)
 
 
+def _write_table(path, columns, table):
+    """One CSV file: the header line, then one FMT-formatted line per table row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt=FMT, delimiter=",", header=",".join(columns), comments="")
+
+
 def export_report(report: RunReport, out_dir) -> list:
     """Write trajectory table, metrics summary and plot series files.
 
@@ -493,71 +504,42 @@ def export_report(report: RunReport, out_dir) -> list:
     """
     tl = report.timeline
     n = tl.robots.shape[1] if len(tl) else 0
+    names = ("trajectory.csv", "metrics.txt", "height_profile.csv", "pairwise_distances.csv")
+    paths = [os.path.join(out_dir, name) for name in names]
+    traj, metrics, height, pairs = paths
     try:
         os.makedirs(out_dir, exist_ok=True)
-        paths = []
+        cols = ["t"] + [f"{a}_r{i + 1}" for i in range(n) for a in "xy"]
+        cols += ["x_o", "y_o", "z_o", "x_vo", "y_vo", "theta"]
+        cols += [f"taut_{i + 1}" for i in range(n)]
+        table = np.column_stack([tl.times, tl.robots.reshape(len(tl), 2 * n), tl.objects,
+                                 tl.contacts, tl.poses[:, 2], tl.taut])
+        _write_table(traj, cols, table)
 
-        traj = os.path.join(out_dir, "trajectory.csv")
-        with open(traj, "w", encoding="utf-8") as fh:
-            cols = ["t"]
-            for i in range(n):
-                cols += [f"x_r{i + 1}", f"y_r{i + 1}"]
-            cols += ["x_o", "y_o", "z_o", "x_vo", "y_vo", "theta"]
-            cols += [f"taut_{i + 1}" for i in range(n)]
-            fh.write(",".join(cols) + "\n")
-            for k in range(len(tl)):
-                row = [tl.times[k]]
-                for i in range(n):
-                    row += [tl.robots[k, i, 0], tl.robots[k, i, 1]]
-                row += list(tl.objects[k]) + list(tl.contacts[k]) + [tl.poses[k, 2]]
-                row += [int(b) for b in tl.taut[k]]
-                fh.write(_fmt_row(row) + "\n")
-        paths.append(traj)
-
-        metrics = os.path.join(out_dir, "metrics.txt")
+        lines = [
+            f"scenario = {report.scenario_name}",
+            f"samples = {len(tl)}",
+            "duration = " + FMT % (tl.times[-1] if len(tl) else 0.0),
+            "obstacle_modes = " + " ".join(report.obstacle_modes),
+        ]
+        lines += [f"obstacle_{i + 1}_angles_deg = " + _fmt_row(np.rad2deg(ang))
+                  for i, ang in enumerate(report.crossing_angles) if ang is not None]
+        lines += [
+            "min_object_vertical_clearance = " + FMT % report.min_vertical_clearance,
+            "min_robot_horizontal_clearance = " + FMT % report.min_horizontal_clearance,
+        ]
+        lines += [f"robot_{i + 1}_path_length = " + FMT % length
+                  for i, length in enumerate(report.robot_path_lengths)]
+        lines += [
+            "object_centerline_rmse = " + FMT % report.centerline_rmse,
+            "final_object = " + _fmt_row(report.final_object),
+            "goal = " + _fmt_row(report.goal),
+        ]
         with open(metrics, "w", encoding="utf-8") as fh:
-            fh.write(f"scenario = {report.scenario_name}\n")
-            fh.write(f"samples = {len(tl)}\n")
-            duration = tl.times[-1] if len(tl) else 0.0
-            fh.write("duration = " + FMT % duration + "\n")
-            fh.write("obstacle_modes = " + " ".join(report.obstacle_modes) + "\n")
-            for i, ang in enumerate(report.crossing_angles):
-                if ang is None:
-                    continue
-                t1, t2, exit_angle = (np.rad2deg(a) for a in ang)
-                fh.write(
-                    f"obstacle_{i + 1}_angles_deg = "
-                    + _fmt_row([t1, t2, exit_angle]) + "\n"
-                )
-            fh.write(
-                "min_object_vertical_clearance = "
-                + FMT % report.min_vertical_clearance + "\n"
-            )
-            fh.write(
-                "min_robot_horizontal_clearance = "
-                + FMT % report.min_horizontal_clearance + "\n"
-            )
-            for i, length in enumerate(report.robot_path_lengths):
-                fh.write(f"robot_{i + 1}_path_length = " + FMT % length + "\n")
-            fh.write("object_centerline_rmse = " + FMT % report.centerline_rmse + "\n")
-            fh.write("final_object = " + _fmt_row(report.final_object) + "\n")
-            fh.write("goal = " + _fmt_row(report.goal) + "\n")
-        paths.append(metrics)
-
-        height = os.path.join(out_dir, "height_profile.csv")
-        with open(height, "w", encoding="utf-8") as fh:
-            fh.write("t,z_o\n")
-            for k in range(len(tl)):
-                fh.write(_fmt_row([tl.times[k], tl.objects[k, 2]]) + "\n")
-        paths.append(height)
-
-        pairs = os.path.join(out_dir, "pairwise_distances.csv")
-        with open(pairs, "w", encoding="utf-8") as fh:
-            labels = [f"d_{i + 1}_{j + 1}" for i, j in pair_index(n).T]
-            fh.write(",".join(["t"] + labels) + "\n")
-            for row in np.column_stack([tl.times, pair_distances(tl.robots)]):
-                fh.write(_fmt_row(row) + "\n")
-        paths.append(pairs)
+            fh.write("\n".join(lines) + "\n")
+        _write_table(height, ["t", "z_o"], np.column_stack([tl.times, tl.objects[:, 2]]))
+        labels = [f"d_{i + 1}_{j + 1}" for i, j in pair_index(n).T]
+        _write_table(pairs, ["t"] + labels, np.column_stack([tl.times, pair_distances(tl.robots)]))
         return paths
     except OSError as exc:
         raise IoError(f"failed writing report to {out_dir}: {exc}") from exc

@@ -204,8 +204,8 @@ def parse_scenario(text: str) -> Scenario:
         formation = Formation(np.array(data["robot"]), layout)
     except (SheetPlanError, ValueError) as exc:
         raise ValidationError("robot", str(exc)) from None
-    need("robot", formation.is_feasible(tol=1e-9),
-         f"initial formation stretches the sheet by {formation.stretch():.3e} m")
+    stretch = formation.stretch()
+    need("robot", stretch <= 1e-9, f"initial formation stretches the sheet by {stretch:.3e} m")
 
     need("corridor_point", len(data["corridor_point"]) >= 2, "need at least 2 waypoints")
     n_seg = len(data["corridor_point"]) - 1

@@ -33,6 +33,7 @@ from sheetplan.geometry import (
     pair_index,
     point_in_polygon,
     points_in_polygon,
+    triple_index,
 )
 
 from conftest import equilateral_formation, equilateral_layout, regular_polygon
@@ -99,7 +100,74 @@ class TestLocalFrame:
         assert area > 0
 
 
+def loop_enclosing_circle(pts, tol=1e-9):
+    """Reference: the pair-then-triple loop `min_enclosing_circle` replaced."""
+    def circumcircle(a, b, c):
+        d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+        if abs(d) < 1e-14:
+            return None
+        a2, b2, c2 = a @ a, b @ b, c @ c
+        ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
+        uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
+        center = np.array([ux, uy])
+        return center, float(np.linalg.norm(a - center))
+
+    if len(pts) == 1:
+        return pts[0].copy(), 0.0
+    best = None
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        center, radius = 0.5 * (pts[i] + pts[j]), 0.5 * float(np.linalg.norm(pts[i] - pts[j]))
+        if np.all(np.linalg.norm(pts - center, axis=1) <= radius + tol):
+            if best is None or radius < best[1]:
+                best = (center, radius)
+    if best is not None:
+        return best
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        got = circumcircle(pts[i], pts[j], pts[k])
+        if got is None:
+            continue
+        center, radius = got
+        if np.all(np.linalg.norm(pts - center, axis=1) <= radius + tol):
+            if best is None or radius < best[1]:
+                best = (center, radius)
+    if best is None:
+        raise DegenerateFormation("no enclosing circle found (degenerate input)")
+    return best
+
+
 class TestMinEnclosingCircle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_pair_triple_loop(self, n):
+        """The same center and radius bytes as the pair-then-triple loop."""
+        rng = np.random.default_rng(100 + n)
+        for case in range(500):
+            pts = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 2)
+            if case % 4 == 1 and n > 1:
+                pts[-1] = pts[0]                                  # coincident points
+            elif case % 4 == 2:
+                pts = np.round(pts, 2)                            # ties on a 1 cm grid
+            elif case % 4 == 3 and n > 2:
+                pts[2] = pts[0] + 0.37 * (pts[1] - pts[0])        # a collinear triple
+            want, got = loop_enclosing_circle(pts), min_enclosing_circle(pts)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert type(got[1]) is float and got[1] == want[1]
+
+    def test_collinear_triple_has_no_circumcircle(self):
+        # no diameter circle holds (1, 1.5), and the triple on y = 0 has d = 0 exactly
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.5]])
+        with np.errstate(all="raise"):
+            center, radius = min_enclosing_circle(pts)
+        want = loop_enclosing_circle(pts)
+        assert center.tobytes() == want[0].tobytes() and radius == want[1]
+
+    @pytest.mark.parametrize("pts", [np.zeros((0, 2)), [[np.nan, 0.0], [1.0, 1.0], [2.0, 0.0]],
+                                     [[0.0, 0.0], [np.inf, 1.0]]])
+    def test_no_enclosing_circle(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        for fn in (loop_enclosing_circle, min_enclosing_circle):
+            with pytest.raises(DegenerateFormation), np.errstate(invalid="ignore"):
+                fn(pts)
+
     def test_equilateral_triangle(self):
         pts = regular_polygon(3, 1.2 / np.sqrt(3))
         assert circumscribed_diameter(pts) == pytest.approx(2 * 1.2 / np.sqrt(3), abs=1e-12)
@@ -234,6 +302,15 @@ class TestPairAndPolygonArithmetic:
         assert pair_distances(pts).tobytes() == want.tobytes()
         for p, w in zip(pts, want):
             assert pair_distances(p).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_triple_index_is_combinations(self, n):
+        triples = triple_index(n)
+        assert triples.shape == (3, len(list(itertools.combinations(range(n), 3))))
+        assert triples.T.tolist() == [list(t) for t in itertools.combinations(range(n), 3)]
+        assert triple_index(n) is triples and not triples.flags.writeable
+        with pytest.raises(ValueError):
+            triples[0, :1] = 0
 
     def test_points_in_polygon_forms_agree(self):
         rng = np.random.default_rng(7)

@@ -3,14 +3,17 @@
 No module reaches into another module's private (`_`-prefixed) names, and
 no module imports a name it never uses, unless the import's line says why
 with `# noqa: F401`. `__init__.py` is exempt from the second rule: its
-imports are the package's public names.
+imports are the package's public names. Every name the benchmark's span
+table wraps still exists.
 """
 import ast
+import importlib.util
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "sheetplan")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "sheetplan")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -58,3 +61,14 @@ def test_no_unused_imports(name):
                 if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(bound)
     assert unused == []
+
+
+def test_benchmark_boundaries_resolve():
+    """`perfbench/spans.py` wraps these names; a missing one breaks `--trace 1`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in spans.BOUNDARIES
+               if not callable(getattr(mod, attr, None))]
+    assert missing == []

@@ -168,6 +168,11 @@ class TestExport:
         with open(paths[0]) as fh:
             lines = fh.read().splitlines()
         assert len(lines) == 1 and lines[0].startswith("t,")
+        for path, header in ((paths[2], "t,z_o\n"), (paths[3], "t\n")):
+            with open(path) as fh:
+                assert fh.read() == header
+        with open(paths[1]) as fh:
+            assert "duration = 0\n" in fh.read()
 
 
 class TestExportErrors:

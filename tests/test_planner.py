@@ -7,6 +7,7 @@ from sheetplan import (
     Formation,
     InvalidSchedule,
     ObstacleSpec,
+    PlanInfeasible,
     SafetyParams,
     SheetLayout,
     ValidationError,
@@ -181,6 +182,15 @@ class TestPlanLocal:
         for k in range(len(tl)):
             d = np.linalg.norm(tl.robots[k] - obstacle.center, axis=1)
             assert np.min(d) >= obstacle.radius + safety.delta_r - 1e-9
+
+    @pytest.mark.parametrize("dw, dz", [(-0.01, 0.0), (0.0, 0.01)])
+    def test_crossing_constraints_checked(self, crossing_plan, dw, dz):
+        """A corridor narrower than W, or an obstacle taller than z_obsmax."""
+        solution, obstacle, _ = crossing_plan
+        ind = solution.indicators
+        obstacle = ObstacleSpec(obstacle.center, obstacle.radius, ind.z_obsmax + dz)
+        with pytest.raises(PlanInfeasible, match="crossing constraints"):
+            plan_local(solution, obstacle, ind.W + dw, dt=0.1, v=0.1)
 
     @pytest.mark.parametrize("field, kwargs", [
         ("v", {"v": 0.0}),

@@ -19,13 +19,10 @@ from .scenario import load_formation_file, load_scenario
 
 
 def _cmd_plan(args):
-    scenario = load_scenario(args.scenario)
-    if args.dt is not None or args.speed is not None:
-        scenario = dataclasses.replace(
-            scenario,
-            dt=args.dt if args.dt is not None else scenario.dt,
-            speed=args.speed if args.speed is not None else scenario.speed,
-        )
+    # replace() reruns Scenario's checks, so an override fails as a file value would
+    overrides = {key: getattr(args, key) for key in ("dt", "speed")
+                 if getattr(args, key) is not None}
+    scenario = dataclasses.replace(load_scenario(args.scenario), **overrides)
     report = run_pipeline(scenario)
     paths = export_report(report, args.out)
     print(f"scenario {report.scenario_name}: {' '.join(report.obstacle_modes) or 'no obstacles'}")

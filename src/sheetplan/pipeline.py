@@ -210,11 +210,10 @@ def _transit_runners(xy_from, xy_to, corridor, theta, offsets, v):
     """Straight transit legs routed through intermediate corridor corners."""
     s_from = corridor.project(xy_from)
     s_to = corridor.project(xy_to)
-    cum = np.concatenate([[0.0], np.cumsum(corridor.segment_lengths)])
     corners = [
         corridor.points[k]
         for k in range(1, len(corridor.points) - 1)
-        if s_from + 1e-9 < cum[k] < s_to - 1e-9
+        if s_from + 1e-9 < corridor.arclengths[k] < s_to - 1e-9
     ]
     route = [np.asarray(xy_from, dtype=float)] + corners + [np.asarray(xy_to, dtype=float)]
     runners = []
@@ -459,9 +458,7 @@ def _build_report(scenario, timeline, modes, angles) -> RunReport:
     path_lengths = np.sum(
         np.linalg.norm(np.diff(timeline.robots, axis=0), axis=2), axis=0
     )
-    deviations = np.array([
-        scenario.corridor.distance_to(p) for p in timeline.objects[:, :2]
-    ])
+    deviations = scenario.corridor.distance_to(timeline.objects[:, :2])
     rmse = float(np.sqrt(np.mean(deviations**2)))
     final_object = timeline.objects[-1]
     miss = np.linalg.norm(final_object[:2] - scenario.goal)
@@ -503,7 +500,7 @@ def export_report(report: RunReport, out_dir) -> list:
     carry 9 significant digits so runs diff cleanly.
     """
     tl = report.timeline
-    n = tl.robots.shape[1] if len(tl) else 0
+    n = tl.robots.shape[1]
     names = ("trajectory.csv", "metrics.txt", "height_profile.csv", "pairwise_distances.csv")
     paths = [os.path.join(out_dir, name) for name in names]
     traj, metrics, height, pairs = paths

@@ -22,95 +22,135 @@ Example::
     z_safe = 0.04                  # m        (optional)
     weights = 1 1 1 10 10          # lambda_1..lambda_5 (optional)
 
-Unknown keys, malformed lines and wrong arities raise ParseError with the
-line number; semantic violations raise ValidationError naming the field.
+sheet_point, robot, corridor_point, corridor_width and obstacle may repeat;
+every other key may appear once. Unknown keys, malformed lines, wrong
+arities and a repeat of a key that may not repeat raise ParseError with the
+line number. Semantic violations raise ValidationError naming the key; the
+Corridor and Scenario constructors check their own invariants, so a
+scenario built through the API or `dataclasses.replace` is checked as a
+file is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, SheetPlanError, ValidationError
-from .geometry import Formation, SafetyParams, SheetLayout
+from .geometry import Formation, SafetyParams, SheetLayout, dot, require_finite
 from .optimizer import CostWeights, ObstacleSpec
 
-_SCALAR_KEYS = {"sheet_height", "corridor_width", "speed", "omega", "dt",
-                "delta_r", "z_safe"}
-_PAIR_KEYS = {"sheet_point", "robot", "corridor_point", "goal"}
-_DEFAULTS = {"speed": 0.1, "omega": 0.2, "dt": 0.1}
+# key: (count of numbers, whether the key may repeat); None takes the rest of the line as text
+_KEYS = {
+    "name": (None, False),
+    "sheet_height": (1, False),
+    "sheet_point": (2, True),
+    "robot": (2, True),
+    "corridor_point": (2, True),
+    "corridor_width": (1, True),
+    "obstacle": (4, True),
+    "goal": (2, False),
+    "speed": (1, False),
+    "omega": (1, False),
+    "dt": (1, False),
+    "delta_r": (1, False),
+    "z_safe": (1, False),
+    "weights": (5, False),
+}
+_DEFAULTS = {"name": "scenario", "speed": 0.1, "omega": 0.2, "dt": 0.1}
+_FIELD_KEYS = {"holding_height": "sheet_height"}    # constructor field -> scenario key
 
 
 @dataclass(frozen=True)
 class Corridor:
-    """Centerline polyline with a free-space width per segment."""
+    """Centerline polyline with a free-space width per segment.
+
+    Given one width, every segment takes it. Construction checks the
+    waypoints (corridor_point) and the widths (corridor_width), and builds
+    the arclength table the methods read.
+    """
 
     points: np.ndarray          # (M, 2)
-    widths: np.ndarray          # (M-1,)
+    widths: np.ndarray          # (M-1,) after construction
+    arclengths: np.ndarray = field(init=False, repr=False, compare=False)  # (M,), from 0
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "widths", np.asarray(self.widths, dtype=float))
-
-    @property
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
+        points = np.asarray(self.points, dtype=float)
+        widths = np.asarray(self.widths, dtype=float).ravel()
+        if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
+            raise ValidationError("corridor_point",
+                                  f"need at least 2 waypoints, got shape {points.shape}")
+        require_finite("corridor_point", points)
+        lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        if not (lengths > 0).all():
+            raise ValidationError("corridor_point",
+                                  f"segment {np.argmin(lengths > 0)} has zero length")
+        if len(widths) not in (1, len(lengths)):
+            raise ValidationError("corridor_width",
+                                  f"need 1 or {len(lengths)} widths, got {len(widths)}")
+        if not (widths > 0).all():
+            raise ValidationError("corridor_width", "must be positive")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "widths", np.broadcast_to(widths, lengths.shape).copy())
+        object.__setattr__(self, "arclengths", np.concatenate([[0.0], np.cumsum(lengths)]))
 
     @property
     def length(self) -> float:
-        return float(np.sum(self.segment_lengths))
-
-    def _cum(self):
-        return np.concatenate([[0.0], np.cumsum(self.segment_lengths)])
+        return float(self.arclengths[-1])
 
     def _segment(self, s):
-        """Arclength table, s clipped to the centerline, and the segment holding it."""
-        cum = self._cum()
-        s = float(np.clip(s, 0.0, cum[-1]))
-        k = int(np.searchsorted(cum, s, side="right") - 1)
-        return cum, s, min(max(k, 0), len(self.points) - 2)
+        """s clipped to the centerline, and the index of the segment holding it."""
+        s = np.clip(s, 0.0, self.arclengths[-1])
+        k = np.searchsorted(self.arclengths, s, side="right") - 1
+        return s, np.clip(k, 0, len(self.points) - 2)
 
-    def point_at(self, s: float) -> np.ndarray:
-        cum, s, k = self._segment(s)
+    def point_at(self, s):
+        """Centerline point at each arclength of `s`: shape s.shape + (2,)."""
+        s, k = self._segment(s)
         seg = self.points[k + 1] - self.points[k]
-        L = np.linalg.norm(seg)
-        frac = (s - cum[k]) / L if L > 0 else 0.0
-        return self.points[k] + frac * seg
+        frac = (s - self.arclengths[k]) / np.sqrt(dot(seg, seg))
+        return self.points[k] + frac[..., None] * seg
 
     def direction_at(self, s: float) -> np.ndarray:
-        _, _, k = self._segment(s)
+        _, k = self._segment(s)
         seg = self.points[k + 1] - self.points[k]
         return seg / np.linalg.norm(seg)
 
     def width_at(self, s: float) -> float:
-        return float(self.widths[min(self._segment(s)[2], len(self.widths) - 1)])
+        return float(self.widths[self._segment(s)[1]])
 
-    def project(self, point) -> float:
-        """Arclength of the closest centerline point."""
-        p = np.asarray(point, dtype=float)
-        cum = self._cum()
-        best_s, best_d = 0.0, np.inf
-        for k in range(len(self.points) - 1):
-            a, b = self.points[k], self.points[k + 1]
-            seg = b - a
-            L2 = float(seg @ seg)
-            frac = float(np.clip(((p - a) @ seg) / L2, 0.0, 1.0)) if L2 > 0 else 0.0
-            q = a + frac * seg
-            d = float(np.linalg.norm(p - q))
-            if d < best_d:
-                best_d = d
-                best_s = cum[k] + frac * np.sqrt(L2)
-        return best_s
+    def project(self, points):
+        """Arclength of the closest centerline point to each (..., 2) point.
 
-    def distance_to(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        q = self.point_at(self.project(p))
-        return float(np.linalg.norm(p - q))
+        The first closest segment wins a tie. One point gives a number.
+        """
+        p = np.asarray(points, dtype=float)[..., None, :]
+        a = self.points[:-1]
+        seg = np.diff(self.points, axis=0)
+        L2 = dot(seg, seg)
+        frac = np.clip(dot(p - a, seg) / L2, 0.0, 1.0)
+        gap = p - (a + frac[..., None] * seg)
+        k = np.argmin(np.sqrt(dot(gap, gap)), axis=-1)[..., None]
+        s = np.take_along_axis(self.arclengths[:-1] + frac * np.sqrt(L2), k, axis=-1)
+        return s[..., 0][()]
+
+    def distance_to(self, points):
+        """Distance from each (..., 2) point to the centerline. One point gives a number."""
+        p = np.asarray(points, dtype=float)
+        gap = p - self.point_at(self.project(p))
+        return np.sqrt(dot(gap, gap))[()]
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated batch-run description."""
+    """Validated batch-run description.
+
+    Construction, `dataclasses.replace` included, raises ValidationError
+    naming the scenario key of a broken invariant: speed, omega and dt
+    positive and finite, an initial formation that does not stretch the
+    sheet (robot), and obstacles of positive radius listed in centerline
+    order (obstacle).
+    """
 
     name: str
     layout: SheetLayout
@@ -124,137 +164,99 @@ class Scenario:
     omega: float
     dt: float
 
+    def __post_init__(self):
+        for key in ("speed", "omega", "dt"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(key, f"must be positive and finite, got {value}")
+        stretch = self.initial_formation.stretch()
+        if not stretch <= 1e-9:
+            raise ValidationError("robot", f"initial formation stretches the sheet by {stretch:.3e} m")
+        if not all(ob.radius > 0 for ob in self.obstacles):
+            raise ValidationError("obstacle", "radius must be positive")
+        arcs = self.corridor.project(np.reshape([ob.center for ob in self.obstacles], (-1, 2)))
+        if not (arcs[:-1] <= arcs[1:] + 1e-9).all():
+            raise ValidationError("obstacle", "obstacles must be listed in centerline order")
 
-def _parse_lines(text):
-    """Yield (line_number, key, values) triples; values are float lists."""
+
+def _parse(text):
+    """Each key's values: a list per line for a repeating key, else one value.
+
+    A one-number key's value is that number.
+    """
+    found = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, rhs = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ParseError(lineno, f"expected 'key = values', got {raw.strip()!r}")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        if key == "name":
-            yield lineno, key, rhs
-            continue
-        if key not in _SCALAR_KEYS and key not in _PAIR_KEYS and key not in (
-            "obstacle", "weights",
-        ):
+        if key not in _KEYS:
             raise ParseError(lineno, f"unknown key {key!r}")
-        try:
-            values = [float(tok) for tok in rhs.split()]
-        except ValueError:
-            raise ParseError(lineno, f"non-numeric value in {raw.strip()!r}") from None
-        if not all(np.isfinite(values)):
-            raise ParseError(lineno, f"non-finite value in {raw.strip()!r}")
-        if key in _SCALAR_KEYS and len(values) != 1:
-            raise ParseError(lineno, f"{key} takes one number, got {len(values)}")
-        if key in _PAIR_KEYS and len(values) != 2:
-            raise ParseError(lineno, f"{key} takes two numbers, got {len(values)}")
-        if key == "obstacle" and len(values) != 4:
-            raise ParseError(lineno, f"obstacle takes 'x y radius height', got {len(values)} numbers")
-        if key == "weights" and len(values) != 5:
-            raise ParseError(lineno, f"weights takes five numbers, got {len(values)}")
-        yield lineno, key, values
-
-
-def _collect(text):
-    data = {"sheet_point": [], "robot": [], "corridor_point": [],
-            "corridor_width": [], "obstacle": [], "name": "scenario"}
-    scalars = {}
-    for lineno, key, values in _parse_lines(text):
-        if key == "name":
-            data["name"] = values
-        elif key in ("sheet_point", "robot", "corridor_point", "obstacle"):
-            data[key].append(values)
-        elif key == "corridor_width":
-            data["corridor_width"].append(values[0])
-        elif key == "weights":
-            scalars["weights"] = values
-        elif key == "goal":
-            scalars["goal"] = values
+        count, repeats = _KEYS[key]
+        if key in found and not repeats:
+            raise ParseError(lineno, f"duplicate key {key!r}")
+        value = rhs
+        if count is not None:
+            try:
+                value = [float(tok) for tok in rhs.split()]
+            except ValueError:
+                raise ParseError(lineno, f"non-numeric value in {raw.strip()!r}") from None
+            if not np.isfinite(value).all():
+                raise ParseError(lineno, f"non-finite value in {raw.strip()!r}")
+            if len(value) != count:
+                raise ParseError(lineno, f"{key} takes {count} numbers, got {len(value)}")
+            value = value[0] if count == 1 else value
+        if repeats:
+            found.setdefault(key, []).append(value)
         else:
-            if key in scalars:
-                raise ParseError(lineno, f"duplicate key {key!r}")
-            scalars[key] = values[0]
-    return data, scalars
+            found[key] = value
+    return found
+
+
+def _required(found, key):
+    if key not in found:
+        raise ValidationError(key, "missing")
+    return found[key]
+
+
+def _named(key, make, *args):
+    """make(*args), its errors re-raised as ValidationError naming the scenario key.
+
+    An error naming a constructor field that has a key of its own names that key.
+    """
+    try:
+        return make(*args)
+    except (SheetPlanError, ValueError) as exc:
+        raise ValidationError(_FIELD_KEYS.get(getattr(exc, "field", None), key), str(exc)) from None
+
+
+def _formation(found) -> Formation:
+    """The robot formation, with its sheet layout, of a parsed file."""
+    layout = _named("sheet_point", SheetLayout, np.array(found.get("sheet_point", [])),
+                    _required(found, "sheet_height"))
+    return _named("robot", Formation, np.array(found.get("robot", [])), layout)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text (see module docstring for the format)."""
-    data, scalars = _collect(text)
-
-    def need(field, cond, message):
-        if not cond:
-            raise ValidationError(field, message)
-
-    need("sheet_point", len(data["sheet_point"]) >= 3, "need at least 3 holding points")
-    need("sheet_height", "sheet_height" in scalars, "missing")
-    need("sheet_height", scalars.get("sheet_height", 0) > 0, "must be positive")
-    try:
-        layout = SheetLayout(np.array(data["sheet_point"]), scalars["sheet_height"])
-    except (SheetPlanError, ValueError) as exc:
-        raise ValidationError("sheet_point", str(exc)) from None
-
-    need("robot", len(data["robot"]) == layout.n,
-         f"need {layout.n} robots to match the sheet, got {len(data['robot'])}")
-    try:
-        formation = Formation(np.array(data["robot"]), layout)
-    except (SheetPlanError, ValueError) as exc:
-        raise ValidationError("robot", str(exc)) from None
-    stretch = formation.stretch()
-    need("robot", stretch <= 1e-9, f"initial formation stretches the sheet by {stretch:.3e} m")
-
-    need("corridor_point", len(data["corridor_point"]) >= 2, "need at least 2 waypoints")
-    n_seg = len(data["corridor_point"]) - 1
-    widths = data["corridor_width"]
-    need("corridor_width", len(widths) in (1, n_seg),
-         f"need 1 or {n_seg} widths, got {len(widths)}")
-    if len(widths) == 1:
-        widths = widths * n_seg
-    need("corridor_width", all(w > 0 for w in widths), "must be positive")
-    corridor = Corridor(np.array(data["corridor_point"]), np.array(widths))
-    need("corridor_point", corridor.length > 0, "centerline has zero length")
-
-    obstacles = []
-    for vals in data["obstacle"]:
-        x, y, radius, height = vals
-        if radius <= 0:
-            raise ValidationError("obstacle", f"radius must be positive, got {radius}")
-        if height < 0:
-            raise ValidationError("obstacle", f"height must be nonnegative, got {height}")
-        obstacles.append(ObstacleSpec(center=np.array([x, y]), radius=radius, height=height))
-    arcs = [corridor.project(ob.center) for ob in obstacles]
-    need("obstacle", all(a <= b + 1e-9 for a, b in zip(arcs, arcs[1:])),
-         "obstacles must be listed in centerline order")
-
-    need("goal", "goal" in scalars, "missing")
-    goal = np.array(scalars["goal"], dtype=float)
-
-    params = {key: scalars.get(key, value) for key, value in _DEFAULTS.items()}
-    for key in _DEFAULTS:
-        need(key, params[key] > 0, "must be positive")
+    found = _parse(text)
+    formation = _formation(found)
+    goal = np.array(_required(found, "goal"))
+    corridor = Corridor(np.array(found.get("corridor_point", [])),
+                        np.array(found.get("corridor_width", [])))
+    obstacles = tuple(
+        _named("obstacle", ObstacleSpec, np.array([x, y]), radius, height)
+        for x, y, radius, height in found.get("obstacle", [])
+    )
     # unset margins and weights take the dataclasses' defaults
-    safety = SafetyParams(**{k: scalars[k] for k in ("delta_r", "z_safe") if k in scalars})
-    try:
-        weights = CostWeights(*scalars.get("weights", ()))
-    except ValueError as exc:
-        raise ValidationError("weights", str(exc)) from None
-
+    safety = SafetyParams(**{k: found[k] for k in ("delta_r", "z_safe") if k in found})
+    weights = _named("weights", CostWeights, *found.get("weights", ()))
     return Scenario(
-        name=data["name"],
-        layout=layout,
-        initial_formation=formation,
-        corridor=corridor,
-        obstacles=tuple(obstacles),
-        goal=goal,
-        safety=safety,
-        weights=weights,
-        speed=params["speed"],
-        omega=params["omega"],
-        dt=params["dt"],
+        layout=formation.layout, initial_formation=formation, corridor=corridor,
+        obstacles=obstacles, goal=goal, safety=safety, weights=weights,
+        **{key: found.get(key, value) for key, value in _DEFAULTS.items()},
     )
 
 
@@ -266,15 +268,7 @@ def load_scenario(path) -> Scenario:
 
 def parse_formation(text: str) -> Formation:
     """Parse a formation-only file: sheet_height, sheet_point*, robot*."""
-    data, scalars = _collect(text)
-    if "sheet_height" not in scalars:
-        raise ValidationError("sheet_height", "missing")
-    try:
-        layout = SheetLayout(np.array(data["sheet_point"]), scalars["sheet_height"])
-        formation = Formation(np.array(data["robot"]), layout)
-    except (SheetPlanError, ValueError) as exc:
-        raise ValidationError("formation", str(exc)) from None
-    return formation
+    return _formation(_parse(text))
 
 
 def load_formation_file(path) -> Formation:

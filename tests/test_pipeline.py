@@ -165,10 +165,11 @@ class TestExport:
             dt=0.1,
         )
         paths = export_report(report, tmp_path / "empty")
+        # the headers carry the team size of the (0, 3, 2) robot array
         with open(paths[0]) as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("t,")
-        for path, header in ((paths[2], "t,z_o\n"), (paths[3], "t\n")):
+            assert fh.read() == ("t,x_r1,y_r1,x_r2,y_r2,x_r3,y_r3,x_o,y_o,z_o,x_vo,y_vo,theta,"
+                                 "taut_1,taut_2,taut_3\n")
+        for path, header in ((paths[2], "t,z_o\n"), (paths[3], "t,d_1_2,d_1_3,d_2_3\n")):
             with open(path) as fh:
                 assert fh.read() == header
         with open(paths[1]) as fh:
@@ -321,6 +322,16 @@ class TestCli:
         data = np.genfromtxt(tmp_path / "o" / "trajectory.csv",
                              delimiter=",", names=True)
         assert np.allclose(np.diff(data["t"]), 0.2, atol=1e-12)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--speed", "0"),
+    ])
+    def test_bad_override_names_its_field(self, flag, value, tmp_path, capsys):
+        rc = cli_main(["plan", CORRIDOR, "--out", str(tmp_path / "o"), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {flag[2:]}:")
+        assert "Traceback" not in err
 
     def test_plan_infeasible_exit_code(self, tmp_path):
         text = open(CORRIDOR).read().replace(

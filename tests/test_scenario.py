@@ -1,8 +1,14 @@
 """Scenario parsing, validation diagnostics, and mutation fuzzing."""
+import dataclasses
+import textwrap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sheetplan import ParseError, ValidationError, load_scenario
+import sheetplan.scenario
+from sheetplan import ParseError, Scenario, ValidationError, load_scenario
 from sheetplan.scenario import Corridor, parse_formation, parse_scenario
 
 from conftest import CORRIDOR
@@ -86,6 +92,29 @@ class TestParsing:
         s = parse_scenario("# header\n\n" + MINIMAL + "\n# trailer\n")
         assert s.layout.n == 3
 
+    @pytest.mark.parametrize("line", [
+        "goal = 5.0 0.0", "weights = 1 1 1 10 10", "name = again", "speed = 0.2",
+    ])
+    def test_repeated_single_key(self, line):
+        text = MINIMAL + "name = first\nweights = 1 1 1 10 10\nspeed = 0.1\n"
+        assert parse_scenario(text).name == "first"
+        text += line + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == len(text.splitlines())
+        assert "duplicate key" in str(err.value)
+
+    def test_docstring_example(self):
+        doc = sheetplan.scenario.__doc__
+        example = textwrap.dedent(doc.split("Example::\n\n", 1)[1].split("\n\n", 1)[0])
+        s = parse_scenario(example)
+        assert s.name == "corridor-two-obstacles"
+        assert len(s.obstacles) == 1 and s.weights.l5 == 10.0
+        # the docstring names the keys that may repeat, as the key table has them
+        repeating = [key for key, (_, repeats) in sheetplan.scenario._KEYS.items() if repeats]
+        sentence = ", ".join(repeating[:-1]) + " and " + repeating[-1] + " may repeat"
+        assert sentence in " ".join(doc.split())
+
 
 class TestValidation:
     def test_negative_obstacle_radius(self):
@@ -166,6 +195,102 @@ class TestValidation:
             parse_scenario(MINIMAL + line + "\n")
         assert err.value.field == field
 
+    @pytest.mark.parametrize("points, widths, field", [
+        ([[0.0, 0.0]], [2.0], "corridor_point"),
+        ([[0.0, 0.0], [6.0, 0.0], [6.0, 0.0]], [2.0], "corridor_point"),   # last waypoint repeated
+        ([[0.0, 0.0], [0.0, 0.0], [6.0, 0.0]], [2.0, 2.0], "corridor_point"),
+        ([[0.0, 0.0], [6.0, 0.0]], [2.0, 2.0], "corridor_width"),
+        ([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]], [], "corridor_width"),
+        ([[0.0, 0.0], [6.0, 0.0]], [0.0], "corridor_width"),
+    ])
+    def test_corridor_checks_like_the_file(self, points, widths, field):
+        lines = [f"corridor_point = {x} {y}" for x, y in points]
+        lines += [f"corridor_width = {w}" for w in widths]
+        text = MINIMAL.replace(
+            "corridor_point = 0.0 0.0\ncorridor_point = 6.0 0.0\ncorridor_width = 2.0",
+            "\n".join(lines),
+        )
+        with pytest.raises(ValidationError) as from_file:
+            parse_scenario(text)
+        with pytest.raises(ValidationError) as from_api:
+            Corridor(np.array(points), np.array(widths))
+        assert from_file.value.field == from_api.value.field == field
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", 0.0), ("dt", -0.1), ("speed", 0.0), ("omega", -1.0),
+    ])
+    def test_replace_checks_like_the_file(self, key, value):
+        with pytest.raises(ValidationError) as from_file:
+            parse_scenario(MINIMAL + f"{key} = {value}\n")
+        with pytest.raises(ValidationError) as from_api:
+            dataclasses.replace(parse_scenario(MINIMAL), **{key: value})
+        assert from_file.value.field == from_api.value.field == key
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_replace_rejects_non_finite(self, value):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(parse_scenario(MINIMAL), dt=value)
+        assert err.value.field == "dt"
+
+    def test_constructor_checks_formation_and_obstacles(self):
+        s = parse_scenario(MINIMAL)
+        stretched = dataclasses.replace(s.initial_formation,
+                                        robot_positions=2.0 * s.initial_formation.robot_positions)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(s, initial_formation=stretched)
+        assert err.value.field == "robot"
+        ob = s.obstacles[0]
+        far = dataclasses.replace(ob, center=np.array([4.0, 0.0]))
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(s, obstacles=(far, ob))
+        assert err.value.field == "obstacle"
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(s, obstacles=(dataclasses.replace(ob, radius=0.0),))
+        assert err.value.field == "obstacle"
+        assert isinstance(dataclasses.replace(s, obstacles=()), Scenario)
+
+
+# line edits of MINIMAL: (operation, line index, token)
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop", "repeat", "swap", "add", "remove"]),
+    st.integers(0, 64),
+    st.sampled_from(["nan", "inf", "-inf", "text", "0", "-1", "1.5", "1e300"]),
+), min_size=1, max_size=4)
+
+
+def edit_lines(lines, edits):
+    lines = list(lines)
+    for op, index, token in edits:
+        if not lines:
+            break
+        i = index % len(lines)
+        key, _, rhs = lines[i].partition(" = ")
+        words = rhs.split()
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            if words:
+                words[index % len(words)] = token
+        elif op == "add":
+            words.append(token)
+        else:
+            words = words[:-1]
+        if op in ("swap", "add", "remove"):
+            lines[i] = key + " = " + " ".join(words)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDITS)
+def test_line_edits_fail_only_with_scenario_errors(edits):
+    """Every edited file parses or raises ParseError or ValidationError."""
+    try:
+        parse_scenario(edit_lines(MINIMAL.strip().splitlines(), edits))
+    except (ParseError, ValidationError):
+        pass
+
 
 class TestCorridorGeometry:
     def test_projection_and_direction(self):
@@ -177,6 +302,47 @@ class TestCorridorGeometry:
         assert np.allclose(c.direction_at(4.5), [0, 1])
         assert np.allclose(c.point_at(4.0), [3.0, 1.0])
         assert c.distance_to([1.5, 0.4]) == pytest.approx(0.4)
+
+    def test_uniform_width_fills_every_segment(self):
+        c = Corridor([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0]], [2.0])
+        assert c.widths.tolist() == [2.0, 2.0]
+        assert c.arclengths.tolist() == [0.0, 3.0, 6.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_point_arrays_match_point_loop(self, seed):
+        """project and distance_to over an array give the bytes of one call per point."""
+        rng = np.random.default_rng(seed)
+        c = Corridor(np.cumsum(rng.normal(size=(2 + seed, 2)), axis=0), [1.0])
+        pts = rng.normal(scale=3.0, size=(300, 2))
+        s = np.array([loop_project(c, p) for p in pts])
+        d = np.array([loop_distance_to(c, p) for p in pts])
+        assert np.array_equal(c.project(pts), s)
+        assert np.array_equal(c.distance_to(pts), d)
+        assert c.project(pts[0]) == s[0] and c.distance_to(pts[0]) == d[0]
+
+
+def loop_project(c, p):
+    """Corridor.project as one loop over the segments, one point at a time."""
+    best_s, best_d = 0.0, np.inf
+    for k in range(len(c.points) - 1):
+        a, b = c.points[k], c.points[k + 1]
+        seg = b - a
+        L2 = float(seg @ seg)
+        frac = float(np.clip(((p - a) @ seg) / L2, 0.0, 1.0))
+        d = float(np.linalg.norm(p - (a + frac * seg)))
+        if d < best_d:
+            best_d, best_s = d, c.arclengths[k] + frac * np.sqrt(L2)
+    return best_s
+
+
+def loop_distance_to(c, p):
+    """Corridor.distance_to for one point, through the scalar point_at."""
+    cum = c.arclengths
+    s = float(np.clip(loop_project(c, p), 0.0, cum[-1]))
+    k = min(max(int(np.searchsorted(cum, s, side="right") - 1), 0), len(c.points) - 2)
+    seg = c.points[k + 1] - c.points[k]
+    q = c.points[k] + (s - cum[k]) / np.linalg.norm(seg) * seg
+    return float(np.linalg.norm(p - q))
 
 
 class TestFormationFile:

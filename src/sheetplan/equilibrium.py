@@ -12,9 +12,11 @@ height, which reduces every solve to small exact linear algebra:
 * one generator (`_stationary_points`) solves every such system of a solve
   as one stack per row count, with the same rounding as one system at a
   time; `direct_kinematics` calls it with its one taut subset;
-* the global equilibrium is the deepest validated candidate among interior
-  taut subsets, two-cable ridge hangs, and contacts pinned to a sheet edge,
-  all validated in one batched call;
+* the global equilibrium is the deepest validated row of one candidate
+  table per team size (`_solve_plan`): interior taut subsets, two-cable
+  ridge hangs and contacts pinned to a sheet edge as fixed rows, all
+  validated in one batched call and ranked by one lexsort on height and
+  each row's precomputed taut-set rank;
 * a brute-force grid oracle (`oracle_equilibrium`) provides an independent
   check by nested search over contact candidates.
 """
@@ -49,6 +51,7 @@ from .geometry import (
     point_in_polygon,
     points_in_polygon,
     require_finite,
+    require_positive,
     rotation,
 )
 
@@ -330,16 +333,17 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
 # ------------------------------------------------- equilibrium discovery
 @functools.lru_cache(maxsize=None)
 def _solve_plan(n):
-    """What every solve with n cables enumerates, built once per n.
+    """The candidate table of every solve with n cables, built once per n.
 
-    Returns (systems, plan, hulls, ends, spans). Interior systems come
-    first: every taut subset of three or more cables, by decreasing size.
-    Then the edge-pinned ones: for each sheet edge, every subset of two to
-    four cables. `hulls` holds each interior subset padded to n cables by
+    Rows: the interior systems (every taut subset of three or more cables,
+    by decreasing size), one ridge per cable pair in `pair_index(n)` order,
+    then the edge systems (for each sheet edge, every subset of two to four
+    cables). Returns (sets, plan, hulls, ends, spans, rank): each row's taut
+    set; the stacked systems; each interior subset padded to n cables by
     repeating its last one (a zero-length polygon side excludes no point);
-    `ends` the two holding points of each edge system's edge; `spans`
-    marks, for each interior subset, the cable pairs of `pair_index(n)`
-    with both cables in it.
+    the two holding points of each edge system's edge; for each interior
+    subset, the cable pairs of `pair_index(n)` with both cables in it; and
+    each row's rank in the order of (-len(set), set), equal sets sharing it.
     """
     interior = [
         idx for m in range(n, 2, -1) for idx in itertools.combinations(range(n), m)
@@ -350,45 +354,47 @@ def _solve_plan(n):
         for m in range(2, min(n, 4) + 1)
         for idx in itertools.combinations(range(n), m)
     ]
-    systems = [(idx, -1) for idx in interior] + edge
+    sets = interior + list(itertools.combinations(range(n), 2)) + [idx for idx, _ in edge]
+    order = {idx: k for k, idx in enumerate(sorted(set(sets), key=lambda idx: (-len(idx), idx)))}
     hulls = np.array([idx + idx[-1:] * (n - len(idx)) for idx in interior])
     ends = np.array([(e, (e + 1) % n) for _, e in edge]).T
     member = np.any(hulls[:, :, None] == np.arange(n), axis=1)
     spans = member[:, pair_index(n)].all(axis=1)
-    return systems, _plan(systems, n), hulls, ends, spans
+    plan = _plan([(idx, -1) for idx in interior] + edge, n)
+    return sets, plan, hulls, ends, spans, np.array([order[idx] for idx in sets])
 
 
-def _select_best(v, z_r, r, z, u, q, idx):
-    """Position of the best candidate that validates, or None.
+def _select_best(v, z_r, r, z, u, q, ok, rank):
+    """Row of the best candidate that validates, or None.
 
-    A candidate validates when its contact lies on the sheet, no cable is
-    longer than its geodesic, and its height is the lowest point of the
-    cable balls for its contact. Every candidate of a solve shares the robot
-    positions as ball centers, so the lowest points of all candidates that
-    pass the first two checks come from one batched kernel call. The best
-    is the lowest, then the one with more taut cables, then the first taut
-    set in index order.
+    A candidate validates when it is `ok`, its contact lies on the sheet, no
+    cable is longer than its geodesic, and its height is the lowest point of
+    the cable balls for its contact. Every candidate of a solve shares the
+    robot positions as ball centers, so the lowest points of all candidates
+    that pass the first three checks come from one batched kernel call. The
+    best is the lowest, then the one of lowest `rank`, then the first row.
     """
-    rho, d = _cables(v, z_r, r, u, q, z)
-    ok = points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
     kept = np.flatnonzero(ok)
-    if len(kept) == 0:
-        return None
-    _, z_low = kernels.lowest_point_grid(r, z_r, rho[kept])
+    rho, d = _cables(v, z_r, r, u[kept], q[kept], z[kept])
+    fits = points_in_polygon(u[kept], v) & ~np.any(d > rho + FEAS_TOL, axis=1)
+    kept = kept[fits]
+    _, z_low = kernels.lowest_point_grid(r, z_r, rho[fits])
     valid = kept[np.abs(z_low - z[kept]) <= ENERGY_TOL]
-    return min(valid, key=lambda k: (z[k], -len(idx[k]), idx[k]), default=None)
+    if not len(valid):
+        return None
+    return valid[np.lexsort((valid, rank[valid], z[valid]))[0]]
 
 
 def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     """Find the physically valid equilibrium, discovering the taut set.
 
-    The candidates are the stationary configurations of three families:
-    interior taut subsets of three or more cables (contact inside the
-    subset's hull; the flat contact when the subset is fully stretched),
-    two-cable fold-line ridge hangs, and subsets of two to four cables with
-    the contact pinned to a sheet edge (contact on that edge). One stacked
-    generator, `_stationary_points`, solves the interior and edge systems
-    together; all candidates are then validated against the cable
+    The candidates are the rows of `_solve_plan`: the stationary
+    configurations of interior taut subsets of three or more cables (contact
+    inside the subset's hull; the flat contact when the subset is fully
+    stretched), two-cable fold-line ridge hangs, and subsets of two to four
+    cables with the contact pinned to a sheet edge (contact on that edge).
+    One stacked generator, `_stationary_points`, solves the interior and
+    edge systems together; every row is then validated against the cable
     inequalities and the exact lowest-point kernel in one `_select_best`
     call, and the lowest-energy survivor is returned. Ties favor larger
     taut sets, then lexicographic order.
@@ -399,7 +405,7 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     z_r = formation.holding_height
     n = formation.n
 
-    systems, plan, hulls, ends, spans = _solve_plan(n)
+    sets, plan, hulls, ends, spans, rank = _solve_plan(n)
     u, q, z, ok = _stationary_points(v, z_r, r, plan)
     ni = len(hulls)
     a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
@@ -412,31 +418,24 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     if stretched.any():
         # a fully stretched subset hangs flat, whatever its stationary point
         for k in np.flatnonzero(~np.any(spans[:, ~stretched], axis=1)):
-            u[k], q[k], z[k] = _flat_candidate(v, z_r, r, systems[k][0])
+            u[k], q[k], z[k] = _flat_candidate(v, z_r, r, sets[k])
             ok[k] = True
 
-    # two-cable fold-line ridges: the deepest point below each sheet chord
+    # two-cable fold-line ridges: the deepest point below each folded sheet chord
     fold = ~(lr >= lv - 1e-12)
-    (i, j), lv, lr = pair_index(n)[:, fold], lv[fold], lr[fold]
-
-    inner, pinned = np.flatnonzero(ok[:ni]), ni + np.flatnonzero(ok[ni:])
-    cz = np.concatenate([z[inner], z_r - 0.5 * np.sqrt(lv * lv - lr * lr), z[pinned]])
-    cu = np.concatenate([u[inner], 0.5 * (v[i] + v[j]), u[pinned]])
-    cq = np.concatenate([q[inner], 0.5 * (r[i] + r[j]), q[pinned]])
-    idx = (
-        [systems[k][0] for k in inner]
-        + list(zip(i.tolist(), j.tolist()))
-        + [systems[k][0] for k in pinned]
-    )
-    best = _select_best(v, z_r, r, cz, cu, cq, idx)
+    i, j = pair_index(n)
+    ridge = (0.5 * (v[i] + v[j]), 0.5 * (r[i] + r[j]),
+             z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
+    u, q, z, ok = (np.concatenate([x[:ni], rows, x[ni:]]) for x, rows in zip((u, q, z, ok), ridge))
+    best = _select_best(v, z_r, r, z, u, q, ok, rank)
     if best is None:
         raise NoEquilibrium(
             "no candidate equilibrium validated; feasible input should always "
             "admit one (solver bug signal)"
         )
-    on_edge = not point_in_polygon(cu[best], v, tol=-1e-9)
+    on_edge = not point_in_polygon(u[best], v, tol=-1e-9)
     return _build_equilibrium(
-        formation, cu[best], cq[best], cz[best], boundary=bool(best >= len(inner)) or on_edge
+        formation, u[best], q[best], z[best], boundary=bool(best >= ni) or on_edge
     )
 
 
@@ -449,9 +448,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     around the incumbent so the final spacing is below grid_resolution.
     Inner loop: the exact lowest point of the cable balls at each contact.
     """
-    require_finite("grid_resolution", grid_resolution)
-    if not (grid_resolution > 0):
-        raise ValidationError("grid_resolution", "must be positive")
+    require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
     v = formation.layout.holding_points
     r = formation.robot_positions

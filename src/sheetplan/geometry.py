@@ -45,6 +45,12 @@ def require_finite(field, value):
         raise ValidationError(field, "must be finite")
 
 
+def require_positive(field, value):
+    """Raise ValidationError(field) unless every entry of `value` is positive and finite."""
+    if not (np.isfinite(value) & (np.asarray(value) > 0)).all():
+        raise ValidationError(field, f"must be positive and finite, got {value}")
+
+
 def dot(a, b):
     """Row-wise dot product, rounded as the 1-D `a @ b` of each row is."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -128,9 +134,7 @@ class SafetyParams:
 
     def __post_init__(self):
         for name in ("delta_r", "z_safe"):
-            require_finite(name, getattr(self, name))
-            if getattr(self, name) <= 0:
-                raise ValidationError(name, "must be positive")
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class SheetLayout:
         object.__setattr__(self, "holding_points", pts)
         object.__setattr__(self, "holding_height", float(self.holding_height))
         require_finite("holding_points", pts)
-        require_finite("holding_height", self.holding_height)
+        require_positive("holding_height", self.holding_height)
         if len(pts) < 3:
             raise NonConvexResult("sheet layout needs at least 3 holding points")
         if len(pts) > MAX_ROBOTS:
@@ -157,8 +161,6 @@ class SheetLayout:
                 "holding_points", f"at most {MAX_ROBOTS} holding points, got {len(pts)}"
             )
         check_convex_ccw(pts, what="sheet layout")
-        if self.holding_height <= 0:
-            raise ValidationError("holding_height", "must be positive")
 
     @property
     def n(self) -> int:

@@ -28,6 +28,7 @@ from .geometry import (
     pair_distances,
     pair_index,
     require_finite,
+    require_positive,
 )
 
 EVAL_BUDGET = 500
@@ -47,8 +48,7 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("l1", "l2", "l3", "l4", "l5"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(name, "must be positive")
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,10 @@ def optimize_formation(
     that descends the squared constraint violation when the start is
     infeasible, then an objective phase with hard constraint rejection.
     Raises NoFeasibleFormation when neither crossing nor bypassing
-    constraints can be met, and ValidationError unless w_convex > 0.
+    constraints can be met, and ValidationError unless w_convex is positive
+    and finite.
     """
-    if not (w_convex > 0):
-        raise ValidationError("w_convex", "must be positive")
+    require_positive("w_convex", w_convex)
     try:
         chart = _Chart(initial, safety)
         if chart.decode(chart.x0) is None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .equilibrium import solve_equilibrium
 from .errors import IoError, PipelineInfeasible, PlanInfeasible, SheetPlanError, ValidationError
-from .geometry import Formation, SafetyParams, pair_distances, pair_index, rotation
+from .geometry import Formation, SafetyParams, pair_distances, pair_index, require_positive, rotation
 from .optimizer import (
     CONSTRAINT_TOL,
     FormationSolution,
@@ -183,29 +183,6 @@ def _crossing_runner(schedule, x_start, track_y, center, rot_w, theta_acc, offse
     return schedule.T4, fn
 
 
-def _bypass_runner(obstacle, rot_w, theta_acc, offsets, r_max, along, shift, v):
-    """Bypass trapezoid: shift out diagonally, pass straight, shift back."""
-    x0 = -(along + shift + r_max)
-    t_diag = float(np.hypot(shift, shift)) / v
-    t_pass = 2.0 * along / v
-    total = 2 * t_diag + t_pass
-    x_end = float(x0 + 2 * shift + t_pass * v)
-
-    def fn(t):
-        if t <= t_diag:
-            frac = t / t_diag if t_diag > 0 else 1.0
-            loc = np.array([x0 + frac * shift, frac * shift])
-        elif t <= t_diag + t_pass:
-            loc = np.array([x0 + shift + (t - t_diag) * v, shift])
-        else:
-            frac = (t - t_diag - t_pass) / t_diag if t_diag > 0 else 1.0
-            loc = np.array([x0 + shift + t_pass * v + frac * shift, (1 - frac) * shift])
-        xy = obstacle.center + rot_w @ loc
-        return xy, theta_acc, xy + offsets
-
-    return (total, fn), x0, x_end
-
-
 def _transit_runners(xy_from, xy_to, corridor, theta, offsets, v):
     """Straight transit legs routed through intermediate corridor corners."""
     s_from = corridor.project(xy_from)
@@ -228,10 +205,12 @@ def _maneuver(solution, obstacle, w_convex, safety, approach, depart, v, omega, 
               theta_acc):
     """The crossing or bypass of one obstacle by the optimized formation.
 
-    Returns (segment, start_xy, end_xy, schedule): the maneuver as one
-    (duration, fn) segment starting at heading theta_acc, the world centroid
-    where it starts and ends, and its CrossingSchedule (None for a bypass).
-    Raises PlanInfeasible when the formation cannot make the maneuver.
+    Returns (segments, start_xy, end_xy, schedule): the maneuver as a list
+    of (duration, fn) segments starting at heading theta_acc (one crossing,
+    or the three straight legs of the bypass trapezoid: shift out
+    diagonally, pass, shift back), the world centroid where it starts and
+    ends, and its CrossingSchedule (None for a bypass). Raises
+    PlanInfeasible when the formation cannot make the maneuver.
     """
     rot_w = rotation(float(np.arctan2(approach[1], approach[0])))
     formation = solution.formation
@@ -241,19 +220,23 @@ def _maneuver(solution, obstacle, w_convex, safety, approach, depart, v, omega, 
         schedule, x_start, x_end, track_y = _crossing_schedule(
             formation, offsets, r_max, obstacle, safety, approach, depart, v, omega, dt
         )
-        segment = _crossing_runner(
+        segments = [_crossing_runner(
             schedule, x_start, track_y, obstacle.center, rot_w, theta_acc, offsets
-        )
+        )]
+        corners = [(x_start, track_y), (x_end, track_y)]
     elif solution.mode == "bypassing":
         along, shift = _bypass_profile(solution, r_max, obstacle, w_convex, safety)
-        segment, x_start, x_end = _bypass_runner(
-            obstacle, rot_w, theta_acc, offsets, r_max, along, shift, v
-        )
-        schedule, track_y = None, 0.0
+        x0 = -(along + shift + r_max)
+        corners = [(x0, 0.0), (x0 + shift, shift), (x0 + shift + 2 * along, shift),
+                   (x0 + 2 * shift + 2 * along, 0.0)]
+        schedule = None
     else:
         raise PlanInfeasible(f"no local plan for mode {solution.mode!r}")
-    return (segment, obstacle.center + rot_w @ np.array([x_start, track_y]),
-            obstacle.center + rot_w @ np.array([x_end, track_y]), schedule)
+    corners = [obstacle.center + rot_w @ np.array(c) for c in corners]
+    if schedule is None:      # a bypass: one straight leg per side of the trapezoid
+        segments = [_translate_runner(a, b, theta_acc, offsets, v)
+                    for a, b in zip(corners, corners[1:])]
+    return segments, corners[0], corners[-1], schedule
 
 
 def run_pipeline(scenario: Scenario) -> RunReport:
@@ -286,7 +269,7 @@ def run_pipeline(scenario: Scenario) -> RunReport:
             solution = optimize_formation(
                 current, obstacle, w_convex, scenario.weights, scenario.safety
             )
-            segment, start_xy, end_xy, schedule = _maneuver(
+            maneuver, start_xy, end_xy, schedule = _maneuver(
                 solution, obstacle, w_convex, scenario.safety, approach, depart,
                 v, scenario.omega, dt, theta_acc,
             )
@@ -295,7 +278,7 @@ def run_pipeline(scenario: Scenario) -> RunReport:
         new_offsets = solution.formation.robot_positions - solution.formation.centroid()
         segments.extend(_transit_runners(centroid, start_xy, corridor, theta_acc, offsets, v))
         segments.append(_morph_runner(start_xy, theta_acc, offsets, new_offsets, v))
-        segments.append(segment)
+        segments.extend(maneuver)
         centroid = end_xy
         if schedule is None:
             modes.append("bypassed")
@@ -346,18 +329,17 @@ def plan_local(
     omega is not positive and finite, or a direction has zero length.
     """
     for name, value in (("dt", dt), ("v", v), ("omega", omega)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValidationError(name, f"must be positive and finite, got {value}")
+        require_positive(name, value)
     approach = _unit("approach", approach)
     depart = approach if depart is None else _unit("depart", depart)
-    segment, _, _, schedule = _maneuver(
+    segments, _, _, schedule = _maneuver(
         solution, obstacle, w_convex, safety, approach, depart, v, omega, dt, 0.0
     )
     if schedule is not None and any(
         c > CONSTRAINT_TOL for c in crossing_constraints(solution.indicators, obstacle, w_convex)
     ):
         raise PlanInfeasible("formation does not satisfy the crossing constraints")
-    timeline = _sample_segments([segment], solution.formation.layout, dt, solution.mode, schedule)
+    timeline = _sample_segments(segments, solution.formation.layout, dt, solution.mode, schedule)
     (vert,), (robot,) = _clearances(timeline, [obstacle], safety)
     if not (vert >= safety.z_safe - 1e-9):
         raise PlanInfeasible(f"object clearance {vert:.4f} m below z_safe")

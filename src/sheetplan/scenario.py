@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SheetPlanError, ValidationError
-from .geometry import Formation, SafetyParams, SheetLayout, dot, require_finite
+from .geometry import Formation, SafetyParams, SheetLayout, dot, require_finite, require_positive
 from .optimizer import CostWeights, ObstacleSpec
 
 # key: (count of numbers, whether the key may repeat); None takes the rest of the line as text
@@ -88,8 +88,7 @@ class Corridor:
         if len(widths) not in (1, len(lengths)):
             raise ValidationError("corridor_width",
                                   f"need 1 or {len(lengths)} widths, got {len(widths)}")
-        if not (widths > 0).all():
-            raise ValidationError("corridor_width", "must be positive")
+        require_positive("corridor_width", widths)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "widths", np.broadcast_to(widths, lengths.shape).copy())
         object.__setattr__(self, "arclengths", np.concatenate([[0.0], np.cumsum(lengths)]))
@@ -148,12 +147,12 @@ class Scenario:
     Construction, `dataclasses.replace` included, raises ValidationError
     naming the scenario key of a broken invariant: speed, omega and dt
     positive and finite, an initial formation that does not stretch the
-    sheet (robot), and obstacles of positive radius listed in centerline
-    order (obstacle).
+    sheet (robot), obstacles of positive radius listed in centerline order
+    (obstacle), and a finite goal within half the corridor width of the
+    centerline (goal).
     """
 
     name: str
-    layout: SheetLayout
     initial_formation: Formation
     corridor: Corridor
     obstacles: tuple
@@ -166,9 +165,7 @@ class Scenario:
 
     def __post_init__(self):
         for key in ("speed", "omega", "dt"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value > 0):
-                raise ValidationError(key, f"must be positive and finite, got {value}")
+            require_positive(key, getattr(self, key))
         stretch = self.initial_formation.stretch()
         if not stretch <= 1e-9:
             raise ValidationError("robot", f"initial formation stretches the sheet by {stretch:.3e} m")
@@ -177,6 +174,10 @@ class Scenario:
         arcs = self.corridor.project(np.reshape([ob.center for ob in self.obstacles], (-1, 2)))
         if not (arcs[:-1] <= arcs[1:] + 1e-9).all():
             raise ValidationError("obstacle", "obstacles must be listed in centerline order")
+        require_finite("goal", self.goal)
+        half = self.corridor.width_at(self.corridor.project(self.goal)) / 2
+        if not self.corridor.distance_to(self.goal) <= half:
+            raise ValidationError("goal", f"must lie within {half} m of the corridor centerline")
 
 
 def _parse(text):
@@ -254,7 +255,7 @@ def parse_scenario(text: str) -> Scenario:
     safety = SafetyParams(**{k: found[k] for k in ("delta_r", "z_safe") if k in found})
     weights = _named("weights", CostWeights, *found.get("weights", ()))
     return Scenario(
-        layout=formation.layout, initial_formation=formation, corridor=corridor,
+        initial_formation=formation, corridor=corridor,
         obstacles=obstacles, goal=goal, safety=safety, weights=weights,
         **{key: found.get(key, value) for key, value in _DEFAULTS.items()},
     )

@@ -126,7 +126,7 @@ def test_criterion_4_constraint_suite(regression_runs):
     clear_ok = True
     for name, (scenario, rep, _) in regression_runs.items():
         tl = rep.timeline
-        layout = scenario.layout
+        layout = scenario.initial_formation.layout
         v = layout.holding_points
         z_r = layout.holding_height
         n = v.shape[0]

@@ -1,4 +1,5 @@
 """Frames, enclosing circles, pair and polygon arithmetic, planning indicators."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,7 +24,9 @@ from sheetplan import (
     inverse_kinematics,
     min_enclosing_circle,
     optimize_formation,
+    load_scenario,
     oracle_equilibrium,
+    plan_local,
     select_sides,
     to_local_frame,
 )
@@ -36,7 +39,9 @@ from sheetplan.geometry import (
     triple_index,
 )
 
-from conftest import equilateral_formation, equilateral_layout, regular_polygon
+from sheetplan.scenario import Corridor
+
+from conftest import CORRIDOR, equilateral_formation, equilateral_layout, regular_polygon
 
 CONTACT = (0.0, 0.0)                              # center of the equilateral sheet
 PHIS = np.pi / 2 + 2 * np.pi / 3 * np.arange(3)   # bearings of its holding points
@@ -246,6 +251,30 @@ class TestPolygonValidation:
             build()
         assert isinstance(err.value, ValidationError)
         assert isinstance(err.value, ValueError)     # `except ValueError` still catches it
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field, build", [
+        ("delta_r", lambda x: SafetyParams(x, 0.04)),
+        ("z_safe", lambda x: SafetyParams(0.05, x)),
+        ("holding_height", lambda x: equilateral_layout(z_r=x)),
+        *[(f"l{k}", lambda x, k=k: CostWeights(**{f"l{k}": x})) for k in range(1, 6)],
+        ("corridor_width", lambda x: Corridor([[0.0, 0.0], [6.0, 0.0]], [x])),
+        *[pytest.param(key, lambda x, key=key: dataclasses.replace(
+            load_scenario(CORRIDOR), **{key: x}), id=f"Scenario-{key}")
+          for key in ("speed", "omega", "dt")],
+        # plan_local checks its numbers before it reads the solution
+        *[pytest.param(key, lambda x, key=key: plan_local(
+            None, None, 2.0, **{"dt": 0.1, "v": 0.1, key: x}), id=f"plan_local-{key}")
+          for key in ("dt", "v", "omega")],
+        ("grid_resolution", lambda x: oracle_equilibrium(
+            equilateral_formation(equilateral_layout(), 1.0), x)),
+        ("w_convex", lambda x: optimize_formation(
+            equilateral_formation(equilateral_layout(), 1.0), ObstacleSpec((0, 0), 0.1, 0.05), x)),
+    ])
+    def test_positive_and_finite_rejected(self, field, build, bad):
+        with pytest.raises(ValidationError) as err:
+            build(bad)
         assert err.value.field == field
 
     @pytest.mark.parametrize("field, call", [

@@ -3,8 +3,10 @@
 No module reaches into another module's private (`_`-prefixed) names, and
 no module imports a name it never uses, unless the import's line says why
 with `# noqa: F401`. `__init__.py` is exempt from the second rule: its
-imports are the package's public names. Every name the benchmark's span
-table wraps still exists.
+imports are the package's public names. Every private top-level name of a
+module is read somewhere in the package or the benchmark, so a helper that
+lost its last caller goes with it. Every name the benchmark's span table
+wraps still exists.
 """
 import ast
 import importlib.util
@@ -14,6 +16,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "sheetplan")
+BENCH = os.path.join(ROOT, "perfbench")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -61,6 +64,38 @@ def test_no_unused_imports(name):
                 if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(bound)
     assert unused == []
+
+
+def _reads(path):
+    """Every name the file at `path` reads: loaded names, attributes,
+    imported names, and strings (the span table names what it wraps)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_private_names_are_read():
+    read = {name for folder, files in ((SRC, MODULES), (BENCH, os.listdir(BENCH)))
+            for file in files if file.endswith(".py")
+            for name in _reads(os.path.join(folder, file))}
+    unread = []
+    for module in MODULES:
+        tree, _ = _tree(module)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node]
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", ""))
+                if name.startswith("_") and not name.startswith("__") and name not in read:
+                    unread.append(f"{module}:{name}")
+    assert unread == []
 
 
 def test_benchmark_boundaries_resolve():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import sheetplan.scenario
 from sheetplan import ParseError, Scenario, ValidationError, load_scenario
+from sheetplan.cli import main as cli_main
 from sheetplan.scenario import Corridor, parse_formation, parse_scenario
 
-from conftest import CORRIDOR
+from conftest import CORRIDOR, TURNED
 
 MINIMAL = """
 sheet_height = 0.79
@@ -33,8 +34,8 @@ class TestParsing:
     def test_corridor_file(self):
         s = load_scenario(CORRIDOR)
         assert s.name == "corridor-two-obstacles"
-        assert s.layout.n == 3
-        assert s.layout.holding_height == 0.79
+        assert s.initial_formation.layout.n == 3
+        assert s.initial_formation.layout.holding_height == 0.79
         assert len(s.obstacles) == 2
         assert s.obstacles[0].radius == 0.1 and s.obstacles[0].height == 0.05
         assert s.obstacles[1].radius == 0.2 and s.obstacles[1].height == 0.2
@@ -90,7 +91,7 @@ class TestParsing:
 
     def test_comments_and_blanks_ignored(self):
         s = parse_scenario("# header\n\n" + MINIMAL + "\n# trailer\n")
-        assert s.layout.n == 3
+        assert s.initial_formation.layout.n == 3
 
     @pytest.mark.parametrize("line", [
         "goal = 5.0 0.0", "weights = 1 1 1 10 10", "name = again", "speed = 0.2",
@@ -231,6 +232,22 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             dataclasses.replace(parse_scenario(MINIMAL), dt=value)
         assert err.value.field == "dt"
+
+    def test_goal_lies_in_the_corridor(self, tmp_path, capsys):
+        for path in (CORRIDOR, TURNED):
+            assert isinstance(load_scenario(path), Scenario)
+        text = open(CORRIDOR).read()
+        assert "goal = 5.6 0.0" in text
+        far = tmp_path / "far_goal.txt"
+        far.write_text(text.replace("goal = 5.6 0.0", "goal = 5.6 9.0"))
+        with pytest.raises(ValidationError) as err:
+            load_scenario(far)
+        assert err.value.field == "goal"
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(load_scenario(CORRIDOR), goal=np.array([np.nan, 0.0]))
+        assert err.value.field == "goal"
+        assert cli_main(["validate", str(far)]) == 1
+        assert capsys.readouterr().err.startswith("error: goal:")
 
     def test_constructor_checks_formation_and_obstacles(self):
         s = parse_scenario(MINIMAL)

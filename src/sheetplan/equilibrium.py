@@ -17,6 +17,10 @@ height, which reduces every solve to small exact linear algebra:
   ridge hangs and contacts pinned to a sheet edge as fixed rows, all
   validated in one batched call and ranked by one lexsort on height and
   each row's precomputed taut-set rank;
+* every step carries a leading formation axis: `solve_equilibria` solves a
+  stack of formations with one team size (the optimizer's probes of one
+  poll) in one pass, each to the same bits as alone, and
+  `solve_equilibrium` is its one-formation case;
 * a brute-force grid oracle (`oracle_equilibrium`) provides an independent
   check by nested search over contact candidates.
 """
@@ -38,6 +42,7 @@ from .errors import (
     NoConvergence,
     NoEquilibrium,
     ObjectOutsideFormation,
+    SheetPlanError,
     SingularSystem,
     TooFewTaut,
     ValidationError,
@@ -111,7 +116,8 @@ def _cables(v, z_r, r, u, q, z):
     Contacts u, object positions q and heights z may carry leading
     candidate axes; the cables are the last axis of l and d.
     """
-    l = np.linalg.norm(v - np.asarray(u)[..., None, :], axis=-1)
+    e = v - np.asarray(u)[..., None, :]
+    l = np.sqrt(np.add.reduce(e * e, axis=-1))     # np.linalg.norm(e, axis=-1)
     d = np.sqrt(np.sum((r - np.asarray(q)[..., None, :]) ** 2, axis=-1)
                 + ((z_r - np.asarray(z)) ** 2)[..., None])
     return l, d
@@ -126,9 +132,14 @@ def cable_distances(formation: Formation, eq: ObjectEquilibrium):
 def _build_equilibrium(formation, u, q, z, boundary=False) -> ObjectEquilibrium:
     z_r = formation.holding_height
     l, d = _cables(formation.layout.holding_points, z_r, formation.robot_positions, u, q, z)
+    return _equilibrium(u, q, z, z_r, l, d, boundary)
+
+
+def _equilibrium(u, q, z, z_r, l, d, boundary):
+    """The ObjectEquilibrium of a solved state whose cables measure (l, d)."""
     cables = tuple(
         CableState(i, float(l[i]), "taut" if d[i] >= l[i] - SLACK_BAND else "slack")
-        for i in range(formation.n)
+        for i in range(len(l))
     )
     return ObjectEquilibrium(
         world_position=np.array([q[0], q[1], z]),
@@ -182,17 +193,18 @@ def _plan(systems, n):
     contact is pinned to the line of sheet edge e (from holding point e to
     e + 1), or free when e < 0. Its rows are one per cable of idx[1:], in
     order, then the edge row. Returns the anchor pairs (idx[0], idx[1]) as a
-    (P, 2) array, the number of systems, and one stack per row count: the
-    positions of its systems in `systems`, their anchor pair, the cable of
-    each row (0 in an edge row), the stack positions of the pinned systems,
-    and their (anchor pair, edge end) indices.
+    (P, 2) array; the anchor pair of each system in stacked order (the
+    stacks one after the other); the stacked position of each system of
+    `systems`; and one stack per row count: its systems' anchor pairs, the
+    cable of each row (0 in an edge row), the stack positions of the pinned
+    systems, and their (anchor pair, edge end) indices.
     """
     pairs = sorted({idx[:2] for idx, _ in systems})
     where = {p: k for k, p in enumerate(pairs)}
     groups = {}
     for s, (idx, e) in enumerate(systems):
         groups.setdefault(len(idx) - 1 + (e >= 0), []).append(s)
-    stacks = []
+    stacks, order = [], []
     for k, sel in sorted(groups.items()):
         idxs = [systems[s][0] for s in sel]
         pair = np.array([where[idx[:2]] for idx in idxs])
@@ -200,8 +212,10 @@ def _plan(systems, n):
         pinned = np.flatnonzero(edge >= 0)
         ends = (pair[pinned][None], np.stack([edge[pinned], (edge[pinned] + 1) % n]))
         cables = np.array([idx[1:] + (0,) * (k + 1 - len(idx)) for idx in idxs])
-        stacks.append((np.array(sel), pair, cables, pinned, ends))
-    return np.array(pairs), len(systems), stacks
+        stacks.append((pair, cables, pinned, ends))
+        order += sel
+    frame = np.concatenate([pair for pair, *_ in stacks])
+    return np.array(pairs), frame, np.argsort(order), stacks
 
 
 def _stationary_points(v, z_r, r, plan):
@@ -211,80 +225,101 @@ def _stationary_points(v, z_r, r, plan):
     local object position w; an edge row pins u to the line of a sheet edge.
     A rank-revealing SVD gives a particular solution and the null space, and
     the hang quadratic J = |w|^2 - |u|^2 is minimized over it. The canonical
-    frames are computed once per anchor pair, and all systems with the same
-    number of rows are solved as one stack. Each stacked product keeps the
-    memory layout (transposed views, not copies) of the 2-D or 1-D product
-    of one system, so that a system rounds the same whatever it is stacked
-    with: the golden outputs print round-off.
+    frames are computed once per anchor pair; all systems with the same
+    number of rows are solved as one stack, and all with the same rank are
+    minimized as one. Each stacked product keeps the memory layout
+    (transposed views, not copies) of the 2-D or 1-D product of one system,
+    so that a system rounds the same whatever it is stacked with: the golden
+    outputs print round-off.
 
-    Returns the contacts u (S, 2), object positions q (S, 2) and heights
-    z (S,) in original coordinates, and the mask of the systems that have a
-    minimum: consistent, with the hang quadratic bounded below along the
-    null space, at a real hang depth.
+    `v` and `r` are (K, n, 2) and `z_r` is (K,): one sheet, team and
+    holding height per formation of the stack, every formation solving the
+    same systems. Returns the contacts u (K, S, 2), object positions
+    q (K, S, 2) and heights z (K, S) in original coordinates, and the mask
+    of the systems that have a minimum: consistent, with the hang quadratic
+    bounded below along the null space, at a real hang depth.
     """
-    pairs, count, stacks = plan
+    pairs, frame, unstack, stacks = plan
+    K, count = len(r), len(frame)
     canon, (vrows, _), origin, back = _frames(np.array([v, r]), pairs)
-    uq = np.zeros((2, count, 2))
-    z = np.zeros(count)
-    ok = np.zeros(count, dtype=bool)
-    for sel, pair, cables, pinned, ends in stacks:
-        vk, rk = canon[:, pair[:, None], cables]
-        A = np.concatenate([2 * vk, -2 * rk], axis=2)
+    # every system of every formation, formation-major, in stacked order
+    x0 = np.empty((K, count, 4))
+    Vt = np.empty((K, count, 4, 4))
+    rank = np.empty((K, count), dtype=np.intp)
+    consistent = np.empty((K, count), dtype=bool)
+    at = 0
+    for pair, cables, pinned, ends in stacks:
+        vk, rk = canon[:, :, pair[:, None], cables]
+        A = np.concatenate([2 * vk, -2 * rk], axis=3)
         b = dot(vk, vk) - dot(rk, rk)
         if len(pinned):
-            a2, b2 = vrows[ends]
-            A[pinned, -1, :2] = (b2 - a2)[:, ::-1] * (-1.0, 1.0)
-            A[pinned, -1, 2:] = 0.0
-            b[pinned, -1] = b2[:, 0] * a2[:, 1] - b2[:, 1] * a2[:, 0]
+            a2, b2 = vrows[:, ends[0], ends[1]].swapaxes(0, 1)
+            A[:, pinned, -1, :2] = (b2 - a2)[..., ::-1] * (-1.0, 1.0)
+            A[:, pinned, -1, 2:] = 0.0
+            b[:, pinned, -1] = b2[..., 0] * a2[..., 1] - b2[..., 1] * a2[..., 0]
+        size = len(pair)
+        A, b = A.reshape((K * size,) + A.shape[2:]), b.reshape(K * size, -1)
         # overdetermined systems (redundant cables) pass through: the residual
         # test below keeps only geometrically consistent ones
-        U, S, Vt = np.linalg.svd(A)
+        U, S, W = np.linalg.svd(A)
         live = S > 1e-10 * np.maximum(S[:, :1], 1.0)
-        rank = live.sum(axis=1)
-        # x0 = Vt^T S^+ U^T b, with the pseudo-inverse applied entrywise
-        scaled = np.zeros((len(sel), 4))
+        # x = W^T S^+ U^T b, with the pseudo-inverse applied entrywise
+        scaled = np.zeros((K * size, 4))
         scaled[:, :S.shape[1]] = (1.0 / np.where(live, S, np.inf)) * (
             _T(U) @ b[..., None])[:, :S.shape[1], 0]
-        x0 = (_T(Vt) @ scaled[..., None])[..., 0]
-        res = (A @ x0[..., None])[..., 0] - b
-        consistent = ~(np.sqrt(dot(res, res)) > 1e-8 * np.maximum(1.0, np.sqrt(dot(b, b))))
-        for rk_ in set(rank[consistent].tolist()):
-            g = np.flatnonzero(consistent & (rank == rk_))
-            Zt = Vt[g, rk_:]                     # null-space basis, one row each
-            Zu, Zw = Zt[:, :, :2], Zt[:, :, 2:]
-            u0, w0 = x0[g, :2], x0[g, 2:]
-            t = np.zeros((len(g), 4 - rk_))
-            has = np.ones(len(g), dtype=bool)
-            if rk_ < 4:
-                H = 2.0 * (Zw @ _T(Zw) - Zu @ _T(Zu))
-                grad = 2.0 * (Zw @ w0[..., None] - Zu @ u0[..., None])[..., 0]
-                evals = np.linalg.eigvalsh(H)
-                has = np.all(evals > 1e-12, axis=1)
-                t[has] = np.linalg.solve(H[has], -grad[has][..., None])[..., 0]
-                for s in np.flatnonzero(~has & np.all(evals > -1e-12, axis=1)):
-                    # positive semidefinite with a flat direction: minimum-norm minimizer
-                    ts = -np.linalg.pinv(H[s]) @ grad[s]
-                    if np.linalg.norm(H[s] @ ts + grad[s]) <= 1e-8:
-                        t[s], has[s] = ts, True
-                # indefinite H: no interior minimum on this manifold; the
-                # edge-pinned systems cover those equilibria
-            uu = u0 + (_T(Zu) @ t[..., None])[..., 0]
-            ww = w0 + (_T(Zw) @ t[..., None])[..., 0]
-            drop2 = dot(uu, uu) - dot(ww, ww)
-            at, p = sel[g], pair[g]
-            uq[:, at] = (np.array([uu, ww])[..., None, :] @ _T(back[:, p]))[..., 0, :] + origin[:, p]
-            z[at] = z_r - np.sqrt(np.maximum(drop2, 0.0))
-            ok[at] = has & ~(drop2 < -1e-9)
-    return uq[0], uq[1], z, ok
+        x = (_T(W) @ scaled[..., None])[..., 0]
+        res = (A @ x[..., None])[..., 0] - b
+        stack = slice(at, at + size)
+        x0[:, stack], Vt[:, stack] = x.reshape(K, size, 4), W.reshape(K, size, 4, 4)
+        rank[:, stack] = live.sum(axis=1).reshape(K, size)
+        consistent[:, stack] = ~(np.sqrt(dot(res, res)).reshape(K, size)
+                                 > 1e-8 * np.maximum(1.0, np.sqrt(dot(b, b))).reshape(K, size))
+        at += size
+    x0, Vt, rank, consistent = x0.reshape(-1, 4), Vt.reshape(-1, 4, 4), rank.ravel(), consistent.ravel()
+    uw = np.zeros((2, len(x0), 2))             # local contact and object position
+    depth = np.zeros(len(x0))
+    ok = np.zeros(len(x0), dtype=bool)
+    for rk_ in set(rank[consistent].tolist()):
+        g = np.flatnonzero(consistent & (rank == rk_))
+        Zt = Vt[g, rk_:]                     # null-space basis, one row each
+        Zu, Zw = Zt[:, :, :2], Zt[:, :, 2:]
+        u0, w0 = x0[g, :2], x0[g, 2:]
+        t = np.zeros((len(g), 4 - rk_))
+        has = np.ones(len(g), dtype=bool)
+        if rk_ < 4:
+            H = 2.0 * (Zw @ _T(Zw) - Zu @ _T(Zu))
+            grad = 2.0 * (Zw @ w0[..., None] - Zu @ u0[..., None])[..., 0]
+            evals = np.linalg.eigvalsh(H)
+            has = np.all(evals > 1e-12, axis=1)
+            t[has] = np.linalg.solve(H[has], -grad[has][..., None])[..., 0]
+            for s in np.flatnonzero(~has & np.all(evals > -1e-12, axis=1)):
+                # positive semidefinite with a flat direction: minimum-norm minimizer
+                ts = -np.linalg.pinv(H[s]) @ grad[s]
+                if np.linalg.norm(H[s] @ ts + grad[s]) <= 1e-8:
+                    t[s], has[s] = ts, True
+            # indefinite H: no interior minimum on this manifold; the
+            # edge-pinned systems cover those equilibria
+        uu = u0 + (_T(Zu) @ t[..., None])[..., 0]
+        ww = w0 + (_T(Zw) @ t[..., None])[..., 0]
+        drop2 = dot(uu, uu) - dot(ww, ww)
+        uw[0, g], uw[1, g] = uu, ww
+        depth[g] = np.sqrt(np.maximum(drop2, 0.0))
+        ok[g] = has & ~(drop2 < -1e-9)
+    uq = ((uw[..., None, :] @ _T(back[:, :, frame].reshape(2, -1, 2, 2)))[..., 0, :]
+          .reshape(2, K, -1, 2) + origin[:, :, frame])[:, :, unstack]
+    return (uq[0], uq[1], z_r[:, None] - depth.reshape(K, -1)[:, unstack],
+            ok.reshape(K, -1)[:, unstack])
 
 
 # --------------------------------------------------------- known taut set
+def _stretched(stretch):
+    return InfeasibleFormation(f"robot pair exceeds sheet spacing by {stretch:.3e} m")
+
+
 def _require_feasible(formation):
     stretch = formation.stretch()
     if stretch > 1e-9:
-        raise InfeasibleFormation(
-            f"robot pair exceeds sheet spacing by {stretch:.3e} m"
-        )
+        raise _stretched(stretch)
 
 
 def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
@@ -311,11 +346,12 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         u, q, z = _flat_candidate(v, z_r, r, taut)
         return _build_equilibrium(formation, u, q, z)
     base = taut[:5]
-    u, q, z, ok = _stationary_points(v, z_r, r, _plan([(tuple(base), -1)], formation.n))
-    if not ok[0]:
+    u, q, z, ok = _stationary_points(v[None], np.array([z_r]), r[None],
+                                     _plan([(tuple(base), -1)], formation.n))
+    if not ok[0, 0]:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
-    u, q, z = u[0], q[0], z[0]
+    u, q, z = u[0, 0], q[0, 0], z[0, 0]
     if not point_in_polygon(u, v[taut], tol=1e-9):
         raise ContactOutsideHull(f"contact {u} outside taut hull")
     l, d = _cables(v, z_r, r, u, q, z)
@@ -365,24 +401,96 @@ def _solve_plan(n):
 
 
 def _select_best(v, z_r, r, z, u, q, ok, rank):
-    """Row of the best candidate that validates, or None.
+    """Row of the best candidate of each formation that validates, or -1.
 
-    A candidate validates when it is `ok`, its contact lies on the sheet, no
-    cable is longer than its geodesic, and its height is the lowest point of
-    the cable balls for its contact. Every candidate of a solve shares the
-    robot positions as ball centers, so the lowest points of all candidates
-    that pass the first three checks come from one batched kernel call. The
-    best is the lowest, then the one of lowest `rank`, then the first row.
+    The arrays carry a leading formation axis: sheets `v`, teams `r` and
+    heights `z_r` per formation, candidates `z`, `u`, `q` and `ok` per
+    formation and table row. A candidate validates when it is `ok`, its
+    contact lies on the sheet, no cable is longer than its geodesic, and its
+    height is the lowest point of the cable balls for its contact. The
+    lowest points of all candidates of the stack that pass the first three
+    checks come from one batched kernel call, each with its formation's
+    robots as ball centers. The best is the lowest, then the one of lowest
+    `rank`, then the first row.
     """
-    kept = np.flatnonzero(ok)
-    rho, d = _cables(v, z_r, r, u[kept], q[kept], z[kept])
-    fits = points_in_polygon(u[kept], v) & ~np.any(d > rho + FEAS_TOL, axis=1)
-    kept = kept[fits]
-    _, z_low = kernels.lowest_point_grid(r, z_r, rho[fits])
-    valid = kept[np.abs(z_low - z[kept]) <= ENERGY_TOL]
-    if not len(valid):
-        return None
-    return valid[np.lexsort((valid, rank[valid], z[valid]))[0]]
+    f, row = np.nonzero(ok)
+    v, z_r, r = v[f], z_r[f], r[f]
+    u, z = u[f, row], z[f, row]
+    rho, d = _cables(v, z_r, r, u, q[f, row], z)
+    fits = np.flatnonzero(points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1))
+    _, z_low = kernels.lowest_point_grid(r[fits], z_r[fits], rho[fits])
+    valid = fits[np.abs(z_low - z[fits]) <= ENERGY_TOL]
+    valid = valid[np.lexsort((valid, rank[row[valid]], z[valid], f[valid]))]
+    f = f[valid]
+    head = np.ones(len(f), dtype=bool)         # the first row of each formation
+    head[1:] = f[1:] != f[:-1]
+    best = np.full(len(ok), -1)
+    best[f[head]] = row[valid[head]]
+    return best
+
+
+def solve_equilibria(formations) -> list:
+    """Equilibria of formations with one team size, solved as one stack.
+
+    Returns one entry per formation, in order: its ObjectEquilibrium, or the
+    SheetPlanError that `solve_equilibrium` raises for it. Infeasible
+    formations leave the stack before the solve; the others are solved
+    together along a leading formation axis, each to the same bits as on
+    its own. Raises ValueError when the team sizes differ.
+    """
+    results = list(formations)
+    if not results:
+        return results
+    v, r, z_r = map(np.array, zip(*[(f.layout.holding_points, f.robot_positions,
+                                     f.holding_height) for f in results]))
+    lv, lr = pair_distances(v), pair_distances(r)
+    stretch = np.max(lr - lv, axis=1)          # as Formation.stretch() of each
+    stack = np.flatnonzero(~(stretch > 1e-9))
+    if len(stack) < len(results):
+        for k in np.flatnonzero(stretch > 1e-9):
+            results[k] = _stretched(stretch[k])
+        if not len(stack):
+            return results
+        v, r, z_r, lv, lr = v[stack], r[stack], z_r[stack], lv[stack], lr[stack]
+    n = r.shape[1]
+
+    sets, plan, hulls, ends, spans, rank = _solve_plan(n)
+    u, q, z, ok = _stationary_points(v, z_r, r, plan)
+    ni = len(hulls)
+    a, ab = v[:, ends[0]], v[:, ends[1]] - v[:, ends[0]]
+    s = dot(u[:, ni:] - a, ab) / dot(ab, ab)
+    ok &= np.concatenate([
+        points_in_polygon(u[:, :ni], v[:, hulls]), (s >= -1e-9) & (s <= 1 + 1e-9)
+    ], axis=1)
+    stretched = np.abs(lv - lr) <= 1e-9
+    for f in np.flatnonzero(stretched.any(axis=1)):
+        # a fully stretched subset hangs flat, whatever its stationary point
+        for k in np.flatnonzero(~np.any(spans[:, ~stretched[f]], axis=1)):
+            u[f, k], q[f, k], z[f, k] = _flat_candidate(v[f], z_r[f], r[f], sets[k])
+            ok[f, k] = True
+
+    # two-cable fold-line ridges: the deepest point below each folded sheet chord
+    fold = ~(lr >= lv - 1e-12)
+    i, j = pair_index(n)
+    ridge = (0.5 * (v[:, i] + v[:, j]), 0.5 * (r[:, i] + r[:, j]),
+             z_r[:, None] - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
+    u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
+                   for x, rows in zip((u, q, z, ok), ridge))
+    best = _select_best(v, z_r, r, z, u, q, ok, rank)
+    for k in stack[best < 0]:
+        results[k] = NoEquilibrium(
+            "no candidate equilibrium validated; feasible input should always "
+            "admit one (solver bug signal)"
+        )
+    f = np.flatnonzero(best >= 0)
+    best = best[f]
+    u, q, z, v, z_r = u[f, best], q[f, best], z[f, best], v[f], z_r[f]
+    l, d = _cables(v, z_r, r[f], u, q, z)
+    on_edge = ~points_in_polygon(u, v, tol=-1e-9)
+    for row, k in enumerate(stack[f]):
+        results[k] = _equilibrium(u[row], q[row], z[row], z_r[row], l[row], d[row],
+                                  bool(best[row] >= ni or on_edge[row]))
+    return results
 
 
 def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
@@ -397,46 +505,13 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     edge systems together; every row is then validated against the cable
     inequalities and the exact lowest-point kernel in one `_select_best`
     call, and the lowest-energy survivor is returned. Ties favor larger
-    taut sets, then lexicographic order.
+    taut sets, then lexicographic order. This is the one-formation stack of
+    `solve_equilibria`.
     """
-    _require_feasible(formation)
-    v = formation.layout.holding_points
-    r = formation.robot_positions
-    z_r = formation.holding_height
-    n = formation.n
-
-    sets, plan, hulls, ends, spans, rank = _solve_plan(n)
-    u, q, z, ok = _stationary_points(v, z_r, r, plan)
-    ni = len(hulls)
-    a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
-    s = dot(u[ni:] - a, ab) / dot(ab, ab)
-    ok &= np.concatenate([
-        points_in_polygon(u[:ni], v[hulls]), (s >= -1e-9) & (s <= 1 + 1e-9)
-    ])
-    lv, lr = pair_distances(v), pair_distances(r)
-    stretched = np.abs(lv - lr) <= 1e-9
-    if stretched.any():
-        # a fully stretched subset hangs flat, whatever its stationary point
-        for k in np.flatnonzero(~np.any(spans[:, ~stretched], axis=1)):
-            u[k], q[k], z[k] = _flat_candidate(v, z_r, r, sets[k])
-            ok[k] = True
-
-    # two-cable fold-line ridges: the deepest point below each folded sheet chord
-    fold = ~(lr >= lv - 1e-12)
-    i, j = pair_index(n)
-    ridge = (0.5 * (v[i] + v[j]), 0.5 * (r[i] + r[j]),
-             z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
-    u, q, z, ok = (np.concatenate([x[:ni], rows, x[ni:]]) for x, rows in zip((u, q, z, ok), ridge))
-    best = _select_best(v, z_r, r, z, u, q, ok, rank)
-    if best is None:
-        raise NoEquilibrium(
-            "no candidate equilibrium validated; feasible input should always "
-            "admit one (solver bug signal)"
-        )
-    on_edge = not point_in_polygon(u[best], v, tol=-1e-9)
-    return _build_equilibrium(
-        formation, u[best], q[best], z[best], boundary=bool(best >= ni) or on_edge
-    )
+    (eq,) = solve_equilibria([formation])
+    if isinstance(eq, SheetPlanError):
+        raise eq
+    return eq
 
 
 # -------------------------------------------------------------- the oracle

@@ -110,14 +110,14 @@ def check_convex_ccw(points, what="polygon"):
 
 
 def points_in_polygon(points, polygon, tol=1e-9) -> np.ndarray:
-    """Mask of the (M, 2) points inside a convex ccw polygon (boundary within tol).
+    """Mask of the (..., 2) points inside a convex ccw polygon (boundary within tol).
 
     `polygon` is one polygon (m, 2) for every point, or one per point
-    (M, m, 2). A NaN point is outside.
+    (..., m, 2). A NaN point is outside.
     """
     side = polygon_sides(polygon)
-    rel = points[:, None] - polygon
-    return (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0] >= -tol).all(axis=1)
+    rel = points[..., None, :] - polygon
+    return (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0] >= -tol).all(axis=-1)
 
 
 def point_in_polygon(p, polygon, tol=1e-12) -> bool:
@@ -160,7 +160,10 @@ class SheetLayout:
             raise ValidationError(
                 "holding_points", f"at most {MAX_ROBOTS} holding points, got {len(pts)}"
             )
-        check_convex_ccw(pts, what="sheet layout")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(pair_distances(pts)).all():
+                raise ValidationError("holding_points", "pair distances must be finite")
+            check_convex_ccw(pts, what="sheet layout")
 
     @property
     def n(self) -> int:

@@ -6,13 +6,15 @@ the lowest point of the balls' intersection. Because all centers are
 coplanar, every candidate is a planar trilateration point plus a vertical
 drop, enumerated exactly over active subsets of size 1, 2 and 3.
 
-`lowest_point` solves one instance; `lowest_point_grid` solves a batch that
-shares the centers (the candidates of one equilibrium solve, or one
-sheet-contact grid of the oracle), vectorized over the batch and over the
-active subsets. Its membership test runs one ball at a time on the
-candidates that are still inside every ball so far; most candidates leave
-after two or three balls, so it makes far fewer tests than one of every
-candidate against all n balls, and returns the same bits.
+`lowest_point` solves one instance; `lowest_point_grid` solves a batch,
+vectorized over the batch and over the active subsets. The batch shares
+its centers (one sheet-contact grid of the oracle) or carries one center
+set and height per row (the candidates of a stack of equilibrium solves,
+each row with its formation's robots). Its membership test runs one ball
+at a time on the candidates that are still inside every ball so far; most
+candidates leave after two or three balls, so it makes far fewer tests
+than one of every candidate against all n balls, and returns the same
+bits.
 """
 import itertools
 
@@ -25,7 +27,7 @@ BACKEND = "python"  # the numpy kernels are the only ones; benchmark records nam
 FEAS_TOL = 1e-7     # slack allowed when testing membership in each ball
 DROP_TOL = 1e-9     # tolerance on nonnegative squared drop
 BLOCK = 1 << 13     # batch rows x candidate points per stacked block
-_TURN = np.array([1.0, -1.0])[:, None, None]   # (y, x) -> (y, -x), a quarter turn
+_TURN = np.array([1.0, -1.0])[:, None, None, None]   # (y, x) -> (y, -x), a quarter turn
 
 
 def lowest_point(centers, z_r, rho):
@@ -84,43 +86,46 @@ def lowest_point(centers, z_r, rho):
 
 
 def _subset_terms(r):
-    """Radius-independent terms of every usable pair and triple of centers.
+    """Radius-independent terms of every pair and triple of centers.
 
-    Pairs of coincident centers and triples of collinear ones have no
-    trilateration point and are left out. Returns, for the pairs and for the
-    triples, an index array (one row per member) and a float array with one
-    column per subset: rows (x_i, y_i, dx, dy, L2) for a pair, and
-    (x_i, y_i, ay, -ax, by, -bx, det, |r_i|^2, |r_j|^2, |r_k|^2) for a
-    triple, (ax, ay) = 2 (r_j - r_i) and (bx, by) = 2 (r_k - r_i). The
-    arrays have no columns when there is no such subset.
+    `r` is (R, N, 2), one center set per batch row, or R = 1 for centers
+    shared by every row. Returns, for the pairs and for the triples, an
+    index array (one row per member) and a float array with one column per
+    subset and one trailing column per center set: rows (x_i, y_i, dx, dy,
+    L2) for a pair, and (x_i, y_i, ay, -ax, by, -bx, det, |r_i|^2, |r_j|^2,
+    |r_k|^2) for a triple, (ax, ay) = 2 (r_j - r_i) and (bx, by) =
+    2 (r_k - r_i). Pairs of coincident centers and triples of collinear ones
+    have no trilateration point: their L2 or det is NaN, so that every
+    candidate they make has a NaN drop and leaves with the negative drops.
     """
-    pij, tijk = pair_index(len(r)), triple_index(len(r))
-    rt = r.T
+    n = r.shape[1]
+    pij, tijk = pair_index(n), triple_index(n)
+    rt = r.transpose(2, 1, 0)
     ri = rt[:, pij[0]]
     d = rt[:, pij[1]] - ri
     # stacked matmuls round as the 1-D `d @ d` does; a sum of products may not
-    L2 = dot(d.T, d.T)
+    L2 = dot(d.T, d.T).T
     ti = rt[:, tijk[0]]
     e = 2.0 * (rt[:, tijk[1:]] - ti[:, None])   # (x, y) of a and b, per triple
     det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
-    s = dot(r, r)
-    keep, tkeep = L2 >= 1e-18, np.abs(det) >= 1e-14
-    pairs = np.concatenate([ri, d, L2[None]])
-    turned = (e[::-1] * _TURN).transpose(1, 0, 2).reshape(4, -1)
-    triples = np.concatenate([ti, turned, det[None], s[tijk]])
-    return ((pij.compress(keep, axis=1), pairs.compress(keep, axis=1)),
-            (tijk.compress(tkeep, axis=1), triples.compress(tkeep, axis=1)))
+    s = dot(r, r).T
+    pairs = np.concatenate([ri, d, np.where(L2 >= 1e-18, L2, np.nan)[None]])
+    turned = (e[::-1] * _TURN).transpose(1, 0, 2, 3).reshape((4,) + det.shape)
+    triples = np.concatenate([ti, turned, np.where(np.abs(det) >= 1e-14, det, np.nan)[None],
+                              s[tijk]])
+    return (pij, pairs), (tijk, triples)
 
 
 def _lowest_block(r, z_r, rho, pairs, triples):
     """`lowest_point_grid` on one block of rows, all candidates stacked.
 
-    Every (candidate, row) entry is a column of one packed array with five
-    rows: x, y, clipped squared drop, flat entry index and batch row. The
-    entries with a negative drop go first; then each ball in turn keeps only
-    the entries inside it, so later balls test ever fewer entries. Each
-    entry meets the same comparisons as in a test of all balls at once, so
-    the result is the same to the bit.
+    `r` and the subset terms carry one center set per row of the block, or
+    one shared by all of them. Every (candidate, row) entry is a column of
+    one packed array with five rows: x, y, clipped squared drop, flat entry
+    index and batch row. The entries with a negative drop go first; then
+    each ball in turn keeps only the entries inside it, so later balls test
+    ever fewer entries. Each entry meets the same comparisons as in a test
+    of all balls at once, so the result is the same to the bit.
     """
     rows, n = rho.shape
     (pi, pf), (ti, tf) = pairs, triples
@@ -128,20 +133,20 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     packed = np.empty((5, m + ti.shape[1], rows))
     q, drop2, at = packed[:2], packed[2], packed[3]
     rho2 = (rho * rho).T
-    q[:, :n] = r.T[:, :, None]
+    centers = r.transpose(1, 2, 0)              # (ball, x/y, row or shared)
+    q[:, :n] = centers.transpose(1, 0, 2)
     drop2[:n] = rho2
     g = rho2[pi]
-    L2 = pf[4, :, None]
+    L2 = pf[4]
     a = (g[0] - g[1] + L2) / (2.0 * L2)
-    np.add(pf[:2, :, None], a * pf[2:4, :, None], out=q[:, n:m])
+    np.add(pf[:2], a * pf[2:4], out=q[:, n:m])
     np.subtract(g[0], a * a * L2, out=drop2[n:m])
     g = rho2[ti]
-    c1 = g[0] - g[1] + tf[8, :, None] - tf[7, :, None]
-    c2 = g[0] - g[2] + tf[9, :, None] - tf[7, :, None]
+    c1 = g[0] - g[1] + tf[8] - tf[7]
+    c2 = g[0] - g[2] + tf[9] - tf[7]
     # x = (c1 by - ay c2) / det and y = (ax c2 - bx c1) / det, both at once
-    qt = np.divide(c1 * tf[4:6, :, None] - tf[2:4, :, None] * c2, tf[6, :, None],
-                   out=q[:, m:])
-    e = qt - tf[:2, :, None]
+    qt = np.divide(c1 * tf[4:6] - tf[2:4] * c2, tf[6], out=q[:, m:])
+    e = qt - tf[:2]
     e *= e
     np.subtract(g[0], e[0] + e[1], out=drop2[m:])
     keep = (drop2 >= -DROP_TOL).ravel()
@@ -150,13 +155,14 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     packed[4] = np.arange(rows, dtype=float)
     live = packed.reshape(5, -1).compress(keep, axis=1)
     bound = rho2 + FEAS_TOL * (2.0 * rho.T + FEAS_TOL)
-    for c, bk in zip(r[:, :, None], bound):
-        d = live[:2] - c
+    for c, bk in zip(centers, bound):
+        row = live[4].astype(np.intp)
+        d = live[:2] - (c if c.shape[1] == 1 else c.take(row, axis=1))
         d *= d
-        live = live.compress(d[0] + d[1] + live[2] <= bk.take(live[4].astype(np.intp)), axis=1)
-    z = np.full(at.size, np.inf)
-    z[live[3].astype(np.intp)] = z_r - np.sqrt(live[2])
-    z = z.reshape(at.shape)
+        live = live.compress(d[0] + d[1] + live[2] <= bk.take(row), axis=1)
+    z = np.full(at.size, -np.inf)
+    z[live[3].astype(np.intp)] = np.sqrt(live[2])
+    z = z_r - z.reshape(at.shape)       # +inf where no candidate is inside every ball
     # the first lowest candidate wins, in singles, pairs, triples order
     best = np.argmin(z, axis=0)
     at = np.arange(rows)
@@ -167,12 +173,13 @@ def _lowest_block(r, z_r, rho, pairs, triples):
 
 
 def lowest_point_grid(centers, z_r, rho_grid):
-    """Batched `lowest_point` over G candidates sharing the centers.
+    """Batched `lowest_point` over G candidates.
 
     Parameters
     ----------
-    centers : (N, 2) planar ball-center positions
-    z_r : common center height
+    centers : (N, 2) planar ball-center positions shared by every candidate,
+        or (G, N, 2), one center set per candidate
+    z_r : common center height, or (G,), one per candidate
     rho_grid : (G, N) radii, one row per candidate
 
     Returns
@@ -181,14 +188,31 @@ def lowest_point_grid(centers, z_r, rho_grid):
         a zero position where the intersection is empty.
     """
     r = np.asarray(centers, dtype=float)
+    z_r = np.asarray(z_r, dtype=float)
     rho = np.asarray(rho_grid, dtype=float)
     G, n = rho.shape
-    pairs, triples = _subset_terms(r)
-    candidates = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
-    step = max(1, BLOCK // candidates)
+    if r.ndim == 2 or (r == r[:1]).all():
+        r, run = r.reshape(-1, n, 2)[:1], None      # one center set, broadcast
+    else:
+        # consecutive rows with the same centers share one set of subset terms
+        new = np.ones(G, dtype=bool)
+        new[1:] = (r[1:] != r[:-1]).reshape(G - 1, -1).any(axis=1)
+        r, run = r[new], np.cumsum(new) - 1
+    (pi, pf), (ti, tf) = _subset_terms(r)
+    width = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6    # candidates per row
+    if run is not None:
+        # a row with its own centers brings its subset terms (five floats per
+        # pair and ten per triple, as many as two and four candidates), and
+        # such rows come from the stacked solves of every optimizer poll:
+        # their blocks take half the entries, to keep that peak small
+        width = 2 * (width + pf.shape[1] + 2 * tf.shape[1])
+    step = max(1, BLOCK // width)
     best_q = np.zeros((G, 2))
     best_z = np.full(G, np.inf)
     for lo in range(0, G, step):
         rows = slice(lo, lo + step)
-        best_q[rows], best_z[rows] = _lowest_block(r, z_r, rho[rows], pairs, triples)
+        own = slice(None) if run is None else run[rows]
+        best_q[rows], best_z[rows] = _lowest_block(
+            r[own], z_r[rows] if z_r.ndim else z_r, rho[rows],
+            (pi, pf[..., own]), (ti, tf[..., own]))
     return best_q, best_z

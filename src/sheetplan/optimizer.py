@@ -1,7 +1,11 @@
 """Constrained formation-shape optimization for obstacle crossing.
 
 Searches the all-taut chart (contact, hang height, cable bearing angles)
-with a deterministic coordinate pattern search. Crossing mode must satisfy
+with a deterministic coordinate pattern search. Each poll of a sweep builds
+its probes' formations one by one and solves them as one stack
+(`solve_equilibria`); the first-improvement rule is then replayed over the
+values, so the search accepts the points, and counts the evaluations, of
+probing one point at a time. Crossing mode must satisfy
 the corridor-width and obstacle traversability constraints exactly; when no
 crossing formation exists the same machinery sizes a bypass formation that
 fits beside the obstacle.
@@ -18,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ObjectEquilibrium, inverse_kinematics, solve_equilibrium
+from .equilibrium import (
+    ObjectEquilibrium,
+    inverse_kinematics,
+    solve_equilibria,
+    solve_equilibrium,
+)
 from .errors import NoFeasibleFormation, SheetPlanError, ValidationError
 from .geometry import (
     Formation,
@@ -139,23 +148,27 @@ class _Chart:
         phis = np.arctan2(r0[:, 1] - q0[1], r0[:, 0] - q0[0])
         self.x0 = np.concatenate([eq0.sheet_contact, [eq0.z], phis])
 
-    def decode(self, x):
-        """Chart point -> (formation, equilibrium, indicators), or None."""
-        v_o, z_o, phis = x[:2], float(x[2]), x[3:]
-        if not 0.0 < z_o < self.layout.holding_height:
-            return None
-        try:
-            formation = inverse_kinematics(self.layout, v_o, z_o, phis)
-        except SheetPlanError:
-            return None
-        try:
-            eq = solve_equilibrium(formation)
-        except SheetPlanError:
-            return None
-        if eq.taut_count < formation.n:
-            return None          # a cable went slack: taut constraint violated
-        ind = indicators(formation, eq.z, self.safety)
-        return formation, eq, ind
+    def decode(self, points):
+        """Chart points (M, 3 + n) -> per point (formation, equilibrium, indicators), or None.
+
+        Each point is built by inverse kinematics on its own; the formations
+        that build are then solved as one stack.
+        """
+        built = []
+        for k, x in enumerate(points):
+            v_o, z_o, phis = x[:2], float(x[2]), x[3:]
+            if not 0.0 < z_o < self.layout.holding_height:
+                continue
+            try:
+                built.append((k, inverse_kinematics(self.layout, v_o, z_o, phis)))
+            except SheetPlanError:
+                continue
+        decoded = [None] * len(points)
+        for (k, formation), eq in zip(built, solve_equilibria([f for _, f in built])):
+            # an error, or a cable gone slack (taut constraint violated), rejects the point
+            if not isinstance(eq, SheetPlanError) and eq.taut_count == formation.n:
+                decoded[k] = formation, eq, indicators(formation, eq.z, self.safety)
+        return decoded
 
 
 def crossing_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_convex: float):
@@ -172,25 +185,36 @@ def _pattern_search(x, fun, budget, steps0):
 
     Sweeps coordinates in order, probing +/- the current step; accepts the
     first improvement. A sweep without improvement halves every step.
-    Returns (x, f, evaluations_used).
+    `fun` maps a stack of points (M, d) to their M values. Each poll stacks
+    the sweep's remaining probes from the current point, cut at the
+    remaining budget, and evaluates them in one call; the first probe that
+    improves is accepted, its sign twin and the later probes are dropped, and
+    the next poll starts at the next coordinate. The points, values and
+    count are those of probing one point at a time. Returns (x, f,
+    evaluations_used), counting only the probes that search would make.
     """
     steps = np.array(steps0, dtype=float)
-    f0 = fun(x)
+    f0 = fun(x[None])[0]
     used = 1
+    dims = len(x)
     while used < budget and float(np.max(steps)) > STEP_MIN:
         improved = False
-        for d in range(len(x)):
-            for sign in (1.0, -1.0):
-                if used >= budget:
-                    break
-                x_try = x.copy()
-                x_try[d] += sign * steps[d]
-                f_try = fun(x_try)
-                used += 1
-                if f_try < f0 - 1e-15:
-                    x, f0 = x_try, f_try
-                    improved = True
-                    break
+        d = 0
+        while d < dims and used < budget:
+            coord = np.repeat(np.arange(d, dims), 2)[:budget - used]
+            sign = np.resize([1.0, -1.0], len(coord))
+            probes = np.repeat(x[None], len(coord), axis=0)
+            probes[np.arange(len(coord)), coord] += sign * steps[coord]
+            values = fun(probes)
+            better = np.flatnonzero(values < f0 - 1e-15)
+            if not len(better):
+                used += len(coord)
+                break
+            k = int(better[0])
+            used += k + 1
+            x, f0 = probes[k].copy(), values[k]
+            improved = True
+            d = int(coord[k]) + 1
         if not improved:
             steps *= 0.5
     return x, f0, used
@@ -208,7 +232,7 @@ def _shrunk_start(initial: Formation, safety: SafetyParams):
             chart = _Chart(candidate, safety)
         except SheetPlanError:
             continue
-        if chart.decode(chart.x0) is not None:
+        if chart.decode(chart.x0[None])[0] is not None:
             return chart
     raise NoFeasibleFormation("no valid all-taut start found by uniform shrinking")
 
@@ -232,7 +256,7 @@ def optimize_formation(
     require_positive("w_convex", w_convex)
     try:
         chart = _Chart(initial, safety)
-        if chart.decode(chart.x0) is None:
+        if chart.decode(chart.x0[None])[0] is None:
             chart = _shrunk_start(initial, safety)
     except SheetPlanError:
         chart = _shrunk_start(initial, safety)
@@ -269,32 +293,33 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
             j += weights.l5 * max(obstacle.d_obs - ind.d_obsmax, 0.0) ** 2
         return j
 
-    def violation(x):
-        decoded = chart.decode(x)
-        if decoded is None:
-            return np.inf
-        return sum(max(c, 0.0) ** 2 for c in constraint_values(decoded[2]))
+    def violation(points):
+        return np.array([
+            np.inf if decoded is None
+            else sum(max(c, 0.0) ** 2 for c in constraint_values(decoded[2]))
+            for decoded in chart.decode(points)
+        ])
 
-    def hard_cost(x):
-        decoded = chart.decode(x)
-        if decoded is None:
-            return np.inf
-        if any(c > CONSTRAINT_TOL for c in constraint_values(decoded[2])):
-            return np.inf
-        return objective(decoded)
+    def hard_cost(points):
+        return np.array([
+            np.inf if decoded is None
+            or any(c > CONSTRAINT_TOL for c in constraint_values(decoded[2]))
+            else objective(decoded)
+            for decoded in chart.decode(points)
+        ])
 
     n = chart.layout.n
     steps0 = np.concatenate([[0.05, 0.05, 0.05], 0.1 * np.ones(n)])
     x = chart.x0.copy()
     used = 0
-    if violation(x) > 0:
+    if violation(x[None])[0] > 0:
         x, fv, used = _pattern_search(x, violation, EVAL_BUDGET // 2, steps0)
         if fv > 0:
             return None
     x, _, more = _pattern_search(x, hard_cost, EVAL_BUDGET - used, steps0)
     used += more
 
-    decoded = chart.decode(x)
+    decoded = chart.decode(x[None])[0]
     if decoded is None or any(c > CONSTRAINT_TOL for c in constraint_values(decoded[2])):
         return None
     formation, eq, ind = decoded

@@ -81,7 +81,11 @@ class Corridor:
             raise ValidationError("corridor_point",
                                   f"need at least 2 waypoints, got shape {points.shape}")
         require_finite("corridor_point", points)
-        lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+            arclengths = np.concatenate([[0.0], np.cumsum(lengths)])
+        if not np.isfinite(arclengths[-1]):
+            raise ValidationError("corridor_point", "segment lengths must be finite")
         if not (lengths > 0).all():
             raise ValidationError("corridor_point",
                                   f"segment {np.argmin(lengths > 0)} has zero length")
@@ -91,7 +95,7 @@ class Corridor:
         require_positive("corridor_width", widths)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "widths", np.broadcast_to(widths, lengths.shape).copy())
-        object.__setattr__(self, "arclengths", np.concatenate([[0.0], np.cumsum(lengths)]))
+        object.__setattr__(self, "arclengths", arclengths)
 
     @property
     def length(self) -> float:
@@ -121,7 +125,9 @@ class Corridor:
     def project(self, points):
         """Arclength of the closest centerline point to each (..., 2) point.
 
-        The first closest segment wins a tie. One point gives a number.
+        The first closest segment wins a tie. One point gives a number. A
+        point so far away that its squared distances overflow is as far from
+        every segment.
         """
         p = np.asarray(points, dtype=float)[..., None, :]
         a = self.points[:-1]
@@ -129,15 +135,18 @@ class Corridor:
         L2 = dot(seg, seg)
         frac = np.clip(dot(p - a, seg) / L2, 0.0, 1.0)
         gap = p - (a + frac[..., None] * seg)
-        k = np.argmin(np.sqrt(dot(gap, gap)), axis=-1)[..., None]
+        with np.errstate(over="ignore"):
+            k = np.argmin(np.sqrt(dot(gap, gap)), axis=-1)[..., None]
         s = np.take_along_axis(self.arclengths[:-1] + frac * np.sqrt(L2), k, axis=-1)
         return s[..., 0][()]
 
     def distance_to(self, points):
-        """Distance from each (..., 2) point to the centerline. One point gives a number."""
+        """Distance from each (..., 2) point to the centerline, inf where it
+        overflows. One point gives a number."""
         p = np.asarray(points, dtype=float)
         gap = p - self.point_at(self.project(p))
-        return np.sqrt(dot(gap, gap))[()]
+        with np.errstate(over="ignore"):
+            return np.sqrt(dot(gap, gap))[()]
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,8 @@ class Scenario:
     def __post_init__(self):
         for key in ("speed", "omega", "dt"):
             require_positive(key, getattr(self, key))
-        stretch = self.initial_formation.stretch()
+        with np.errstate(over="ignore"):     # robots too far apart stretch it by inf
+            stretch = self.initial_formation.stretch()
         if not stretch <= 1e-9:
             raise ValidationError("robot", f"initial formation stretches the sheet by {stretch:.3e} m")
         if not all(ob.radius > 0 for ob in self.obstacles):

@@ -118,6 +118,53 @@ def draw_folded_case(rng, n, max_tries=200):
     raise RuntimeError("failed to draw a feasible folded formation")
 
 
+def winning_row(formation):
+    """(row of the solve's candidate table that wins, number of interior rows).
+
+    The ridge rows follow the interior ones, one per cable pair.
+    """
+    from unittest import mock
+
+    from sheetplan import equilibrium
+
+    won = []
+    select = equilibrium._select_best
+
+    def spy(*args):
+        won.append(select(*args))
+        return won[-1]
+
+    with mock.patch.object(equilibrium, "_select_best", spy):
+        equilibrium.solve_equilibrium(formation)
+    return int(won[0][0]), len(equilibrium._solve_plan(formation.n)[2])
+
+
+def random_square_case(rng):
+    """Square sheet with a rotated, shifted and uniformly contracted team.
+
+    The all-taut contact is the sheet's center, where both diagonal fold
+    ridges cross at the same depth; the ridge row wins whenever its height
+    rounds below the interior row's, as on the `turned_corridor` samples.
+    """
+    side = rng.uniform(1.2, 2.0)
+    v = side * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    layout = SheetLayout(v, 0.79)
+    ang = rng.uniform(0.0, 2 * np.pi)
+    turn = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    r = rng.uniform(0.6, 0.9) * (v - v.mean(axis=0)) @ turn.T + rng.uniform(-1, 1, 2)
+    return layout, Formation(r, layout)
+
+
+def draw_ridge_case(rng, max_tries=400):
+    """A square case whose equilibrium is a two-cable ridge hang."""
+    for _ in range(max_tries):
+        layout, formation = random_square_case(rng)
+        row, interior = winning_row(formation)
+        if interior <= row < interior + 6:
+            return layout, formation
+    raise RuntimeError("failed to draw a ridge-hang formation")
+
+
 def _random_layout(rng, n, z_r=0.79):
     from sheetplan import SheetLayout
     from sheetplan.errors import SheetPlanError

@@ -19,16 +19,25 @@ from sheetplan import (
     oracle_equilibrium,
     solve_equilibrium,
 )
-from sheetplan.equilibrium import FEAS_TOL, TAUT_TOL, _select_best, _solve_plan, cable_distances
+from sheetplan.equilibrium import (
+    FEAS_TOL,
+    TAUT_TOL,
+    _select_best,
+    _solve_plan,
+    cable_distances,
+    solve_equilibria,
+)
 from sheetplan.geometry import rotation
 from sheetplan import kernels
 
 from conftest import (
     draw_consistent_target,
     draw_folded_case,
+    draw_ridge_case,
     draw_transport_case,
     equilateral_formation,
     regular_polygon,
+    winning_row,
 )
 
 Z_R = 0.79
@@ -387,6 +396,18 @@ def _digest_cases():
             yield draw_folded_case(rng, n, max_tries=5000)[1]
 
 
+def _state_bytes(eq):
+    """What SOLVE_DIGEST hashes of one equilibrium."""
+    return (eq.world_position.tobytes() + eq.sheet_contact.tobytes()
+            + bytes([*(c.taut for c in eq.cables), eq.boundary_contact, eq.flat]))
+
+
+def _stretched(formation):
+    """The formation scaled about its centroid past the sheet spacing."""
+    r = formation.robot_positions
+    return Formation(r.mean(axis=0) + 3.0 * (r - r.mean(axis=0)), formation.layout)
+
+
 def old_select(z, sets, valid):
     """The selection rule as a key: lowest, then most taut cables, then the
     first taut set in index order; the first such row on a full tie."""
@@ -424,8 +445,62 @@ class TestCandidateTable:
             # the lowest point agrees with the candidate height on `energy` rows
             kept = np.flatnonzero(ok)
             assert len(rho) == len(kept)       # every `ok` row passed the cable checks
+            assert np.array_equal(centers, np.broadcast_to(r, (len(kept), n, 2)))
+            assert np.array_equal(z_r, np.full(len(kept), Z_R))
             return np.zeros((len(kept), 2)), z[kept] + np.where(energy[kept], 0.0, 1.0)
 
         with mock.patch.object(kernels, "lowest_point_grid", kernel):
-            best = _select_best(v, Z_R, r, z, u, q, ok, rank)
-        assert best == old_select(z, sets, np.flatnonzero(ok & energy))
+            (best,) = _select_best(v[None], np.array([Z_R]), r[None], z[None], u[None],
+                                   q[None], ok[None], rank)
+        expected = old_select(z, sets, np.flatnonzero(ok & energy))
+        assert best == (-1 if expected is None else expected)
+
+
+class TestStackedSolve:
+    def test_stack_matches_one_at_a_time(self):
+        cases = list(_digest_cases())
+        one = [_state_bytes(solve_equilibrium(f)) for f in cases]
+        stacked = [None] * len(cases)
+        for n in range(3, 9):
+            at = [k for k, f in enumerate(cases) if f.n == n]
+            for order in (at, at[::-1]):
+                # every other row fails: robots stretched past the sheet spacing
+                rows = [x for k in order for x in (cases[k], _stretched(cases[k]))]
+                got = solve_equilibria(rows)
+                for k, eq, bad in zip(order, got[::2], got[1::2]):
+                    assert _state_bytes(eq) == one[k]
+                    assert isinstance(bad, InfeasibleFormation)
+                    stacked[k] = eq
+        assert hashlib.sha256(b"".join(map(_state_bytes, stacked))).hexdigest() == SOLVE_DIGEST
+        assert hashlib.sha256(b"".join(one)).hexdigest() == SOLVE_DIGEST
+
+    def test_failing_rows_keep_their_errors(self):
+        rng = np.random.default_rng(5)
+        _, f = draw_transport_case(rng, 4)
+        bad = _stretched(f)
+        with pytest.raises(InfeasibleFormation) as raised:
+            solve_equilibrium(bad)
+        got = solve_equilibria([bad, f, bad])
+        assert [type(x) for x in got] == [InfeasibleFormation, type(solve_equilibrium(f)),
+                                          InfeasibleFormation]
+        assert str(got[0]) == str(raised.value)
+        assert solve_equilibria([]) == []
+        with pytest.raises(ValueError):
+            solve_equilibria([f, draw_transport_case(rng, 3)[1]])
+
+    def test_ridge_hang(self):
+        rng = np.random.default_rng(21)
+        cases = [draw_ridge_case(rng)[1] for _ in range(4)]
+        for f in cases:
+            row, interior = winning_row(f)
+            assert interior <= row < interior + 6          # a ridge row won
+            eq = solve_equilibrium(f)
+            assert eq.boundary_contact
+            v, r = f.layout.holding_points, f.robot_positions
+            i, j = (0, 2) if row - interior == 1 else (1, 3)   # the two diagonals
+            assert row - interior in (1, 4)
+            assert eq.sheet_contact.tobytes() == (0.5 * (v[i] + v[j])).tobytes()
+            assert eq.horizontal.tobytes() == (0.5 * (r[i] + r[j])).tobytes()
+        stacked = solve_equilibria(cases + [_stretched(cases[0])] + cases[::-1])
+        for f, eq, back in zip(cases, stacked, stacked[:4:-1]):
+            assert _state_bytes(eq) == _state_bytes(solve_equilibrium(f)) == _state_bytes(back)

@@ -166,3 +166,27 @@ def test_grid_split_rows_same_bytes():
                  for part in np.split(rho, cuts)]
         assert np.concatenate([p[0] for p in parts]).tobytes() == q.tobytes()
         assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
+
+
+def test_grid_rows_with_own_centers():
+    # one center set and one center height per row, in runs of equal sets or
+    # shuffled, gives each row the bytes of its own shared-center call
+    rng = np.random.default_rng(49)
+    by_n = {}
+    for centers, rho in _pinned_cases():
+        by_n.setdefault(len(centers), []).append((centers, rho[:200]))
+    for cases in by_n.values():
+        heights = [0.79 + 0.31 * k for k in range(len(cases))]
+        centers = np.concatenate([np.broadcast_to(c, (len(rho),) + c.shape)
+                                  for c, rho in cases])
+        z_r = np.concatenate([np.full(len(rho), h) for (_, rho), h in zip(cases, heights)])
+        rho = np.concatenate([rho for _, rho in cases])
+        parts = [kernels.lowest_point_grid(c, h, r) for (c, r), h in zip(cases, heights)]
+        q = np.concatenate([p[0] for p in parts])
+        z = np.concatenate([p[1] for p in parts])
+        for order in (np.arange(len(rho)), rng.permutation(len(rho))):
+            q_rows, z_rows = kernels.lowest_point_grid(centers[order], z_r[order], rho[order])
+            assert q_rows.tobytes() == q[order].tobytes()
+            assert z_rows.tobytes() == z[order].tobytes()
+    q, z = kernels.lowest_point_grid(np.zeros((0, 3, 2)), np.zeros(0), np.zeros((0, 3)))
+    assert q.shape == (0, 2) and z.shape == (0,)

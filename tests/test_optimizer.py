@@ -1,6 +1,11 @@
 """Cost terms and the constrained formation optimizer."""
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetplan import (
     CostWeights,
@@ -11,12 +16,16 @@ from sheetplan import (
     cost_pass,
     cost_transport,
     indicators,
+    load_scenario,
     optimize_formation,
+    pipeline,
+    run_pipeline,
     solve_equilibrium,
 )
 from sheetplan.geometry import FormationIndicators
+from sheetplan.optimizer import EVAL_BUDGET, STEP_MIN, _pattern_search
 
-from conftest import equilateral_formation, equilateral_layout
+from conftest import CORRIDOR, TURNED, equilateral_formation, equilateral_layout
 
 W = CostWeights()
 TINY = CostWeights(l1=1.0, l2=1.0, l3=1e-300, l4=1e-300, l5=1e-300)
@@ -185,3 +194,107 @@ class TestOptimizeFormation:
         assert sol.j_pass == pytest.approx(cost_pass(sol.indicators.W, 2.0, W))
         assert sol.j_cross == pytest.approx(cost_cross(sol.indicators, ob, W))
         assert sol.j_pass <= 0 and sol.j_cross <= 0
+
+
+def sequential_search(x, fun, budget, steps0):
+    """The pattern search probing one point at a time, as it was before the
+    polls were stacked: the reference the stacked search must replay."""
+    steps = np.array(steps0, dtype=float)
+    f0 = fun(x)
+    used = 1
+    while used < budget and float(np.max(steps)) > STEP_MIN:
+        improved = False
+        for d in range(len(x)):
+            for sign in (1.0, -1.0):
+                if used >= budget:
+                    break
+                x_try = x.copy()
+                x_try[d] += sign * steps[d]
+                f_try = fun(x_try)
+                used += 1
+                if f_try < f0 - 1e-15:
+                    x, f0 = x_try, f_try
+                    improved = True
+                    break
+        if not improved:
+            steps *= 0.5
+    return x, f0, used
+
+
+def synthetic_objective(center, scale, salt):
+    """A coarse bowl around `center` plus hashed noise of 0 to 7 units of 2e-16.
+
+    Some points score inf, and the noise makes many improvements fall within
+    1e-15 of the incumbent, on either side of the acceptance threshold.
+    """
+    def fun(x):
+        h = hashlib.sha256(salt + x.tobytes()).digest()
+        if h[0] % 7 == 0:
+            return np.inf
+        bowl = float(np.round(scale * np.sum((x - center) ** 2), 3))
+        return 1.0 + bowl + 2e-16 * (h[1] % 8)
+    return fun
+
+
+class TestStackedPolls:
+    @given(st.integers(1, 6), st.integers(1, 120), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-3, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_replays_the_sequential_search(self, dims, budget, seed, scale):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-1, 1, dims)
+        steps0 = rng.choice([1e-4, 0.05, 0.1, 0.3], dims)
+        fun = synthetic_objective(rng.uniform(-1, 1, dims), scale, seed.to_bytes(4, "little"))
+        calls = []
+
+        def stacked(points):
+            calls.append(len(points))
+            return np.array([fun(x) for x in points])
+
+        x, f, used = _pattern_search(x0.copy(), stacked, budget, steps0)
+        x_ref, f_ref, used_ref = sequential_search(x0.copy(), fun, budget, steps0)
+        assert x.tobytes() == x_ref.tobytes()
+        assert f == f_ref or (np.isinf(f) and np.isinf(f_ref))
+        assert type(used) is int and used == used_ref
+        # the stacks cover every probe the sequential search counts, and a
+        # poll holds at most the 2 * dims probes of one sweep
+        assert sum(calls) >= used and max(calls) <= 2 * dims
+
+    def test_budget_cut_mid_sweep(self):
+        # every probe improves by a little: the search spends the whole
+        # budget, and the last poll is cut to the budget that is left
+        calls = []
+
+        def stacked(points):
+            calls.append(len(points))
+            return -np.sum(points, axis=1)
+
+        x, f, used = _pattern_search(np.zeros(3), stacked, 10, np.full(3, 0.1))
+        x_ref, f_ref, used_ref = sequential_search(
+            np.zeros(3), lambda x: -np.sum(x), 10, np.full(3, 0.1))
+        assert used == used_ref == 10
+        assert x.tobytes() == x_ref.tobytes() and f == f_ref
+        assert calls[-1] < 6
+
+
+def _evaluations(path):
+    counts = []
+    optimize = pipeline.optimize_formation
+
+    def counted(*args, **kwargs):
+        solution = optimize(*args, **kwargs)
+        counts.append(solution.evaluations)
+        return solution
+
+    with mock.patch.object(pipeline, "optimize_formation", counted):
+        run_pipeline(load_scenario(path))
+    return counts
+
+
+@pytest.mark.parametrize("path, expected", [(CORRIDOR, [445, 371]), (TURNED, [462, 500])],
+                         ids=["corridor", "turned_corridor"])
+def test_evaluations_per_obstacle(path, expected):
+    # the last obstacle of turned_corridor spends the whole budget, so the
+    # budget cut of a stacked poll is live on the shipped scenarios
+    assert _evaluations(path) == expected
+    assert EVAL_BUDGET == 500

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,25 @@ def corridor_report():
 @pytest.fixture(scope="module")
 def turned_report():
     return run_pipeline(load_scenario(TURNED))
+
+
+@pytest.mark.parametrize("warm, path, ceiling_mb", [
+    ("corridor_report", CORRIDOR, 0.45), ("turned_report", TURNED, 0.75),
+], ids=["corridor", "turned_corridor"])
+def test_memory_budget(warm, path, ceiling_mb, request):
+    # the traced heap of a warm run may rise above its start by a fixed
+    # amount only: 0.20 and 0.25 MB before the optimizer's polls were
+    # stacked, and a larger transient peak shows up as peak RSS
+    request.getfixturevalue(warm)
+    scenario = load_scenario(path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_pipeline(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2**20 <= ceiling_mb
 
 
 class TestCorridorRun:
@@ -305,6 +325,26 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("sheet_height = -1\n")
         assert cli_main(["validate", str(bad)]) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("line, edit, field", [
+        ("sheet_point = 1.6 0.0", "sheet_point = 1e300 0.0", "sheet_point"),
+        ("corridor_point = 6.0 0.0", "corridor_point = 1e300 0.0", "corridor_point"),
+        ("robot = 0.125812516 -0.060349536", "robot = 1e300 -0.060349536", "robot"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    def test_huge_coordinates_name_their_field(self, command, line, edit, field,
+                                               tmp_path, capsys):
+        # finite but huge: the pair distances or segment lengths overflow,
+        # which is a named error, with no numpy warning before it
+        with open(CORRIDOR, encoding="utf-8") as fh:
+            text = fh.read()
+        assert line in text
+        path = tmp_path / "huge.txt"
+        path.write_text(text.replace(line, edit))
+        assert cli_main([command, str(path), "--out", str(tmp_path / "o")][
+            :None if command == "plan" else 2]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
 
     def test_plan_writes_outputs(self, tmp_path, capsys):
         rc = cli_main(["plan", CORRIDOR, "--out", str(tmp_path / "run")])

@@ -299,10 +299,12 @@ def edit_lines(lines, edits):
     return "\n".join(lines)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(EDITS)
 def test_line_edits_fail_only_with_scenario_errors(edits):
-    """Every edited file parses or raises ParseError or ValidationError."""
+    """Every edited file parses or raises ParseError or ValidationError, with
+    no numpy warning on the way (a swapped-in 1e300 overflowed before)."""
     try:
         parse_scenario(edit_lines(MINIMAL.strip().splitlines(), edits))
     except (ParseError, ValidationError):

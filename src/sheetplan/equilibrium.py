@@ -14,9 +14,20 @@ height, which reduces every solve to small exact linear algebra:
   time; `direct_kinematics` calls it with its one taut subset;
 * the global equilibrium is the deepest validated row of one candidate
   table per team size (`_solve_plan`): interior taut subsets, two-cable
-  ridge hangs and contacts pinned to a sheet edge as fixed rows, all
-  validated in one batched call and ranked by one lexsort on height and
-  each row's precomputed taut-set rank;
+  ridge hangs and contacts pinned to a sheet edge as fixed rows, validated
+  in batched calls and ranked by one lexsort on height and each row's
+  precomputed taut-set rank;
+* rows pinned to a sheet edge are solved only where they can win. A
+  contact on edge e (from v_e to v_e+1, length L_e) splits L_e between
+  cables e and e+1, and a point at depth h inside both of their balls has
+  l_e + l_e+1 >= sqrt(4 h^2 + D_e^2), D_e the distance of robots e and
+  e+1 (triangle inequality). So no edge-e row hangs deeper than that
+  pair's ridge, 1/2 sqrt(L_e^2 - D_e^2); with L_e widened by a delta that
+  covers the validation's tolerances (kernel ball slack, end tolerance,
+  line residual; derived in `solve_equilibria`) this gives a floor per
+  edge (`_edge_floors`). The interior and ridge rows are ranked first, and
+  only the edges whose floor does not lie above that winner are solved
+  and ranked against it, which picks the same row as one ranking of all;
 * every step carries a leading formation axis: `solve_equilibria` solves a
   stack of formations with one team size (the optimizer's probes of one
   poll) in one pass, each to the same bits as alone, and
@@ -55,6 +66,7 @@ from .geometry import (
     pair_index,
     point_in_polygon,
     points_in_polygon,
+    polygon_sides,
     require_finite,
     require_positive,
     rotation,
@@ -186,96 +198,90 @@ def _flat_candidate(v, z_r, r, idx):
 
 
 # ------------------------------------------------------- stationary points
-def _plan(systems, n):
+def _plan(systems):
     """Stack the anchored difference systems of `systems` by row count.
 
     A system (idx, e) is a taut subset idx (ascending cable indices) whose
     contact is pinned to the line of sheet edge e (from holding point e to
     e + 1), or free when e < 0. Its rows are one per cable of idx[1:], in
     order, then the edge row. Returns the anchor pairs (idx[0], idx[1]) as a
-    (P, 2) array; the anchor pair of each system in stacked order (the
-    stacks one after the other); the stacked position of each system of
-    `systems`; and one stack per row count: its systems' anchor pairs, the
-    cable of each row (0 in an edge row), the stack positions of the pinned
-    systems, and their (anchor pair, edge end) indices.
+    (P, 2) array, and one stack per row count: the positions of its systems
+    in `systems`, their anchor pairs, the cable of each row (0 in an edge
+    row) and their edges.
     """
     pairs = sorted({idx[:2] for idx, _ in systems})
     where = {p: k for k, p in enumerate(pairs)}
     groups = {}
     for s, (idx, e) in enumerate(systems):
         groups.setdefault(len(idx) - 1 + (e >= 0), []).append(s)
-    stacks, order = [], []
+    stacks = []
     for k, sel in sorted(groups.items()):
         idxs = [systems[s][0] for s in sel]
         pair = np.array([where[idx[:2]] for idx in idxs])
         edge = np.array([systems[s][1] for s in sel])
-        pinned = np.flatnonzero(edge >= 0)
-        ends = (pair[pinned][None], np.stack([edge[pinned], (edge[pinned] + 1) % n]))
         cables = np.array([idx[1:] + (0,) * (k + 1 - len(idx)) for idx in idxs])
-        stacks.append((pair, cables, pinned, ends))
-        order += sel
-    frame = np.concatenate([pair for pair, *_ in stacks])
-    return np.array(pairs), frame, np.argsort(order), stacks
+        stacks.append((np.array(sel), pair, cables, edge))
+    return np.array(pairs), stacks
 
 
-def _stationary_points(v, z_r, r, plan):
-    """Minimum-energy point of the taut-equality manifold of every system.
+def _stationary_points(v, z_r, r, plan, solve):
+    """Minimum-energy point of the taut-equality manifold of chosen systems.
 
     Anchored differencing makes each system linear in the contact u and the
     local object position w; an edge row pins u to the line of a sheet edge.
     A rank-revealing SVD gives a particular solution and the null space, and
     the hang quadratic J = |w|^2 - |u|^2 is minimized over it. The canonical
-    frames are computed once per anchor pair; all systems with the same
-    number of rows are solved as one stack, and all with the same rank are
-    minimized as one. Each stacked product keeps the memory layout
+    frames are computed once per anchor pair; all chosen systems with the
+    same number of rows are solved as one stack, and all with the same rank
+    are minimized as one. Each stacked product keeps the memory layout
     (transposed views, not copies) of the 2-D or 1-D product of one system,
     so that a system rounds the same whatever it is stacked with: the golden
     outputs print round-off.
 
     `v` and `r` are (K, n, 2) and `z_r` is (K,): one sheet, team and
-    holding height per formation of the stack, every formation solving the
-    same systems. Returns the contacts u (K, S, 2), object positions
-    q (K, S, 2) and heights z (K, S) in original coordinates, and the mask
-    of the systems that have a minimum: consistent, with the hang quadratic
+    holding height per formation of the stack; `solve` (K, S) marks the
+    systems of the plan to solve for each formation. Returns the contacts
+    u (K, S, 2), object positions q (K, S, 2) and heights z (K, S) in
+    original coordinates (zero where not solved), and the mask of the
+    solved systems that have a minimum: consistent, with the hang quadratic
     bounded below along the null space, at a real hang depth.
     """
-    pairs, frame, unstack, stacks = plan
-    K, count = len(r), len(frame)
+    pairs, stacks = plan
     canon, (vrows, _), origin, back = _frames(np.array([v, r]), pairs)
-    # every system of every formation, formation-major, in stacked order
-    x0 = np.empty((K, count, 4))
-    Vt = np.empty((K, count, 4, 4))
-    rank = np.empty((K, count), dtype=np.intp)
-    consistent = np.empty((K, count), dtype=bool)
-    at = 0
-    for pair, cables, pinned, ends in stacks:
-        vk, rk = canon[:, :, pair[:, None], cables]
-        A = np.concatenate([2 * vk, -2 * rk], axis=3)
+    # the chosen (formation, system, anchor pair) entries, stack by stack
+    at, x0, Vt, rank, consistent = [], [], [], [], []
+    for sel, pair, cables, edge in stacks:
+        f, s = np.nonzero(solve[:, sel])
+        if not len(f):
+            continue
+        p, e = pair[s], edge[s]
+        vk, rk = canon[:, f[:, None], p[:, None], cables[s]]
+        A = np.concatenate([2 * vk, -2 * rk], axis=2)
         b = dot(vk, vk) - dot(rk, rk)
+        pinned = np.flatnonzero(e >= 0)
         if len(pinned):
-            a2, b2 = vrows[:, ends[0], ends[1]].swapaxes(0, 1)
-            A[:, pinned, -1, :2] = (b2 - a2)[..., ::-1] * (-1.0, 1.0)
-            A[:, pinned, -1, 2:] = 0.0
-            b[:, pinned, -1] = b2[..., 0] * a2[..., 1] - b2[..., 1] * a2[..., 0]
-        size = len(pair)
-        A, b = A.reshape((K * size,) + A.shape[2:]), b.reshape(K * size, -1)
+            fp, pp, ep = f[pinned], p[pinned], e[pinned]
+            a2, b2 = vrows[fp, pp, ep], vrows[fp, pp, (ep + 1) % v.shape[1]]
+            A[pinned, -1, :2] = (b2 - a2)[..., ::-1] * (-1.0, 1.0)
+            A[pinned, -1, 2:] = 0.0
+            b[pinned, -1] = b2[..., 0] * a2[..., 1] - b2[..., 1] * a2[..., 0]
         # overdetermined systems (redundant cables) pass through: the residual
         # test below keeps only geometrically consistent ones
         U, S, W = np.linalg.svd(A)
         live = S > 1e-10 * np.maximum(S[:, :1], 1.0)
         # x = W^T S^+ U^T b, with the pseudo-inverse applied entrywise
-        scaled = np.zeros((K * size, 4))
+        scaled = np.zeros((len(f), 4))
         scaled[:, :S.shape[1]] = (1.0 / np.where(live, S, np.inf)) * (
             _T(U) @ b[..., None])[:, :S.shape[1], 0]
         x = (_T(W) @ scaled[..., None])[..., 0]
         res = (A @ x[..., None])[..., 0] - b
-        stack = slice(at, at + size)
-        x0[:, stack], Vt[:, stack] = x.reshape(K, size, 4), W.reshape(K, size, 4, 4)
-        rank[:, stack] = live.sum(axis=1).reshape(K, size)
-        consistent[:, stack] = ~(np.sqrt(dot(res, res)).reshape(K, size)
-                                 > 1e-8 * np.maximum(1.0, np.sqrt(dot(b, b))).reshape(K, size))
-        at += size
-    x0, Vt, rank, consistent = x0.reshape(-1, 4), Vt.reshape(-1, 4, 4), rank.ravel(), consistent.ravel()
+        at.append((f, sel[s], p))
+        x0.append(x)
+        Vt.append(W)
+        rank.append(live.sum(axis=1))
+        consistent.append(~(np.sqrt(dot(res, res)) > 1e-8 * np.maximum(1.0, np.sqrt(dot(b, b)))))
+    f, s, p = map(np.concatenate, zip(*at))
+    x0, Vt, rank, consistent = map(np.concatenate, (x0, Vt, rank, consistent))
     uw = np.zeros((2, len(x0), 2))             # local contact and object position
     depth = np.zeros(len(x0))
     ok = np.zeros(len(x0), dtype=bool)
@@ -305,10 +311,11 @@ def _stationary_points(v, z_r, r, plan):
         uw[0, g], uw[1, g] = uu, ww
         depth[g] = np.sqrt(np.maximum(drop2, 0.0))
         ok[g] = has & ~(drop2 < -1e-9)
-    uq = ((uw[..., None, :] @ _T(back[:, :, frame].reshape(2, -1, 2, 2)))[..., 0, :]
-          .reshape(2, K, -1, 2) + origin[:, :, frame])[:, :, unstack]
-    return (uq[0], uq[1], z_r[:, None] - depth.reshape(K, -1)[:, unstack],
-            ok.reshape(K, -1)[:, unstack])
+    u, q = np.zeros((2,) + solve.shape + (2,))
+    z, good = np.zeros(solve.shape), np.zeros(solve.shape, dtype=bool)
+    u[f, s], q[f, s] = (uw[..., None, :] @ _T(back[:, f, p]))[..., 0, :] + origin[:, f, p]
+    z[f, s], good[f, s] = z_r[f] - depth, ok
+    return u, q, z, good
 
 
 # --------------------------------------------------------- known taut set
@@ -316,8 +323,18 @@ def _stretched(stretch):
     return InfeasibleFormation(f"robot pair exceeds sheet spacing by {stretch:.3e} m")
 
 
+def _team_distances(r):
+    """`pair_distances` of robot positions (..., n, 2), with no overflow
+    warning: a pair too far apart to square reads as infinitely far."""
+    if np.abs(r).max() < 1e150:
+        return pair_distances(r)
+    with np.errstate(over="ignore"):
+        return pair_distances(r)
+
+
 def _require_feasible(formation):
-    stretch = formation.stretch()
+    stretch = np.max(_team_distances(formation.robot_positions)
+                     - pair_distances(formation.layout.holding_points))
     if stretch > 1e-9:
         raise _stretched(stretch)
 
@@ -347,7 +364,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         return _build_equilibrium(formation, u, q, z)
     base = taut[:5]
     u, q, z, ok = _stationary_points(v[None], np.array([z_r]), r[None],
-                                     _plan([(tuple(base), -1)], formation.n))
+                                     _plan([(tuple(base), -1)]), np.ones((1, 1), dtype=bool))
     if not ok[0, 0]:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
@@ -396,8 +413,19 @@ def _solve_plan(n):
     ends = np.array([(e, (e + 1) % n) for _, e in edge]).T
     member = np.any(hulls[:, :, None] == np.arange(n), axis=1)
     spans = member[:, pair_index(n)].all(axis=1)
-    plan = _plan([(idx, -1) for idx in interior] + edge, n)
+    plan = _plan([(idx, -1) for idx in interior] + edge)
     return sets, plan, hulls, ends, spans, np.array([order[idx] for idx in sets])
+
+
+def _edge_floors(v, z_r, r):
+    """Per formation and sheet edge e, a height below which no row pinned to
+    e validates: z_r - 1/2 sqrt((L_e + delta_e)^2 - D_e^2) - ENERGY_TOL, as
+    derived in `solve_equilibria`."""
+    side, gap = polygon_sides(v), polygon_sides(r)
+    L = np.sqrt(dot(side, side))
+    W = 0.5 * L.sum(axis=-1, keepdims=True)     # half the perimeter: at least the sheet's width
+    delta = 2 * FEAS_TOL + 2e-9 * L + 1e-7 * np.maximum(1.0, W * W) / L
+    return z_r[..., None] - 0.5 * np.sqrt((L + delta) ** 2 - dot(gap, gap)) - ENERGY_TOL
 
 
 def _select_best(v, z_r, r, z, u, q, ok, rank):
@@ -437,13 +465,52 @@ def solve_equilibria(formations) -> list:
     formations leave the stack before the solve; the others are solved
     together along a leading formation axis, each to the same bits as on
     its own. Raises ValueError when the team sizes differ.
+
+    The solve has two phases. Phase 1 solves the interior systems, adds
+    the ridge rows and ranks them: each formation's best validated height
+    z*. Phase 2 solves the edge systems of each (formation, edge e) whose
+    floor lies at or below z*, or of every edge when nothing validated,
+    and ranks them together with the phase-1 winner. A skipped row would
+    validate only at a height above its floor, hence above z*: it could
+    neither win nor tie, and the pick is the one of ranking every row.
+
+    The floor. Let a validated row pin its contact u to edge e, from v_e
+    to v_e+1 with length L_e, and let D_e be the distance of robots e and
+    e+1 (ball centers P_e, P_e+1 at the holding height). Its height z lies
+    at most ENERGY_TOL below the kernel's lowest point p for the radii
+    l_i = |v_i - u|, and p lies within l_i + FEAS_TOL of every P_i (the
+    kernel's ball slack). A point at depth h below the holding height has
+    |p - P_e| + |p - P_e+1| >= sqrt(4 h^2 + D_e^2), equality below the
+    midpoint of the two centers. So h <= 1/2 sqrt((l_e + l_e+1 +
+    2 FEAS_TOL)^2 - D_e^2), and l_e + l_e+1 <= L_e + 2 |s'| L_e + 2 t,
+    where s' is how far u's projection passes an end of the edge (a share
+    of L_e) and t is u's distance from the edge's line. Hence
+    z >= z_r - 1/2 sqrt((L_e + delta_e)^2 - D_e^2) - ENERGY_TOL with
+    delta_e = 2 FEAS_TOL + 2e-9 L_e + 2 t_max:
+
+    * 2 FEAS_TOL, the ball slack of both balls;
+    * 2e-9 L_e, since the end test admits |s'| <= 1e-9;
+    * 2 t_max for the line residual. The pinned row reads L_e t, and the
+      consistency test of `_stationary_points` holds the residual below
+      1e-8 max(1, |b|), with |b| <= 2 W^2 (at most four rows, each right
+      side at most W^2 in size; W is the sheet's width, which half the
+      perimeter bounds). The minimization then moves the solution by at
+      most |x| <= 1.5 W (a contact on the sheet and an object within its
+      cables, both from their anchors) along directions the rank cutoff
+      keeps within 1e-10 max(1, 5 W) of the null space (|A| <= 5 W). So
+      L_e t_max <= 2.5e-8 max(1, W^2); the code takes twice that bound,
+      1e-7 max(1, W^2) / L_e for 2 t_max, as room for round-off.
+
+    Feasible formations have D_e <= L_e + 1e-9 < L_e + delta_e, so every
+    floor is real. Every system rounds the same whatever it is stacked
+    with, so the rows of both phases carry the bits of a solve of all.
     """
     results = list(formations)
     if not results:
         return results
     v, r, z_r = map(np.array, zip(*[(f.layout.holding_points, f.robot_positions,
                                      f.holding_height) for f in results]))
-    lv, lr = pair_distances(v), pair_distances(r)
+    lv, lr = pair_distances(v), _team_distances(r)
     stretch = np.max(lr - lv, axis=1)          # as Formation.stretch() of each
     stack = np.flatnonzero(~(stretch > 1e-9))
     if len(stack) < len(results):
@@ -452,16 +519,14 @@ def solve_equilibria(formations) -> list:
         if not len(stack):
             return results
         v, r, z_r, lv, lr = v[stack], r[stack], z_r[stack], lv[stack], lr[stack]
-    n = r.shape[1]
+    K, n = r.shape[:2]
 
     sets, plan, hulls, ends, spans, rank = _solve_plan(n)
-    u, q, z, ok = _stationary_points(v, z_r, r, plan)
-    ni = len(hulls)
-    a, ab = v[:, ends[0]], v[:, ends[1]] - v[:, ends[0]]
-    s = dot(u[:, ni:] - a, ab) / dot(ab, ab)
-    ok &= np.concatenate([
-        points_in_polygon(u[:, :ni], v[:, hulls]), (s >= -1e-9) & (s <= 1 + 1e-9)
-    ], axis=1)
+    ni, ne = len(hulls), ends.shape[1]
+    # phase 1: the interior systems and the ridges
+    interior = np.arange(ni + ne) < ni
+    u, q, z, ok = _stationary_points(v, z_r, r, plan, np.broadcast_to(interior, (K, ni + ne)))
+    ok[:, :ni] &= points_in_polygon(u[:, :ni], v[:, hulls])
     stretched = np.abs(lv - lr) <= 1e-9
     for f in np.flatnonzero(stretched.any(axis=1)):
         # a fully stretched subset hangs flat, whatever its stationary point
@@ -477,6 +542,23 @@ def solve_equilibria(formations) -> list:
     u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
                    for x, rows in zip((u, q, z, ok), ridge))
     best = _select_best(v, z_r, r, z, u, q, ok, rank)
+
+    # phase 2: the edges whose floor does not lie above the phase-1 winner
+    need = _edge_floors(v, z_r, r) <= np.where(best >= 0, z[np.arange(K), best], np.inf)[:, None]
+    g = np.flatnonzero(need.any(axis=1))
+    if len(g):
+        v2, z2, r2, edge = v[g], z_r[g], r[g], slice(len(rank) - ne, None)
+        solve = np.zeros((len(g), ni + ne), dtype=bool)
+        solve[:, ni:] = need[g][:, ends[0]]
+        *solved, pinned = (x[:, ni:] for x in _stationary_points(v2, z2, r2, plan, solve))
+        u[g, edge], q[g, edge], z[g, edge] = solved
+        a, ab = v2[:, ends[0]], v2[:, ends[1]] - v2[:, ends[0]]
+        s = dot(solved[0] - a, ab) / dot(ab, ab)
+        keep = np.zeros((len(g), len(rank)), dtype=bool)
+        keep[:, edge] = pinned & (s >= -1e-9) & (s <= 1 + 1e-9)
+        won = np.flatnonzero(best[g] >= 0)
+        keep[won, best[g[won]]] = True         # the phase-1 winner competes again
+        best[g] = _select_best(v2, z2, r2, z[g], u[g], q[g], keep, rank)
     for k in stack[best < 0]:
         results[k] = NoEquilibrium(
             "no candidate equilibrium validated; feasible input should always "
@@ -501,10 +583,11 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     inside the subset's hull; the flat contact when the subset is fully
     stretched), two-cable fold-line ridge hangs, and subsets of two to four
     cables with the contact pinned to a sheet edge (contact on that edge).
-    One stacked generator, `_stationary_points`, solves the interior and
-    edge systems together; every row is then validated against the cable
-    inequalities and the exact lowest-point kernel in one `_select_best`
-    call, and the lowest-energy survivor is returned. Ties favor larger
+    One stacked generator, `_stationary_points`, solves the systems; rows
+    are validated against the cable inequalities and the exact lowest-point
+    kernel by `_select_best`, and the lowest-energy survivor is returned.
+    Edge systems are solved only where their floor does not lie above the
+    best interior or ridge row (see `solve_equilibria`). Ties favor larger
     taut sets, then lexicographic order. This is the one-formation stack of
     `solve_equilibria`.
     """

@@ -84,17 +84,18 @@ def draw_transport_case(rng, n, slack_pull=True, max_tries=200):
     raise RuntimeError("failed to draw a feasible random formation")
 
 
-def random_folded_case(rng, n):
+def random_folded_case(rng, n, gap=(0.3, 0.4)):
     """Random sheet with one wide edge whose two robots are pulled together.
 
     Holding points sit on a jittered circle with a wide gap between points
-    n-1 and 0; the robots are contracted toward the centroid, and robots 0
-    and n-1 are pulled toward their midpoint. That edge folds, and the load
-    tends to hang from the fold line or pinned to the sheet boundary (the
-    boundary-contact regime). Returns (layout, formation) or None when the
-    draw fails the convexity/feasibility guards.
+    n-1 and 0, spanning a share of the circle drawn from `gap`; the robots
+    are contracted toward the centroid, and robots 0 and n-1 are pulled
+    toward their midpoint. That edge folds, and the load tends to hang from
+    the fold line or pinned to the sheet boundary (the boundary-contact
+    regime). Returns (layout, formation) or None when the draw fails the
+    convexity/feasibility guards.
     """
-    gap = rng.uniform(0.3, 0.4) * 2 * np.pi
+    gap = rng.uniform(*gap) * 2 * np.pi
     step = (2 * np.pi - gap) / (n - 1)
     ang = step * (np.arange(n) + rng.uniform(-0.2, 0.2, n))
     rad = rng.uniform(0.7, 1.0, n)
@@ -110,9 +111,9 @@ def random_folded_case(rng, n):
     return _carried(v, r)
 
 
-def draw_folded_case(rng, n, max_tries=200):
+def draw_folded_case(rng, n, max_tries=200, gap=(0.3, 0.4)):
     for _ in range(max_tries):
-        case = random_folded_case(rng, n)
+        case = random_folded_case(rng, n, gap)
         if case is not None:
             return case
     raise RuntimeError("failed to draw a feasible folded formation")
@@ -121,7 +122,9 @@ def draw_folded_case(rng, n, max_tries=200):
 def winning_row(formation):
     """(row of the solve's candidate table that wins, number of interior rows).
 
-    The ridge rows follow the interior ones, one per cable pair.
+    The ridge rows follow the interior ones, one per cable pair. The last
+    `_select_best` call picks the winner: a second call, when the solve
+    needs one, ranks the edge rows against the first call's winner.
     """
     from unittest import mock
 
@@ -136,7 +139,7 @@ def winning_row(formation):
 
     with mock.patch.object(equilibrium, "_select_best", spy):
         equilibrium.solve_equilibrium(formation)
-    return int(won[0][0]), len(equilibrium._solve_plan(formation.n)[2])
+    return int(won[-1][0]), len(equilibrium._solve_plan(formation.n)[2])
 
 
 def random_square_case(rng):
@@ -183,11 +186,9 @@ def _random_layout(rng, n, z_r=0.79):
 def _kkt_target(rng, n):
     """Construct an all-taut equilibrium directly from its KKT conditions.
 
-    Multipliers drawn on the simplex fix the contact (sheet-side balance);
-    the first n-2 cable bearings are free and the last two close the
-    horizontal force balance (two-link solve). Used for n = 3, 4 where the
-    all-taut equilibrium set is a thin variety that rejection sampling of
-    formations essentially never hits.
+    The commanded state comes from `_kkt_command`. Used for n = 3, 4 where
+    the all-taut equilibrium set is a thin variety that rejection sampling
+    of formations essentially never hits.
     """
     from sheetplan import inverse_kinematics, solve_equilibrium
     from sheetplan.errors import SheetPlanError
@@ -195,11 +196,36 @@ def _kkt_target(rng, n):
     layout = _random_layout(rng, n)
     if layout is None:
         return None
-    v = layout.holding_points
-    z_r = layout.holding_height
     mu = rng.dirichlet(2.0 * np.ones(n))
     if np.min(mu) < 0.05:
         return None
+    command = _kkt_command(rng, layout, mu)
+    if command is None:
+        return None
+    u, z_o, phis = command
+    try:
+        built = inverse_kinematics(layout, u, z_o, phis, anchor=(0.0, 0.0))
+    except SheetPlanError:
+        return None
+    eq = solve_equilibrium(built)
+    if eq.taut_count != n:
+        return None
+    if np.linalg.norm(eq.sheet_contact - u) > 1e-8 or abs(eq.z - z_o) > 1e-8:
+        return None
+    return layout, built, eq, phis
+
+
+def _kkt_command(rng, layout, mu):
+    """(contact, height, bearings) of an all-taut state that meets the KKT
+    conditions with multipliers proportional to `mu`, or None.
+
+    The multipliers fix the contact (sheet-side balance); the first n-2
+    cable bearings are free and the last two close the horizontal force
+    balance (two-link solve).
+    """
+    n = layout.n
+    v = layout.holding_points
+    z_r = layout.holding_height
     u = mu @ v
     l = np.linalg.norm(v - u, axis=1)
     h = rng.uniform(0.45, 0.8) * np.min(l)
@@ -232,16 +258,50 @@ def _kkt_target(rng, n):
         if best is None or score < best[0]:
             best = (score, p3, p4)
     phis[n - 2], phis[n - 1] = best[1], best[2]
-    try:
-        built = inverse_kinematics(layout, u, z_o, phis, anchor=(0.0, 0.0))
-    except SheetPlanError:
-        return None
-    eq = solve_equilibrium(built)
-    if eq.taut_count != n:
-        return None
-    if np.linalg.norm(eq.sheet_contact - u) > 1e-8 or abs(eq.z - z_o) > 1e-8:
-        return None
-    return layout, built, eq, phis
+    return u, z_o, phis
+
+
+def draw_kkt_command(rng, n, max_tries=20000):
+    """Inverse-kinematics inputs (layout, contact, height, bearings) and the
+    formation they build, whose all-taut state meets the KKT conditions
+    with margin.
+
+    Unlike `draw_consistent_target`, nothing here solves the equilibrium:
+    holding points sit on a jittered circle, multipliers are drawn near
+    uniform, and `_kkt_command` balances the bearings, so every multiplier
+    is positive. The cable constraints' gradients in (contact, object
+    position, height), one normalized row per cable, must keep a smallest
+    singular value s of at least 0.01: the rows are then independent, and
+    with five or more cables they span all five unknowns, so the state is
+    a strict local minimum and a solve whose cables may be FEAS_TOL too
+    long finds its contact within about FEAS_TOL / s of it. Nearly
+    dependent rows let a four-cable subset hang up to 1e-8 m lower a few
+    tenths of a millimetre away (seen at n = 5 on 3 of 600 unfiltered
+    draws, with s below 3e-4).
+    """
+    from sheetplan import inverse_kinematics
+    from sheetplan.errors import SheetPlanError
+
+    for _ in range(max_tries):
+        ang = 2 * np.pi / n * (np.arange(n) + rng.uniform(-0.2, 0.2, n))
+        v = rng.uniform(0.7, 1.0, n)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        mu = rng.dirichlet(4.0 * np.ones(n))
+        if not _convex_ccw(v) or np.min(mu) < 0.3 / n:
+            continue
+        layout = SheetLayout(v, 0.79)
+        command = _kkt_command(rng, layout, mu)
+        if command is None:
+            continue
+        u, z_o, phis = command
+        try:
+            built = inverse_kinematics(layout, u, z_o, phis)   # object above the origin
+        except SheetPlanError:
+            continue
+        grad = np.column_stack([v - u, built.robot_positions, np.full(n, 0.79 - z_o)])
+        grad /= np.linalg.norm(grad, axis=1, keepdims=True)
+        if np.linalg.svd(grad, compute_uv=False)[-1] >= 0.01:
+            return layout, u, z_o, phis, built
+    raise RuntimeError(f"failed to draw a balanced all-taut command for n={n}")
 
 
 def _direct_target(rng, n):

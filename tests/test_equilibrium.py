@@ -20,15 +20,19 @@ from sheetplan import (
     solve_equilibrium,
 )
 from sheetplan.equilibrium import (
+    ENERGY_TOL,
     FEAS_TOL,
     TAUT_TOL,
+    _cables,
+    _edge_floors,
     _select_best,
     _solve_plan,
+    _stationary_points,
     cable_distances,
     solve_equilibria,
 )
-from sheetplan.geometry import rotation
-from sheetplan import kernels
+from sheetplan.geometry import dot, pair_distances, pair_index, points_in_polygon, rotation
+from sheetplan import equilibrium, kernels
 
 from conftest import (
     draw_consistent_target,
@@ -276,6 +280,18 @@ class TestSolveEquilibrium:
         with pytest.raises(InfeasibleFormation):
             solve_equilibrium(f)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_coordinates_are_infeasible(self, triangle_layout):
+        # the robot pair distances overflow a float's square: the pair reads
+        # as infinitely far apart, with no overflow warning on the way
+        f = Formation([[0.0, 0.0], [1e300, 0.0], [0.0, 1.0]], triangle_layout)
+        for solve in (solve_equilibrium, oracle_equilibrium,
+                      lambda f: direct_kinematics(f, [1, 1, 1])):
+            with pytest.raises(InfeasibleFormation, match="by inf m"):
+                solve(f)
+        (got,) = solve_equilibria([f])
+        assert isinstance(got, InfeasibleFormation)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
@@ -488,6 +504,29 @@ class TestStackedSolve:
         with pytest.raises(ValueError):
             solve_equilibria([f, draw_transport_case(rng, 3)[1]])
 
+    def test_phase_two_in_a_mixed_stack(self):
+        # formations whose every edge is skipped stacked with formations that
+        # solve some edges again: only the latter reach the second selection,
+        # and each row keeps the bits of its own solve
+        rng = np.random.default_rng(23)
+        for n in range(3, 9):
+            skip = _draws(lambda: draw_transport_case(rng, n, max_tries=5000), True)
+            need = _draws(lambda: draw_folded_case(rng, n, 5000, (0.4, 0.5)), False)
+            mixed = [need[0], skip[0], need[1], skip[1]]
+            one = [_state_bytes(solve_equilibrium(f)) for f in mixed]
+            for order in (slice(None), slice(None, None, -1)):
+                sizes = []
+                select = equilibrium._select_best
+
+                def spy(*args):
+                    sizes.append(len(args[6]))
+                    return select(*args)
+
+                with mock.patch.object(equilibrium, "_select_best", spy):
+                    got = solve_equilibria(mixed[order])
+                assert sizes == [4, 2]
+                assert list(map(_state_bytes, got)) == one[order]
+
     def test_ridge_hang(self):
         rng = np.random.default_rng(21)
         cases = [draw_ridge_case(rng)[1] for _ in range(4)]
@@ -504,3 +543,117 @@ class TestStackedSolve:
         stacked = solve_equilibria(cases + [_stretched(cases[0])] + cases[::-1])
         for f, eq, back in zip(cases, stacked, stacked[:4:-1]):
             assert _state_bytes(eq) == _state_bytes(solve_equilibrium(f)) == _state_bytes(back)
+
+
+def _floors(formation):
+    """`_edge_floors` of one formation, one per sheet edge."""
+    return _edge_floors(formation.layout.holding_points[None],
+                        np.array([formation.holding_height]), formation.robot_positions[None])[0]
+
+
+def _draws(draw, skipped, count=2):
+    """`count` formations of `draw()` whose every edge is skipped (`skipped`) or not."""
+    got = []
+    while len(got) < count:
+        f = draw()[1]
+        if bool(np.all(_floors(f) > solve_equilibrium(f).z)) == skipped:
+            got.append(f)
+    return got
+
+
+def full_table(formation):
+    """The one-phase solve, kept as the reference of the edge skip rule.
+
+    Every system of the candidate table is solved and filtered, the ridge
+    rows are inserted, and each row is validated as `_select_best` does.
+    Returns the table's contacts, object positions and heights, the mask of
+    validated rows, and the row that one `_select_best` call over the whole
+    table picks. The draws have no fully stretched pair, so no row hangs flat.
+    """
+    v, r = formation.layout.holding_points[None], formation.robot_positions[None]
+    z_r = np.array([formation.holding_height])
+    n = formation.n
+    _, plan, hulls, ends, _, rank = _solve_plan(n)
+    ni, ne = len(hulls), ends.shape[1]
+    u, q, z, ok = _stationary_points(v, z_r, r, plan, np.ones((1, ni + ne), dtype=bool))
+    a, ab = v[:, ends[0]], v[:, ends[1]] - v[:, ends[0]]
+    s = dot(u[:, ni:] - a, ab) / dot(ab, ab)
+    ok &= np.concatenate([points_in_polygon(u[:, :ni], v[:, hulls]),
+                          (s >= -1e-9) & (s <= 1 + 1e-9)], axis=1)
+    lv, lr = pair_distances(v), pair_distances(r)
+    assert np.all(lr < lv - 1e-9)
+    i, j = pair_index(n)
+    fold = ~(lr >= lv - 1e-12)
+    ridge = (0.5 * (v[:, i] + v[:, j]), 0.5 * (r[:, i] + r[:, j]),
+             z_r[:, None] - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
+    u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
+                   for x, rows in zip((u, q, z, ok), ridge))
+    best = _select_best(v, z_r, r, z, u, q, ok, rank)[0]
+    u, q, z, ok = u[0], q[0], z[0], ok[0]
+    rho, d = _cables(v[0], z_r[0], r[0], u, q, z)
+    valid = ok & points_in_polygon(u, v[0]) & ~np.any(d > rho + FEAS_TOL, axis=1)
+    _, z_low = kernels.lowest_point_grid(r[0], z_r[0], rho[valid])
+    valid[valid] = np.abs(z_low - z[valid]) <= ENERGY_TOL
+    return u, q, z, valid, best
+
+
+def _skip_cases(rng, n):
+    """Transport, folded and wide-folded (boundary) draws, and a ridge hang at n = 4."""
+    yield draw_transport_case(rng, n, max_tries=5000)[1]
+    yield draw_folded_case(rng, n, max_tries=5000)[1]
+    yield draw_folded_case(rng, n, max_tries=5000, gap=(0.4, 0.5))[1]
+    if n == 4:
+        yield draw_ridge_case(rng)[1]
+
+
+class TestEdgeSkip:
+    def test_skipping_solve_equals_full_table(self):
+        # soundness of the skip rule: no validated edge row lies below its
+        # edge's floor, so skipping an edge whose floor lies above the
+        # phase-1 winner cannot change the pick, to the bit
+        seen = []
+
+        @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+        @settings(max_examples=30, deadline=None)
+        def check(n, seed):
+            for f in _skip_cases(np.random.default_rng(seed), n):
+                u, q, z, valid, best = full_table(f)
+                ends = _solve_plan(n)[3]
+                edge = len(z) - ends.shape[1]
+                floors = _floors(f)
+                assert np.all(z[edge:][valid[edge:]] >= floors[ends[0]][valid[edge:]])
+                assert winning_row(f)[0] == best
+                eq = solve_equilibrium(f)
+                assert eq.sheet_contact.tobytes() == u[best].tobytes()
+                assert eq.world_position.tobytes() == np.array([*q[best], z[best]]).tobytes()
+                seen.append((best >= edge, bool(np.all(floors > z[best]))))
+
+        check()
+        assert any(won for won, _ in seen)                # an edge row won
+        assert any(skipped for _, skipped in seen)        # a solve skipped every edge
+
+    @pytest.mark.parametrize("n, seed", [(3, 2042), (5, 309)])
+    def test_phase_one_winner_competes_again(self, n, seed):
+        # folded draws whose interior winner hangs within 1e-6 m of an
+        # edge's floor and beats that edge's best row by under 1e-8 m: the
+        # edge is solved again, and the phase-1 winner must stay in the
+        # second selection to keep the pick
+        f = draw_folded_case(np.random.default_rng(seed), n)[1]
+        u, q, z, valid, best = full_table(f)
+        edge = len(z) - _solve_plan(n)[3].shape[1]
+        assert best < edge and np.any(valid[edge:])
+        assert np.any(_floors(f) <= z[best])
+        sizes = []
+        select = equilibrium._select_best
+
+        def spy(*args):
+            sizes.append(int(np.count_nonzero(args[6])))
+            won = select(*args)
+            assert won[0] == best
+            return won
+
+        with mock.patch.object(equilibrium, "_select_best", spy):
+            eq = solve_equilibrium(f)
+        assert len(sizes) == 2 and sizes[1] > 1
+        assert eq.sheet_contact.tobytes() == u[best].tobytes()
+        assert eq.world_position.tobytes() == np.array([*q[best], z[best]]).tobytes()

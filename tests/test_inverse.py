@@ -1,6 +1,8 @@
 """Inverse kinematics and its round trip through the equilibrium solver."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetplan import (
     CableTooShort,
@@ -10,9 +12,9 @@ from sheetplan import (
     inverse_kinematics,
     solve_equilibrium,
 )
-from sheetplan.equilibrium import cable_distances
+from sheetplan.equilibrium import FEAS_TOL, cable_distances
 
-from conftest import draw_consistent_target, equilateral_layout
+from conftest import draw_consistent_target, draw_kkt_command, equilateral_layout
 
 
 class TestInverseKinematics:
@@ -102,6 +104,18 @@ class TestInverseKinematics:
                 abs(eq2.z - eq.z),
             )
         assert worst < 1e-6
+
+    @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_kkt_commands_round_trip(self, n, seed):
+        # commands drawn without a solve: inverse kinematics builds the
+        # all-taut state and the solve returns it, the contact within the
+        # FEAS_TOL / 0.01 that the draw's conditioning allows
+        layout, contact, height, phis, f = draw_kkt_command(np.random.default_rng(seed), n)
+        eq = solve_equilibrium(f)
+        assert eq.taut_count == n
+        assert np.linalg.norm(eq.sheet_contact - contact) <= FEAS_TOL / 0.01
+        assert abs(eq.z - height) <= 1e-9
 
     def test_inconsistent_target_drifts(self, triangle_layout):
         # an arbitrary (contact, height, bearings) triple satisfies the taut

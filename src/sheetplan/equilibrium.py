@@ -141,12 +141,6 @@ def cable_distances(formation: Formation, eq: ObjectEquilibrium):
                    formation.robot_positions, eq.sheet_contact, eq.horizontal, eq.z)
 
 
-def _build_equilibrium(formation, u, q, z, boundary=False) -> ObjectEquilibrium:
-    z_r = formation.holding_height
-    l, d = _cables(formation.layout.holding_points, z_r, formation.robot_positions, u, q, z)
-    return _equilibrium(u, q, z, z_r, l, d, boundary)
-
-
 def _equilibrium(u, q, z, z_r, l, d, boundary):
     """The ObjectEquilibrium of a solved state whose cables measure (l, d)."""
     cables = tuple(
@@ -323,18 +317,8 @@ def _stretched(stretch):
     return InfeasibleFormation(f"robot pair exceeds sheet spacing by {stretch:.3e} m")
 
 
-def _team_distances(r):
-    """`pair_distances` of robot positions (..., n, 2), with no overflow
-    warning: a pair too far apart to square reads as infinitely far."""
-    if np.abs(r).max() < 1e150:
-        return pair_distances(r)
-    with np.errstate(over="ignore"):
-        return pair_distances(r)
-
-
 def _require_feasible(formation):
-    stretch = np.max(_team_distances(formation.robot_positions)
-                     - pair_distances(formation.layout.holding_points))
+    stretch = formation.stretch()
     if stretch > 1e-9:
         raise _stretched(stretch)
 
@@ -361,7 +345,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
     if np.all(np.abs(pair_distances(v[taut]) - pair_distances(r[taut])) <= 1e-9):
         # fully stretched: the sheet is flat across the taut subset
         u, q, z = _flat_candidate(v, z_r, r, taut)
-        return _build_equilibrium(formation, u, q, z)
+        return _equilibrium(u, q, z, z_r, *_cables(v, z_r, r, u, q, z), False)
     base = taut[:5]
     u, q, z, ok = _stationary_points(v[None], np.array([z_r]), r[None],
                                      _plan([(tuple(base), -1)]), np.ones((1, 1), dtype=bool))
@@ -380,7 +364,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
             raise InconsistentRedundancy(
                 f"cable {k} off by {off[k]:.2e} at the five-cable solution"
             )
-    return _build_equilibrium(formation, u, q, z)
+    return _equilibrium(u, q, z, z_r, l, d, False)
 
 
 # ------------------------------------------------- equilibrium discovery
@@ -438,17 +422,22 @@ def _select_best(v, z_r, r, z, u, q, ok, rank):
     height is the lowest point of the cable balls for its contact. The
     lowest points of all candidates of the stack that pass the first three
     checks come from one batched kernel call, each with its formation's
-    robots as ball centers. The best is the lowest, then the one of lowest
-    `rank`, then the first row.
+    robots as ball centers, robot 0 of each at the origin (far from it the
+    squared drop of a flat row rounds off by more than ENERGY_TOL**2). The
+    best is the lowest, then the one of lowest `rank`, then the first row;
+    heights within ENERGY_TOL of the holding height tie as flat, since a
+    row's depth near a flat sheet is the root of a rounding error.
     """
     f, row = np.nonzero(ok)
     v, z_r, r = v[f], z_r[f], r[f]
     u, z = u[f, row], z[f, row]
     rho, d = _cables(v, z_r, r, u, q[f, row], z)
     fits = np.flatnonzero(points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1))
-    _, z_low = kernels.lowest_point_grid(r[fits], z_r[fits], rho[fits])
+    team = r[fits]
+    _, z_low = kernels.lowest_point_grid(team - team[:, :1], z_r[fits], rho[fits])
     valid = fits[np.abs(z_low - z[fits]) <= ENERGY_TOL]
-    valid = valid[np.lexsort((valid, rank[row[valid]], z[valid], f[valid]))]
+    level = np.minimum(z, z_r - ENERGY_TOL)     # rows this near flat tie
+    valid = valid[np.lexsort((valid, rank[row[valid]], level[valid], f[valid]))]
     f = f[valid]
     head = np.ones(len(f), dtype=bool)         # the first row of each formation
     head[1:] = f[1:] != f[:-1]
@@ -473,6 +462,8 @@ def solve_equilibria(formations) -> list:
     and ranks them together with the phase-1 winner. A skipped row would
     validate only at a height above its floor, hence above z*: it could
     neither win nor tie, and the pick is the one of ranking every row.
+    (When z* is within ENERGY_TOL of the holding height, so that rows tie
+    as flat, every floor lies below it and no edge is skipped.)
 
     The floor. Let a validated row pin its contact u to edge e, from v_e
     to v_e+1 with length L_e, and let D_e be the distance of robots e and
@@ -510,7 +501,8 @@ def solve_equilibria(formations) -> list:
         return results
     v, r, z_r = map(np.array, zip(*[(f.layout.holding_points, f.robot_positions,
                                      f.holding_height) for f in results]))
-    lv, lr = pair_distances(v), _team_distances(r)
+    with np.errstate(over="ignore"):     # robots too far apart to square: inf apart
+        lv, lr = pair_distances(v), pair_distances(r)
     stretch = np.max(lr - lv, axis=1)          # as Formation.stretch() of each
     stack = np.flatnonzero(~(stretch > 1e-9))
     if len(stack) < len(results):
@@ -652,8 +644,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
         spacing = 2 * win / 20
     u, q, z = best
     on_edge = not point_in_polygon(u, v, tol=-1e-9)
-    eq = _build_equilibrium(formation, u, q, z, boundary=on_edge)
-    return eq
+    return _equilibrium(u, q, z, z_r, *_cables(v, z_r, r, u, q, z), on_edge)
 
 
 # ------------------------------------------------------ inverse kinematics

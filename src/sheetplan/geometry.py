@@ -92,15 +92,17 @@ def check_convex_ccw(points, what="polygon"):
     """Raise NonConvexResult unless points form a strictly convex ccw polygon.
 
     Every cross product of consecutive edges must exceed AREA_TOL, which also
-    rejects near-collinear vertex triples.
+    rejects near-collinear vertex triples. A side or product that overflows
+    reads as inf, or NaN (which fails), with no numpy warning.
     """
     pts = as_points(points)
     n = len(pts)
     if n < 3:
         raise NonConvexResult(f"{what}: need at least 3 vertices, got {n}")
-    a = polygon_sides(pts)
-    b = np.concatenate([a[1:], a[:1]])
-    bad = np.flatnonzero(~(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > AREA_TOL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = polygon_sides(pts)
+        b = np.concatenate([a[1:], a[:1]])
+        bad = np.flatnonzero(~(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > AREA_TOL))
     if len(bad):
         i = bad[0]
         raise NonConvexResult(
@@ -163,7 +165,7 @@ class SheetLayout:
         with np.errstate(over="ignore"):
             if not np.isfinite(pair_distances(pts)).all():
                 raise ValidationError("holding_points", "pair distances must be finite")
-            check_convex_ccw(pts, what="sheet layout")
+        check_convex_ccw(pts, what="sheet layout")
 
     @property
     def n(self) -> int:
@@ -212,11 +214,12 @@ class Formation:
         """Worst pair stretch: max over pairs of ||r_i - r_j|| - ||v_i - v_j||.
 
         Negative means strictly feasible everywhere; 0 means some pair is
-        fully stretched (flat sheet along that pair); positive is infeasible.
+        fully stretched (flat sheet along that pair); positive is infeasible,
+        and inf, with no overflow warning, for robots too far apart to square.
         """
-        return float(np.max(
-            pair_distances(self.robot_positions) - pair_distances(self.layout.holding_points)
-        ))
+        with np.errstate(over="ignore"):
+            return float(np.max(pair_distances(self.robot_positions)
+                                - pair_distances(self.layout.holding_points)))
 
     def translated(self, delta) -> "Formation":
         return Formation(self.robot_positions + np.asarray(delta), self.layout)

@@ -6,8 +6,8 @@ the lowest point of the balls' intersection. Because all centers are
 coplanar, every candidate is a planar trilateration point plus a vertical
 drop, enumerated exactly over active subsets of size 1, 2 and 3.
 
-`lowest_point` solves one instance; `lowest_point_grid` solves a batch,
-vectorized over the batch and over the active subsets. The batch shares
+`lowest_point_grid` solves a batch, vectorized over the batch and over
+the active subsets; `lowest_point` is its batch of one. The batch shares
 its centers (one sheet-contact grid of the oracle) or carries one center
 set and height per row (the candidates of a stack of equilibrium solves,
 each row with its formation's robots). Its membership test runs one ball
@@ -16,8 +16,6 @@ candidates leave after two or three balls, so it makes far fewer tests
 than one of every candidate against all n balls, and returns the same
 bits.
 """
-import itertools
-
 import numpy as np
 
 from .geometry import dot, pair_index, triple_index
@@ -31,58 +29,11 @@ _TURN = np.array([1.0, -1.0])[:, None, None, None]   # (y, x) -> (y, -x), a quar
 
 
 def lowest_point(centers, z_r, rho):
-    """Lowest point of the intersection of balls B((r_i, z_r), rho_i).
-
-    Parameters
-    ----------
-    centers : (N, 2) planar ball-center positions
-    z_r : common center height
-    rho : (N,) ball radii
-
-    Returns
-    -------
-    (q, z) : horizontal position (2,) and height of the lowest point, or
-        (None, +inf) when the intersection is numerically empty.
-    """
-    r = np.asarray(centers, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    n = len(r)
-    rho2 = rho * rho
-    best_q, best_z = None, np.inf
-
-    def consider(q, drop2):
-        nonlocal best_q, best_z
-        if drop2 < -DROP_TOL:
-            return
-        drop2 = max(drop2, 0.0)
-        z = z_r - np.sqrt(drop2)
-        if z >= best_z:
-            return
-        d = r - q
-        if np.all(d[:, 0] ** 2 + d[:, 1] ** 2 + drop2
-                  <= rho2 + FEAS_TOL * (2.0 * rho + FEAS_TOL)):
-            best_q, best_z = q, z
-
-    for i in range(n):
-        consider(r[i], rho2[i])
-    for i, j in itertools.combinations(range(n), 2):
-        d = r[j] - r[i]
-        L2 = float(d @ d)
-        if L2 < 1e-18:
-            continue
-        a = (rho2[i] - rho2[j] + L2) / (2.0 * L2)
-        consider(r[i] + a * d, rho2[i] - a * a * L2)
-    for i, j, k in itertools.combinations(range(n), 3):
-        ax, ay = 2.0 * (r[j] - r[i])
-        bx, by = 2.0 * (r[k] - r[i])
-        det = ax * by - ay * bx
-        if abs(det) < 1e-14:
-            continue
-        c1 = rho2[i] - rho2[j] + r[j] @ r[j] - r[i] @ r[i]
-        c2 = rho2[i] - rho2[k] + r[k] @ r[k] - r[i] @ r[i]
-        q = np.array([(c1 * by - ay * c2) / det, (ax * c2 - bx * c1) / det])
-        consider(q, rho2[i] - float((q - r[i]) @ (q - r[i])))
-    return best_q, best_z
+    """`lowest_point_grid` of one instance, radii `rho` (N,): (q, z), the
+    lowest point's horizontal position (2,) and height, or (None, +inf)
+    when the intersection is numerically empty."""
+    q, z = lowest_point_grid(centers, z_r, np.asarray(rho, dtype=float)[None])
+    return (None, np.inf) if np.isinf(z[0]) else (q[0], z[0])
 
 
 def _subset_terms(r):
@@ -173,7 +124,7 @@ def _lowest_block(r, z_r, rho, pairs, triples):
 
 
 def lowest_point_grid(centers, z_r, rho_grid):
-    """Batched `lowest_point` over G candidates.
+    """Lowest points of G ball intersections, one per candidate row.
 
     Parameters
     ----------

@@ -140,7 +140,6 @@ class _Chart:
         self.initial = initial
         self.safety = safety
         eq0 = solve_equilibrium(initial)
-        self.initial_eq = eq0
         self.v_o0 = eq0.sheet_contact
         # start point: the initial formation's own chart coordinates
         q0 = eq0.horizontal
@@ -220,20 +219,21 @@ def _pattern_search(x, fun, budget, steps0):
     return x, f0, used
 
 
-def _shrunk_start(initial: Formation, safety: SafetyParams):
-    """Fallback start: shrink the initial formation toward its centroid."""
+def _start_chart(initial: Formation, safety: SafetyParams) -> _Chart:
+    """Chart of the first start whose own chart point decodes: the initial
+    formation, else the first of 50 copies shrunk toward its centroid by
+    0.95 each."""
     centroid = initial.centroid()
-    factor = 1.0
-    for _ in range(50):
-        factor *= 0.95
-        pts = centroid + factor * (initial.robot_positions - centroid)
+    points, factor = initial.robot_positions, 1.0
+    for _ in range(51):
         try:
-            candidate = Formation(pts, initial.layout)
-            chart = _Chart(candidate, safety)
+            chart = _Chart(Formation(points, initial.layout), safety)
+            if chart.decode(chart.x0[None])[0] is not None:
+                return chart
         except SheetPlanError:
-            continue
-        if chart.decode(chart.x0[None])[0] is not None:
-            return chart
+            pass
+        factor *= 0.95
+        points = centroid + factor * (initial.robot_positions - centroid)
     raise NoFeasibleFormation("no valid all-taut start found by uniform shrinking")
 
 
@@ -254,13 +254,7 @@ def optimize_formation(
     and finite.
     """
     require_positive("w_convex", w_convex)
-    try:
-        chart = _Chart(initial, safety)
-        if chart.decode(chart.x0[None])[0] is None:
-            chart = _shrunk_start(initial, safety)
-    except SheetPlanError:
-        chart = _shrunk_start(initial, safety)
-
+    chart = _start_chart(initial, safety)
     crossing = _run_program(chart, obstacle, w_convex, weights, mode="crossing")
     if crossing is not None:
         return crossing

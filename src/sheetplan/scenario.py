@@ -175,8 +175,7 @@ class Scenario:
     def __post_init__(self):
         for key in ("speed", "omega", "dt"):
             require_positive(key, getattr(self, key))
-        with np.errstate(over="ignore"):     # robots too far apart stretch it by inf
-            stretch = self.initial_formation.stretch()
+        stretch = self.initial_formation.stretch()
         if not stretch <= 1e-9:
             raise ValidationError("robot", f"initial formation stretches the sheet by {stretch:.3e} m")
         if not all(ob.radius > 0 for ob in self.obstacles):

@@ -6,12 +6,64 @@ import numpy as np
 import pytest
 
 from sheetplan import Formation, SheetLayout
+from sheetplan.kernels import DROP_TOL, FEAS_TOL
 
 # Repository files, located from this file so that pytest runs from any directory.
 REPO = Path(__file__).resolve().parents[1]
 CORRIDOR = str(REPO / "scenarios" / "corridor.txt")
 TURNED = str(REPO / "scenarios" / "turned_corridor.txt")
 REFERENCE = str(REPO / "perfbench" / "reference.json")
+
+
+def reference_lowest_point(centers, z_r, rho):
+    """Lowest point of the intersection of balls B((r_i, z_r), rho_i), one
+    candidate at a time: the tests' reference for the kernels.
+
+    Every single center, pair radical point and triple radical center is a
+    candidate; the lowest one inside every ball (with the kernels' FEAS_TOL
+    slack) wins, the first found on a tie. It agrees with
+    `kernels.lowest_point_grid` to about 1e-12, not to the bit. Returns
+    (q, z), or (None, +inf) when the intersection is numerically empty.
+    """
+    r = np.asarray(centers, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    n = len(r)
+    rho2 = rho * rho
+    best_q, best_z = None, np.inf
+
+    def consider(q, drop2):
+        nonlocal best_q, best_z
+        if drop2 < -DROP_TOL:
+            return
+        drop2 = max(drop2, 0.0)
+        z = z_r - np.sqrt(drop2)
+        if z >= best_z:
+            return
+        d = r - q
+        if np.all(d[:, 0] ** 2 + d[:, 1] ** 2 + drop2
+                  <= rho2 + FEAS_TOL * (2.0 * rho + FEAS_TOL)):
+            best_q, best_z = q, z
+
+    for i in range(n):
+        consider(r[i], rho2[i])
+    for i, j in itertools.combinations(range(n), 2):
+        d = r[j] - r[i]
+        L2 = float(d @ d)
+        if L2 < 1e-18:
+            continue
+        a = (rho2[i] - rho2[j] + L2) / (2.0 * L2)
+        consider(r[i] + a * d, rho2[i] - a * a * L2)
+    for i, j, k in itertools.combinations(range(n), 3):
+        ax, ay = 2.0 * (r[j] - r[i])
+        bx, by = 2.0 * (r[k] - r[i])
+        det = ax * by - ay * bx
+        if abs(det) < 1e-14:
+            continue
+        c1 = rho2[i] - rho2[j] + r[j] @ r[j] - r[i] @ r[i]
+        c2 = rho2[i] - rho2[k] + r[k] @ r[k] - r[i] @ r[i]
+        q = np.array([(c1 * by - ay * c2) / det, (ax * c2 - bx * c1) / det])
+        consider(q, rho2[i] - float((q - r[i]) @ (q - r[i])))
+    return best_q, best_z
 
 
 def regular_polygon(n, radius, center=(0.0, 0.0), phase=np.pi / 2):
@@ -308,7 +360,7 @@ def _direct_target(rng, n):
     """Jittered natural bearings, kept when the built state is the true
     equilibrium; efficient for n >= 5 where the taut system has slack
     multiplier freedom."""
-    from sheetplan import inverse_kinematics, kernels, solve_equilibrium
+    from sheetplan import inverse_kinematics, solve_equilibrium
     from sheetplan.errors import SheetPlanError
 
     layout = _random_layout(rng, n)
@@ -323,7 +375,7 @@ def _direct_target(rng, n):
     except SheetPlanError:
         return None
     rho = layout.cable_lengths(contact)
-    _, z_low = kernels.lowest_point(built.robot_positions, layout.holding_height, rho)
+    _, z_low = reference_lowest_point(built.robot_positions, layout.holding_height, rho)
     if abs(z_low - z_o) > 1e-9:
         return None
     eq = solve_equilibrium(built)

@@ -40,6 +40,7 @@ from conftest import (
     draw_ridge_case,
     draw_transport_case,
     equilateral_formation,
+    reference_lowest_point,
     regular_polygon,
     winning_row,
 )
@@ -350,7 +351,7 @@ class TestSolveEquilibrium:
             for d in v_dirs:
                 u = eq.sheet_contact + 1e-4 * d
                 rho = np.linalg.norm(layout.holding_points - u, axis=1)
-                _, z = kernels.lowest_point(f.robot_positions, Z_R, rho)
+                _, z = reference_lowest_point(f.robot_positions, Z_R, rho)
                 assert z >= eq.z - 1e-8
 
     def test_oracle_flat_limit(self, triangle_layout):
@@ -461,7 +462,7 @@ class TestCandidateTable:
             # the lowest point agrees with the candidate height on `energy` rows
             kept = np.flatnonzero(ok)
             assert len(rho) == len(kept)       # every `ok` row passed the cable checks
-            assert np.array_equal(centers, np.broadcast_to(r, (len(kept), n, 2)))
+            assert np.array_equal(centers, np.broadcast_to(r - r[0], (len(kept), n, 2)))
             assert np.array_equal(z_r, np.full(len(kept), Z_R))
             return np.zeros((len(kept), 2)), z[kept] + np.where(energy[kept], 0.0, 1.0)
 
@@ -470,6 +471,27 @@ class TestCandidateTable:
                                    q[None], ok[None], rank)
         expected = old_select(z, sets, np.flatnonzero(ok & energy))
         assert best == (-1 if expected is None else expected)
+
+
+class TestFlatSheet:
+    @pytest.mark.parametrize("v", [
+        regular_polygon(3, 1.6 / np.sqrt(3)),
+        1.6 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    ], ids=["equilateral", "square"])
+    def test_sheet_shaped_team_hangs_flat(self, v):
+        # the sheet itself moved rigidly, near the origin and 40 m from it:
+        # every pair is fully stretched, so the object sits at the holding
+        # height with every cable taut, as direct kinematics puts it
+        layout = SheetLayout(v, Z_R)
+        rng = np.random.default_rng(len(v))
+        for offset in (0.0, 2.0, 40.0):
+            for angle in rng.uniform(0.0, 2 * np.pi, 30):
+                shift = rng.uniform(-offset, offset, 2)
+                f = Formation(v @ rotation(angle).T + shift, layout)
+                eq = solve_equilibrium(f)
+                assert eq.flat and eq.z == Z_R and eq.taut_count == len(v)
+                dk = direct_kinematics(f, [1] * len(v))
+                assert _state_bytes(eq) == _state_bytes(dk) and eq.cables == dk.cables
 
 
 class TestStackedSolve:

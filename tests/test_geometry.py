@@ -96,6 +96,17 @@ class TestLocalFrame:
             worst = max(worst, float(np.max(np.abs(back - pts))))
         assert worst < 1e-12
 
+    def test_local_world_round_trip(self):
+        # points other than the frame's own map to the local frame and back
+        rng = np.random.default_rng(12)
+        frame = to_local_frame(rng.uniform(-5, 5, (4, 2)))
+        pts = rng.uniform(-5, 5, (50, 2))
+        local = frame.to_local(pts)
+        assert np.max(np.abs(frame.to_world(local) - pts)) < 1e-12
+        assert np.max(np.abs(frame.to_local(frame.origin))) == 0.0
+        assert np.allclose(np.linalg.norm(local, axis=1),
+                           np.linalg.norm(pts - frame.origin, axis=1), atol=1e-12)
+
     def test_orientation_preserved(self):
         pts = regular_polygon(4, 1.0)
         lc = to_local_frame(pts).local_coords
@@ -316,6 +327,15 @@ class TestPolygonValidation:
         assert not point_in_polygon([np.nan, 0.0], poly)
         with pytest.raises(NonConvexResult):
             check_convex_ccw([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_coordinates_raise_no_warning(self, triangle_layout):
+        # sides and cross products that overflow read as infinite (a convex
+        # ccw triangle) or NaN (not convex), with no numpy warning on the way
+        huge = Formation([[0.0, 0.0], [1e300, 0.0], [0.0, 1e300]], triangle_layout)
+        assert np.array_equal(huge.robot_positions[1], [1e300, 0.0])
+        with pytest.raises(NonConvexResult):
+            Formation([[0.0, 0.0], [1.7e308, 0.0], [-1.7e308, 1e-300]], triangle_layout)
 
 
 class TestPairAndPolygonArithmetic:

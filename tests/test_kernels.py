@@ -1,10 +1,13 @@
-"""The lowest-point kernels: scalar and batched agree and match first principles."""
+"""The lowest-point kernels: the batched kernel and its batch of one match the
+reference and first principles."""
 import hashlib
 
 import numpy as np
 import pytest
 
 from sheetplan import kernels
+
+from conftest import reference_lowest_point
 
 # sha256 of the (q, z) bytes of `lowest_point_grid` on `_pinned_cases()`,
 # recorded with the dense all-balls feasibility test (numpy 2.4, x86-64)
@@ -21,7 +24,7 @@ def _random_instance(rng, n):
 
 def test_grid_empty_and_nonempty_rows():
     # batched validation relies on empty rows reading (0, +inf) and on the
-    # other rows matching the scalar kernel, whatever their neighbours
+    # other rows matching the reference, whatever their neighbours
     centers = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.2]])
     rng = np.random.default_rng(46)
     pts = rng.uniform(-0.3, 0.3, (12, 2))
@@ -30,7 +33,7 @@ def test_grid_empty_and_nonempty_rows():
     rho[empty] = 0.3                   # balls 2 m apart with radius 0.3: disjoint
     q_g, z_g = kernels.lowest_point_grid(centers, 0.79, rho)
     for k in range(len(rho)):
-        q_s, z_s = kernels.lowest_point(centers, 0.79, rho[k])
+        q_s, z_s = reference_lowest_point(centers, 0.79, rho[k])
         if k in empty:
             assert q_s is None
             assert z_g[k] == np.inf
@@ -51,7 +54,7 @@ def test_grid_matches_scalar(n):
     q_g, z_g = kernels.lowest_point_grid(centers, 0.79, rho)
     assert np.isfinite(z_g).any()
     for k in range(len(pts)):
-        q_s, z_s = kernels.lowest_point(centers, 0.79, rho[k])
+        q_s, z_s = reference_lowest_point(centers, 0.79, rho[k])
         if q_s is None:
             assert z_g[k] == np.inf and np.all(q_g[k] == 0.0)
             continue
@@ -92,7 +95,7 @@ def test_empty_intersection():
 
 
 def test_brute_force_agreement():
-    """The scalar kernel against a dense direct search over the object position."""
+    """The one-instance kernel against a dense direct search over the object position."""
     rng = np.random.default_rng(45)
     for _ in range(20):
         n = int(rng.integers(2, 6))
@@ -190,3 +193,21 @@ def test_grid_rows_with_own_centers():
             assert z_rows.tobytes() == z[order].tobytes()
     q, z = kernels.lowest_point_grid(np.zeros((0, 3, 2)), np.zeros(0), np.zeros((0, 3)))
     assert q.shape == (0, 2) and z.shape == (0,)
+
+
+def test_lowest_point_is_one_grid_row():
+    # the one-instance kernel returns the bytes of its one-row grid call, and
+    # (None, +inf) where the row is empty
+    rows = empty = 0
+    for centers, rho in _pinned_cases():
+        for row in rho[::11]:
+            rows += 1
+            q, z = kernels.lowest_point(centers, 0.79, row)
+            q_g, z_g = kernels.lowest_point_grid(centers, 0.79, row[None])
+            assert np.asarray(z).tobytes() == z_g.tobytes()
+            if z_g[0] == np.inf:
+                assert q is None
+                empty += 1
+            else:
+                assert q.tobytes() == q_g[0].tobytes()
+    assert 0 < empty < rows

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sheetplan import (
     CostWeights,
+    Formation,
+    InfeasibleFormation,
     NoFeasibleFormation,
     ObstacleSpec,
     SafetyParams,
@@ -22,8 +24,8 @@ from sheetplan import (
     run_pipeline,
     solve_equilibrium,
 )
-from sheetplan.geometry import FormationIndicators
-from sheetplan.optimizer import EVAL_BUDGET, STEP_MIN, _pattern_search
+from sheetplan.geometry import FormationIndicators, pair_distances
+from sheetplan.optimizer import EVAL_BUDGET, STEP_MIN, _Chart, _pattern_search
 
 from conftest import CORRIDOR, TURNED, equilateral_formation, equilateral_layout
 
@@ -298,3 +300,50 @@ def test_evaluations_per_obstacle(path, expected):
     # budget cut of a stacked poll is live on the shipped scenarios
     assert _evaluations(path) == expected
     assert EVAL_BUDGET == 500
+
+
+def _stretched_start(path, over=1.0):
+    """The scenario's initial formation scaled about its centroid until its
+    tightest pair sits at sheet spacing (stretch 0.0), then by `over`."""
+    scenario = load_scenario(path)
+    initial = scenario.initial_formation
+    c = initial.centroid()
+    scale = over * np.min(pair_distances(initial.layout.holding_points)
+                          / pair_distances(initial.robot_positions))
+    return scenario, Formation(c + scale * (initial.robot_positions - c), initial.layout)
+
+
+@pytest.mark.parametrize("path, evaluations, digest", [
+    (CORRIDOR, 375, "ac47db2d8c0d0617d2738d57ea8239d110b51524aefbe8a4b736cb0abe5366b7"),
+    (TURNED, 500, "c1c7d5b0b07295a4f249197f01c88255db84ea7d62f31414dd8d267855dc394b"),
+], ids=["corridor", "turned_corridor"])
+def test_stretched_start_shrinks(path, evaluations, digest):
+    # a start at sheet spacing has no all-taut chart point, so the optimizer
+    # starts from a uniformly shrunk copy; its result is pinned to the byte
+    scenario, start = _stretched_start(path)
+    assert start.stretch() == 0.0
+    chart = _Chart(start, scenario.safety)
+    assert chart.decode(chart.x0[None])[0] is None
+    obstacle = scenario.obstacles[0]
+    w_convex = scenario.corridor.width_at(scenario.corridor.project(obstacle.center))
+    sol = optimize_formation(start, obstacle, w_convex, scenario.weights, scenario.safety)
+    assert sol.mode == "crossing"
+    assert sol.evaluations == evaluations
+    assert hashlib.sha256(sol.formation.robot_positions.tobytes()).hexdigest() == digest
+
+
+def test_infeasible_start_shrinks_or_raises():
+    # a start stretched past the sheet has no equilibrium: the optimizer
+    # starts from the first shrunk copy that has one, or raises when none of
+    # the 50 shrinks by 0.95 does
+    scenario, start = _stretched_start(CORRIDOR, 1.05)
+    obstacle = scenario.obstacles[0]
+    with pytest.raises(InfeasibleFormation):
+        solve_equilibrium(start)
+    sol = optimize_formation(start, obstacle, 2.0, scenario.weights, scenario.safety)
+    assert (sol.mode, sol.evaluations) == ("crossing", 388)
+    assert hashlib.sha256(sol.formation.robot_positions.tobytes()).hexdigest() == (
+        "4f3f493156a54c0699b714666a276665e746b9d386f62a69f805b4f741e1d062")
+    _, hopeless = _stretched_start(CORRIDOR, 30.0)
+    with pytest.raises(NoFeasibleFormation, match="uniform shrinking"):
+        optimize_formation(hopeless, obstacle, 2.0, scenario.weights, scenario.safety)

@@ -15,6 +15,7 @@ from sheetplan import (
     run_pipeline,
 )
 from sheetplan.cli import main as cli_main
+from sheetplan.geometry import rotation
 from sheetplan.pipeline import RunReport, _build_report
 from sheetplan.scenario import parse_scenario
 
@@ -392,3 +393,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "object_position" in out
         assert "taut_count = 3" in out
+
+    @pytest.mark.parametrize("sheet, height, robots, line", [
+        # the sheet itself, turned and moved: fully stretched, so it hangs flat
+        ([[0.0, 0.0], [1.6, 0.0], [0.8, 1.3856406461]], 0.79,
+         lambda v: v @ rotation(0.5).T + [3.0, -1.0], "flat = true"),
+        # an obtuse sheet contracted uniformly: the contact pins to its long edge
+        ([[0.0, 0.0], [2.0, 0.0], [1.0, 0.25]], 1.29,
+         lambda v: v.mean(axis=0) + 0.8 * (v - v.mean(axis=0)), "boundary_contact = true"),
+    ], ids=["flat", "boundary_contact"])
+    def test_kinematics_flags(self, sheet, height, robots, line, tmp_path, capsys):
+        sheet = np.array(sheet)
+        f = tmp_path / "formation.txt"
+        f.write_text("\n".join([f"sheet_height = {height}"]
+                               + [f"sheet_point = {x!r} {y!r}" for x, y in sheet.tolist()]
+                               + [f"robot = {x!r} {y!r}" for x, y in robots(sheet).tolist()]))
+        assert cli_main(["kinematics", "--formation", str(f)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert {"flat = true", "boundary_contact = true"} & set(out) == {line}

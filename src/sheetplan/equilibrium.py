@@ -61,6 +61,7 @@ from .errors import (
 from .geometry import (
     Formation,
     SheetLayout,
+    convex_turns,
     dot,
     pair_distances,
     pair_index,
@@ -648,6 +649,64 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
 
 
 # ------------------------------------------------------ inverse kinematics
+# rejection codes of `inverse_kinematics_stack`, in the order of its checks
+(IK_NONFINITE, IK_OFF_SHEET, IK_TOO_HIGH, IK_TOO_SHORT, IK_INELASTIC,
+ IK_NONCONVEX, IK_ANCHOR_OUTSIDE) = range(1, 8)
+
+
+def inverse_kinematics_stack(layout: SheetLayout, contacts, heights, phis, anchors=(0.0, 0.0)):
+    """Robots (M, n, 2) and a rejection code (M,) for M commands: contacts
+    (M, 2), heights (M,), bearings (M, n) and one anchor (2,) or one per row.
+
+    A row's code is 0 when it builds, else its first failed check: finite
+    inputs, contact strictly in the sheet, height below the holding height,
+    cables long enough, strict inelasticity, a strictly convex ccw formation,
+    anchor inside it (IK_NONFINITE .. IK_ANCHOR_OUTSIDE). Each row rounds as
+    alone; a rejected row's robots mean nothing. Rows that pass the first
+    three checks have finite robots: no cable outreaches the sheet.
+    """
+    return _ik_rows(layout, contacts, heights, phis, anchors)[:2]
+
+
+def _ik_rows(layout, contacts, heights, phis, anchors):
+    """`inverse_kinematics_stack`, plus the cable lengths (M, n) and the pair
+    gaps to the sheet spacing (M, P) that the one-point errors quote."""
+    contacts = np.asarray(contacts, dtype=float)
+    heights = np.asarray(heights, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    anchors = np.asarray(anchors, dtype=float)
+    v, z_r = layout.holding_points, layout.holding_height
+    bearing = np.empty(phis.shape + (2,))
+    every = np.logical_and.reduce
+    with np.errstate(over="ignore", invalid="ignore"):    # rows already rejected
+        e = v - contacts[:, None]
+        l = np.sqrt(np.add.reduce(e * e, axis=-1))    # layout.cable_lengths of each
+        h = z_r - heights
+        short = l * l - (h * h)[:, None]
+        bearing[..., 0], bearing[..., 1] = np.cos(phis), np.sin(phis)
+        robots = anchors[..., None, :] + np.sqrt(np.maximum(short, 0.0))[..., None] * bearing
+        gap = pair_distances(robots) - layout.spacing
+        passed = np.concatenate([
+            every(np.isfinite(np.concatenate([contacts, heights[:, None], phis], axis=1)), axis=1)
+            & every(np.isfinite(anchors), axis=-1),
+            points_in_polygon(contacts, v, tol=-1e-9),
+            heights < z_r,
+            every(short >= -1e-12, axis=1),
+            every(gap < -1e-9, axis=1),
+        ]).reshape(5, -1)
+        if every(passed).any():     # else every row is rejected already
+            passed = np.concatenate([
+                passed.ravel(),
+                every(convex_turns(robots), axis=1),
+                # anchor on the boundary is the deepest-hang limit (a robot
+                # directly above the object); strictly outside can never balance
+                points_in_polygon(anchors, robots, tol=1e-9),
+            ]).reshape(7, -1)
+    # the first check each row fails, counted from 1; 0 when it passes all
+    code = np.where(every(passed), 0, np.argmin(passed, axis=0) + 1)
+    return robots, code, l, gap
+
+
 def inverse_kinematics(
     layout: SheetLayout,
     contact,
@@ -660,46 +719,40 @@ def inverse_kinematics(
     Places robot i at horizontal distance sqrt(l_i^2 - h^2) from the object
     anchor along direction phi_i, with h the hang depth. The result must be
     a strictly convex ccw formation, strictly inelastic, with the anchor
-    strictly inside (necessary for the all-taut state to balance).
+    strictly inside (necessary for the all-taut state to balance). The
+    one-row `inverse_kinematics_stack`, raising its first failed check.
     """
     contact = np.asarray(contact, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    for name, value in (("contact", contact), ("object_height", object_height),
-                        ("phis", phis), ("anchor", anchor)):
-        require_finite(name, value)
-    v = layout.holding_points
-    z_r = layout.holding_height
+
+    def require_finite_inputs():
+        for name, value in (("contact", contact), ("object_height", object_height),
+                            ("phis", phis), ("anchor", anchor)):
+            require_finite(name, value)
+
     if len(phis) != layout.n:
+        require_finite_inputs()
         raise ValidationError("phis", f"expected {layout.n} angles, got {len(phis)}")
-    if not point_in_polygon(contact, v, tol=-1e-9):
+    (robots,), (code,), (l,), (gap,) = _ik_rows(layout, contact[None], np.ravel(object_height),
+                                                phis[None], anchor)
+    if code == IK_NONFINITE:
+        require_finite_inputs()
+    if code == IK_OFF_SHEET:
         raise ValidationError("contact", "must lie strictly inside the sheet polygon")
-    if not object_height < z_r:
+    if code == IK_TOO_HIGH:
         raise ValidationError("object_height", "must be below the holding height")
-    l = layout.cable_lengths(contact)
-    h = z_r - object_height
-    short = l * l - h * h
-    if np.any(short < -1e-12):
-        k = int(np.argmin(short))
-        raise CableTooShort(
-            f"cable {k}: geodesic {l[k]:.6f} m cannot reach depth {h:.6f} m"
-        )
-    radial = np.sqrt(np.clip(short, 0.0, None))
-    robots = anchor + radial[:, None] * np.column_stack([np.cos(phis), np.sin(phis)])
-    gap = pair_distances(robots) - pair_distances(v)
-    tight = np.flatnonzero(gap >= -1e-9)
-    if len(tight):
-        k = tight[0]
+    if code == IK_TOO_SHORT:
+        h = layout.holding_height - object_height
+        k = int(np.argmin(l * l - h * h))
+        raise CableTooShort(f"cable {k}: geodesic {l[k]:.6f} m cannot reach depth {h:.6f} m")
+    if code == IK_INELASTIC:
+        k = np.flatnonzero(gap >= -1e-9)[0]
         i, j = pair_index(layout.n)[:, k]
         raise InelasticityViolated(
-            f"pair ({i},{j}) spacing within {gap[k]:.2e} m of the sheet spacing"
-        )
-    formation = Formation(robots, layout)   # raises NonConvexResult if disordered
-    # anchor on the boundary is the deepest-hang limit (a robot directly
-    # above the object); strictly outside can never balance
-    if not point_in_polygon(anchor, robots, tol=1e-9):
-        raise ObjectOutsideFormation(
-            "object anchor outside the formation polygon; the all-taut state "
-            "cannot balance there"
-        )
+            f"pair ({i},{j}) spacing within {gap[k]:.2e} m of the sheet spacing")
+    formation = Formation(robots, layout)   # raises NonConvexResult for IK_NONCONVEX
+    if code == IK_ANCHOR_OUTSIDE:
+        raise ObjectOutsideFormation("object anchor outside the formation polygon; "
+                                     "the all-taut state cannot balance there")
     return formation

@@ -79,7 +79,7 @@ def pair_distances(points) -> np.ndarray:
     `axis=` form of `np.linalg.norm` and `np.hypot` round differently.
     """
     i, j = pair_index(points.shape[-2])
-    d = points[..., j, :] - points[..., i, :]
+    d = points.take(j, axis=-2) - points.take(i, axis=-2)
     return np.sqrt(dot(d, d))
 
 
@@ -88,23 +88,24 @@ def polygon_sides(polygon) -> np.ndarray:
     return polygon.take(np.arange(1, polygon.shape[-2] + 1), axis=-2, mode="wrap") - polygon
 
 
-def check_convex_ccw(points, what="polygon"):
-    """Raise NonConvexResult unless points form a strictly convex ccw polygon.
+def convex_turns(points) -> np.ndarray:
+    """Mask of the turns (side i to side i + 1) of (..., m, 2) polygons whose
+    cross product exceeds AREA_TOL: strictly convex ccw, so near-collinear
+    vertex triples fail. Overflow reads as inf, or NaN (which fails)."""
+    a = polygon_sides(points)
+    b = np.concatenate([a[..., 1:, :], a[..., :1, :]], axis=-2)
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0] > AREA_TOL
 
-    Every cross product of consecutive edges must exceed AREA_TOL, which also
-    rejects near-collinear vertex triples. A side or product that overflows
-    reads as inf, or NaN (which fails), with no numpy warning.
-    """
+
+def check_convex_ccw(points, what="polygon"):
+    """Raise NonConvexResult unless every turn passes `convex_turns`, with no
+    numpy warning on overflow. Both callers pass at least three points:
+    `SheetLayout` rejects fewer first, and a `Formation` matches its layout."""
     pts = as_points(points)
-    n = len(pts)
-    if n < 3:
-        raise NonConvexResult(f"{what}: need at least 3 vertices, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        a = polygon_sides(pts)
-        b = np.concatenate([a[1:], a[:1]])
-        bad = np.flatnonzero(~(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > AREA_TOL))
-    if len(bad):
-        i = bad[0]
+        turns = convex_turns(pts)
+    if not turns.all():
+        i, n = np.argmin(turns), len(pts)
         raise NonConvexResult(
             f"{what}: vertices {i},{(i + 1) % n},{(i + 2) % n} are not in "
             "strictly convex counterclockwise position"
@@ -145,10 +146,12 @@ class SheetLayout:
 
     holding_points: (N, 2) array in the sheet frame, counterclockwise convex.
     holding_height: height of every holding point above the ground plane.
+    spacing: read-only `pair_distances` of the holding points, derived.
     """
 
     holding_points: np.ndarray
     holding_height: float
+    spacing: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = as_points(self.holding_points)
@@ -163,9 +166,12 @@ class SheetLayout:
                 "holding_points", f"at most {MAX_ROBOTS} holding points, got {len(pts)}"
             )
         with np.errstate(over="ignore"):
-            if not np.isfinite(pair_distances(pts)).all():
-                raise ValidationError("holding_points", "pair distances must be finite")
+            spacing = pair_distances(pts)
+        if not np.isfinite(spacing).all():
+            raise ValidationError("holding_points", "pair distances must be finite")
         check_convex_ccw(pts, what="sheet layout")
+        spacing.setflags(write=False)
+        object.__setattr__(self, "spacing", spacing)
 
     @property
     def n(self) -> int:
@@ -218,8 +224,7 @@ class Formation:
         and inf, with no overflow warning, for robots too far apart to square.
         """
         with np.errstate(over="ignore"):
-            return float(np.max(pair_distances(self.robot_positions)
-                                - pair_distances(self.layout.holding_points)))
+            return float(np.max(pair_distances(self.robot_positions) - self.layout.spacing))
 
     def translated(self, delta) -> "Formation":
         return Formation(self.robot_positions + np.asarray(delta), self.layout)
@@ -267,36 +272,53 @@ def min_enclosing_circle(points, tol=1e-9):
     circumcircle at once and keeps the first smallest circle containing all
     points, diameter circles first. Each is rounded as the 1-D arithmetic of
     its own pair or triple is. Fine for the small team sizes this toolkit
-    targets.
+    targets. A stack (..., N, 2) of sets gives centers (..., 2) and radii
+    (...), NaN where no circle fits; one set (N, 2) raises there.
     """
-    pts = as_points(points)
-    n = len(pts)
-    if n == 1:
-        return pts[0].copy(), 0.0
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 2:
+        center, radius = min_enclosing_circle(as_points(pts)[None], tol)
+        if np.isnan(radius[0]):
+            raise DegenerateFormation("no enclosing circle found (degenerate input)")
+        return center[0], float(radius[0])
+    n = pts.shape[-2]
+    if n < 2:
+        if not n:
+            raise DegenerateFormation("no enclosing circle found (degenerate input)")
+        return pts[..., 0, :].copy(), np.zeros(pts.shape[:-2])
     i, j = pair_index(n)
-    a, b, c = pts[triple_index(n)]
-    d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1])
-               + c[:, 0] * (a[:, 1] - b[:, 1]))
-    keep = np.abs(d) >= 1e-14
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    a2, b2, c2 = dot(a, a), dot(b, b), dot(c, c)
-    ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
-    uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-    centers = np.concatenate([0.5 * (pts[i] + pts[j]), np.stack([ux, uy], axis=1)])
-    e = a - centers[len(i):]
-    radii = np.concatenate([0.5 * pair_distances(pts), np.sqrt(dot(e, e))])
-    fits = np.flatnonzero(
-        (np.linalg.norm(pts - centers[:, None], axis=2) <= radii[:, None] + tol).all(axis=1)
-    )
-    if not len(fits):
-        raise DegenerateFormation("no enclosing circle found (degenerate input)")
-    fits = fits[(fits < len(i)) == (fits[0] < len(i))]   # diameter circles first
-    k = fits[np.argmin(radii[fits])]
-    return centers[k], float(radii[k])
+    a, b, c = np.moveaxis(pts[..., triple_index(n), :], -3, 0)
+    d = 2.0 * (a[..., 0] * (b[..., 1] - c[..., 1]) + b[..., 0] * (c[..., 1] - a[..., 1])
+               + c[..., 0] * (a[..., 1] - b[..., 1]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a collinear triple (|d| < 1e-14) has no circumcircle: its entries
+        # are computed with the others and never fit
+        a2, b2, c2 = dot(a, a), dot(b, b), dot(c, c)
+        ux = (a2 * (b[..., 1] - c[..., 1]) + b2 * (c[..., 1] - a[..., 1])
+              + c2 * (a[..., 1] - b[..., 1])) / d
+        uy = (a2 * (c[..., 0] - b[..., 0]) + b2 * (a[..., 0] - c[..., 0])
+              + c2 * (b[..., 0] - a[..., 0])) / d
+        centers = np.concatenate([0.5 * (pts[..., i, :] + pts[..., j, :]),
+                                  np.stack([ux, uy], axis=-1)], axis=-2)
+        e = a - centers[..., len(i):, :]
+        radii = np.concatenate([0.5 * pair_distances(pts), np.sqrt(dot(e, e))], axis=-1)
+        fits = (np.linalg.norm(pts[..., None, :, :] - centers[..., None, :], axis=-1)
+                <= radii[..., None] + tol).all(axis=-1)
+    fits[..., len(i):] &= np.abs(d) >= 1e-14
+    diameter = np.arange(radii.shape[-1]) < len(i)
+    fits &= diameter == fits[..., :len(i)].any(axis=-1, keepdims=True)   # diameter circles first
+    least = np.where(fits, radii, np.inf).min(axis=-1, keepdims=True)
+    k = np.argmax(fits & (radii == least), axis=-1)[..., None]
+    center = np.take_along_axis(centers, k[..., None], axis=-2)[..., 0, :]
+    radius = np.take_along_axis(radii, k, axis=-1)[..., 0]
+    none = ~fits.any(axis=-1)
+    center[none], radius[none] = np.nan, np.nan
+    return center, radius
 
 
-def circumscribed_diameter(points) -> float:
-    """Diameter of the minimum circle enclosing the robot positions."""
+def circumscribed_diameter(points):
+    """Diameter of the minimum circle enclosing the robot positions (a
+    Formation, an (N, 2) array, or a stack of them)."""
     if isinstance(points, Formation):
         points = points.robot_positions
     _, radius = min_enclosing_circle(points)
@@ -321,15 +343,22 @@ class FormationIndicators:
     z_obsmax: float
 
 
-def indicators(formation: Formation, object_height: float, safety: SafetyParams) -> FormationIndicators:
-    """Compute the planning indicators for a formation and its object height."""
-    if object_height >= formation.holding_height:
-        raise InvalidHeight(
-            f"object height {object_height} not below holding height "
-            f"{formation.holding_height}"
-        )
-    D = circumscribed_diameter(formation.robot_positions)
-    L_min = float(np.min(pair_distances(formation.robot_positions)))
+def indicators(formation, object_height: float, safety: SafetyParams) -> FormationIndicators:
+    """Compute the planning indicators for a formation and its object height.
+    A stack (..., n, 2) of robots with a height each, held below the holding
+    height, gives each field as an array over the stack."""
+    robots = formation
+    if isinstance(formation, Formation):
+        if object_height >= formation.holding_height:
+            raise InvalidHeight(
+                f"object height {object_height} not below holding height "
+                f"{formation.holding_height}"
+            )
+        robots = formation.robot_positions
+    D = circumscribed_diameter(robots)
+    L_min = np.min(pair_distances(robots), axis=-1)
+    if np.ndim(robots) == 2:
+        L_min = float(L_min)
     return FormationIndicators(
         W=D + 2.0 * safety.delta_r,
         D=D,

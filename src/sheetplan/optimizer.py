@@ -1,14 +1,15 @@
 """Constrained formation-shape optimization for obstacle crossing.
 
 Searches the all-taut chart (contact, hang height, cable bearing angles)
-with a deterministic coordinate pattern search. Each poll of a sweep builds
-its probes' formations one by one and solves them as one stack
-(`solve_equilibria`); the first-improvement rule is then replayed over the
-values, so the search accepts the points, and counts the evaluations, of
-probing one point at a time. Crossing mode must satisfy
-the corridor-width and obstacle traversability constraints exactly; when no
-crossing formation exists the same machinery sizes a bypass formation that
-fits beside the obstacle.
+with a deterministic coordinate pattern search. Each poll of a sweep is one
+pass over arrays from its probes' chart points to their values: stacked
+inverse kinematics, one `solve_equilibria` stack, then indicators,
+constraints and costs, each row rounded as alone. The first-improvement
+rule is then replayed over the values, so the search accepts the points,
+and counts the evaluations, of probing one point at a time. Crossing mode
+must satisfy the corridor-width and obstacle traversability constraints
+exactly; when no crossing formation exists the same machinery sizes a
+bypass formation that fits beside the obstacle.
 
 The reported cost terms (j_trans, j_pass, j_cross) keep the clearance-reward
 sign convention of the cost definitions. Internally the search minimizes a
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import inverse_kinematics  # noqa: F401  the benchmark's span table wraps this name
 from .equilibrium import (
     ObjectEquilibrium,
-    inverse_kinematics,
+    inverse_kinematics_stack,
     solve_equilibria,
     solve_equilibrium,
 )
@@ -33,6 +35,7 @@ from .geometry import (
     Formation,
     FormationIndicators,
     SafetyParams,
+    dot,
     indicators,
     pair_distances,
     pair_index,
@@ -104,24 +107,36 @@ class FormationSolution:
     evaluations: int
 
 
-def cost_transport(candidate: Formation, initial: Formation,
-                   candidate_contact, initial_contact, weights: CostWeights) -> float:
-    """Transport cost: contact drift plus ordered-pair spacing changes."""
+def _square(x):
+    """x ** 2 of a float, or of each entry of a 1-D array as of a float: libm's
+    pow, which rounds unlike numpy's array square on about 1 input in 1,000."""
+    return x ** 2 if np.ndim(x) == 0 else np.array([e ** 2 for e in x.tolist()])
+
+
+def cost_transport(candidate, initial: Formation,
+                   candidate_contact, initial_contact, weights: CostWeights):
+    """Transport cost: contact drift plus ordered-pair spacing changes; for a
+    stack (..., n, 2) of candidate robots with a contact (..., 2) each, one
+    cost per candidate."""
+    if isinstance(candidate, Formation):
+        candidate = candidate.robot_positions
     dv = np.asarray(candidate_contact, dtype=float) - np.asarray(initial_contact, dtype=float)
-    d = pair_distances(candidate.robot_positions) - pair_distances(initial.robot_positions)
-    n = candidate.n
+    d = pair_distances(candidate) - pair_distances(initial.robot_positions)
+    n = initial.n
     i, j = pair_index(n)
-    terms = np.zeros((n, n))
-    terms[i, j] = terms[j, i] = weights.l2 * d * d
+    terms = np.zeros(d.shape[:-1] + (n, n))
+    terms[..., i, j] = terms[..., j, i] = weights.l2 * d * d
     # added one ordered pair at a time, in row-major order, so that the sum
     # rounds the same whatever numpy's summation order
-    ordered = np.append(weights.l1 * float(dv @ dv), terms[~np.eye(n, dtype=bool)])
-    return float(np.add.accumulate(ordered)[-1])
+    ordered = np.concatenate([weights.l1 * dot(dv, dv)[..., None],
+                              terms[..., ~np.eye(n, dtype=bool)]], axis=-1)
+    total = np.add.accumulate(ordered, axis=-1)[..., -1]
+    return total if total.ndim else float(total)
 
 
-def cost_pass(W: float, w_convex: float, weights: CostWeights) -> float:
+def cost_pass(W, w_convex: float, weights: CostWeights):
     """Passable-area cost (reward form: favors a small outline)."""
-    return -weights.l3 * (w_convex - W) ** 2
+    return -weights.l3 * _square(w_convex - W)
 
 
 def cost_cross(ind: FormationIndicators, obstacle: ObstacleSpec, weights: CostWeights) -> float:
@@ -148,26 +163,26 @@ class _Chart:
         self.x0 = np.concatenate([eq0.sheet_contact, [eq0.z], phis])
 
     def decode(self, points):
-        """Chart points (M, 3 + n) -> per point (formation, equilibrium, indicators), or None.
+        """Chart points (M, 3 + n) -> (ok, robots, contacts, indicators).
 
-        Each point is built by inverse kinematics on its own; the formations
-        that build are then solved as one stack.
+        A point decodes when one stacked inverse kinematics builds it at a
+        positive height and the stacked solve keeps every cable taut. `ok`
+        (M,) marks them; their robots (K, n, 2), solved sheet contacts (K, 2)
+        and indicators ((K,) arrays) follow, in order.
         """
-        built = []
-        for k, x in enumerate(points):
-            v_o, z_o, phis = x[:2], float(x[2]), x[3:]
-            if not 0.0 < z_o < self.layout.holding_height:
-                continue
-            try:
-                built.append((k, inverse_kinematics(self.layout, v_o, z_o, phis)))
-            except SheetPlanError:
-                continue
-        decoded = [None] * len(points)
-        for (k, formation), eq in zip(built, solve_equilibria([f for _, f in built])):
-            # an error, or a cable gone slack (taut constraint violated), rejects the point
-            if not isinstance(eq, SheetPlanError) and eq.taut_count == formation.n:
-                decoded[k] = formation, eq, indicators(formation, eq.z, self.safety)
-        return decoded
+        robots, code = inverse_kinematics_stack(self.layout, points[:, :2], points[:, 2],
+                                                points[:, 3:])
+        built = np.flatnonzero((code == 0) & (points[:, 2] > 0.0))
+        eqs = solve_equilibria([Formation(robots[k], self.layout) for k in built])
+        # an error, or a cable gone slack (taut constraint violated), rejects the point
+        taut = [not isinstance(eq, SheetPlanError) and eq.taut_count == self.layout.n
+                for eq in eqs]
+        ok = np.zeros(len(points), dtype=bool)
+        ok[built[taut]] = True
+        eqs = [eq for eq, keep in zip(eqs, taut) if keep]
+        contacts = np.array([eq.sheet_contact for eq in eqs]).reshape(-1, 2)
+        heights = np.array([eq.z for eq in eqs])
+        return ok, robots[ok], contacts, indicators(robots[ok], heights, self.safety)
 
 
 def crossing_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_convex: float):
@@ -228,7 +243,7 @@ def _start_chart(initial: Formation, safety: SafetyParams) -> _Chart:
     for _ in range(51):
         try:
             chart = _Chart(Formation(points, initial.layout), safety)
-            if chart.decode(chart.x0[None])[0] is not None:
+            if chart.decode(chart.x0[None])[0][0]:
                 return chart
         except SheetPlanError:
             pass
@@ -276,31 +291,27 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
         # bypass: formation and obstacle must fit side by side
         return (ind.W - (w_convex - obstacle.d_obs - 2.0 * safety.delta_r),)
 
-    def objective(decoded):
-        formation, eq, ind = decoded
-        j = cost_transport(formation, chart.initial, eq.sheet_contact,
-                           chart.v_o0, weights)
+    def objective(robots, contacts, ind):
+        j = cost_transport(robots, chart.initial, contacts, chart.v_o0, weights)
         j += cost_pass(ind.W, w_convex, weights)
         if mode == "crossing":
             # penalty-form crossing terms (see module docstring)
-            j += weights.l4 * (ind.z_obsmax - obstacle.z_obs) ** 2
-            j += weights.l5 * max(obstacle.d_obs - ind.d_obsmax, 0.0) ** 2
+            j += weights.l4 * _square(ind.z_obsmax - obstacle.z_obs)
+            j += weights.l5 * _square(np.maximum(obstacle.d_obs - ind.d_obsmax, 0.0))
         return j
 
     def violation(points):
-        return np.array([
-            np.inf if decoded is None
-            else sum(max(c, 0.0) ** 2 for c in constraint_values(decoded[2]))
-            for decoded in chart.decode(points)
-        ])
+        ok, _, _, ind = chart.decode(points)
+        values = np.full(len(points), np.inf)
+        values[ok] = sum(_square(np.maximum(c, 0.0)) for c in constraint_values(ind))
+        return values
 
     def hard_cost(points):
-        return np.array([
-            np.inf if decoded is None
-            or any(c > CONSTRAINT_TOL for c in constraint_values(decoded[2]))
-            else objective(decoded)
-            for decoded in chart.decode(points)
-        ])
+        ok, robots, contacts, ind = chart.decode(points)
+        values = np.full(len(points), np.inf)
+        infeasible = np.any([c > CONSTRAINT_TOL for c in constraint_values(ind)], axis=0)
+        values[ok] = np.where(infeasible, np.inf, objective(robots, contacts, ind))
+        return values
 
     n = chart.layout.n
     steps0 = np.concatenate([[0.05, 0.05, 0.05], 0.1 * np.ones(n)])
@@ -313,12 +324,11 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
     x, _, more = _pattern_search(x, hard_cost, EVAL_BUDGET - used, steps0)
     used += more
 
-    decoded = chart.decode(x[None])[0]
-    if decoded is None or any(c > CONSTRAINT_TOL for c in constraint_values(decoded[2])):
+    ok, robots, _, ind = chart.decode(x[None])
+    if not ok[0] or any(c[0] > CONSTRAINT_TOL for c in constraint_values(ind)):
         return None
-    formation, eq, ind = decoded
     # recenter on the formation centroid and re-solve with full discovery
-    formation = formation.translated(-formation.centroid())
+    formation = Formation(robots[0] - robots[0].mean(axis=0), chart.layout)
     eq = solve_equilibrium(formation)
     if eq.taut_count < formation.n:
         return None

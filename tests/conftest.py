@@ -66,6 +66,90 @@ def reference_lowest_point(centers, z_r, rho):
     return best_q, best_z
 
 
+def reference_inverse_kinematics(layout, contact, object_height, phis, anchor=(0.0, 0.0)):
+    """Inverse kinematics one command and one check at a time, as it was
+    before `inverse_kinematics_stack`: the tests' reference for the stack's
+    bytes and for the error class of each check (messages left out)."""
+    from sheetplan.errors import (
+        CableTooShort,
+        InelasticityViolated,
+        ObjectOutsideFormation,
+        ValidationError,
+    )
+
+    def inside(p, polygon, tol):
+        return all((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= -tol
+                   for a, b in zip(polygon, np.roll(polygon, -1, axis=0)))
+
+    contact, anchor, phis = (np.asarray(x, dtype=float) for x in (contact, anchor, phis))
+    for name, value in (("contact", contact), ("object_height", object_height),
+                        ("phis", phis), ("anchor", anchor)):
+        if not np.isfinite(value).all():
+            raise ValidationError(name, "must be finite")
+    v, z_r = layout.holding_points, layout.holding_height
+    if not inside(contact, v, -1e-9):
+        raise ValidationError("contact", "must lie strictly inside the sheet polygon")
+    if not object_height < z_r:
+        raise ValidationError("object_height", "must be below the holding height")
+    l = np.linalg.norm(v - contact, axis=1)
+    h = z_r - object_height
+    short = l * l - h * h
+    if np.any(short < -1e-12):
+        raise CableTooShort("a cable cannot reach the depth")
+    robots = anchor + np.sqrt(np.clip(short, 0.0, None))[:, None] * np.column_stack(
+        [np.cos(phis), np.sin(phis)])
+    for i, j in itertools.combinations(range(len(v)), 2):
+        if np.linalg.norm(robots[i] - robots[j]) - np.linalg.norm(v[i] - v[j]) >= -1e-9:
+            raise InelasticityViolated("a robot pair at sheet spacing")
+    formation = Formation(robots, layout)    # raises NonConvexResult
+    if not inside(anchor, robots, 1e-9):
+        raise ObjectOutsideFormation("anchor outside the formation")
+    return formation
+
+
+IK_ROW_KINDS = ("plain", "nonfinite", "off_sheet", "too_high", "too_deep", "flat",
+                "clockwise", "half_plane")
+
+
+def ik_row(rng, layout, kind):
+    """One inverse-kinematics command (contact, height, bearings, anchor) of
+    a kind aimed at one check: "plain" rows mostly build, the others aim at
+    non-finite inputs, a contact off the sheet, a height at or above the
+    holding height, a depth no cable reaches, a nearly flat sheet
+    (inelasticity), bearings in clockwise order (convexity) and bearings
+    within a half plane (anchor outside)."""
+    v, z_r = layout.holding_points, layout.holding_height
+    contact = v.mean(axis=0) + rng.uniform(-0.08, 0.08, 2)
+    l = np.linalg.norm(v - contact, axis=1)
+    height = z_r - rng.uniform(0.35, 0.8) * np.min(l)
+    phis = np.arctan2(*(v - contact).T[::-1]) + rng.uniform(-0.2, 0.2, len(v))
+    anchor = rng.uniform(-1.0, 1.0, 2)
+    if kind == "nonfinite":
+        which = int(rng.integers(4))
+        bad = rng.choice([np.nan, np.inf, -np.inf])
+        if which == 0:
+            contact[rng.integers(2)] = bad
+        elif which == 1:
+            height = bad
+        elif which == 2:
+            phis[rng.integers(len(v))] = bad
+        else:
+            anchor[rng.integers(2)] = bad
+    elif kind == "off_sheet":
+        contact = contact + rng.uniform(1.5, 4.0) * (v[rng.integers(len(v))] - contact)
+    elif kind == "too_high":
+        height = z_r + rng.choice([0.0, rng.uniform(0.0, 0.5)])
+    elif kind == "too_deep":
+        height = z_r - np.max(l) - rng.uniform(1e-6, 1.0)
+    elif kind == "flat":
+        height = z_r - rng.uniform(0.0, 1e-3) * np.min(l)
+    elif kind == "clockwise":
+        phis = phis[::-1]
+    elif kind == "half_plane":
+        phis = rng.uniform(0.0, np.pi / 2) + np.sort(rng.uniform(0.0, np.pi * 0.9, len(v)))
+    return contact, float(height), phis, anchor
+
+
 def regular_polygon(n, radius, center=(0.0, 0.0), phase=np.pi / 2):
     ang = phase + 2 * np.pi * np.arange(n) / n
     return np.asarray(center, dtype=float) + radius * np.column_stack(

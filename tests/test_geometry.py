@@ -107,6 +107,13 @@ class TestLocalFrame:
         assert np.allclose(np.linalg.norm(local, axis=1),
                            np.linalg.norm(pts - frame.origin, axis=1), atol=1e-12)
 
+    def test_formation_input(self, triangle_layout):
+        f = equilateral_formation(triangle_layout, 1.2, center=(0.3, -0.4), phase=0.7)
+        frame = to_local_frame(f)
+        want = to_local_frame(f.robot_positions)
+        assert frame.local_coords.tobytes() == want.local_coords.tobytes()
+        assert frame.origin.tobytes() == want.origin.tobytes() and frame.rotation == want.rotation
+
     def test_orientation_preserved(self):
         pts = regular_polygon(4, 1.0)
         lc = to_local_frame(pts).local_coords
@@ -167,6 +174,40 @@ class TestMinEnclosingCircle:
             want, got = loop_enclosing_circle(pts), min_enclosing_circle(pts)
             assert got[0].tobytes() == want[0].tobytes()
             assert type(got[1]) is float and got[1] == want[1]
+
+    @given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_matches_the_loop(self, n, m, seed):
+        """Each set of a stack gets the center and radius bytes of the loop,
+        and NaN where the loop finds no circle."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(m, n, 2)) * 10.0 ** rng.uniform(-3, 2, (m, 1, 1))
+        for row, case in zip(pts, rng.integers(0, 5, m)):
+            if case == 1 and n > 1:
+                row[-1] = row[0]                                  # coincident points
+            elif case == 2:
+                row[:] = np.round(row, 2)                         # ties on a 1 cm grid
+            elif case == 3 and n > 2:
+                row[2] = row[0] + 0.37 * (row[1] - row[0])        # a collinear triple
+            elif case == 4:
+                row[rng.integers(n)] = (np.nan, 0.0)              # no circle
+        centers, radii = min_enclosing_circle(pts)
+        assert centers.shape == (m, 2) and radii.shape == (m,)
+        for row, center, radius in zip(pts, centers, radii):
+            try:
+                with np.errstate(invalid="ignore"):
+                    want = loop_enclosing_circle(row)
+            except DegenerateFormation:
+                assert np.isnan(center).all() and np.isnan(radius)
+            else:
+                assert center.tobytes() == want[0].tobytes() and radius == want[1]
+        diameters = circumscribed_diameter(pts)
+        assert diameters.tobytes() == (2.0 * radii).tobytes()
+
+    def test_formation_diameter(self, triangle_layout):
+        f = equilateral_formation(triangle_layout, 1.2)
+        assert circumscribed_diameter(f) == circumscribed_diameter(f.robot_positions)
+        assert type(circumscribed_diameter(f)) is float
 
     def test_collinear_triple_has_no_circumcircle(self):
         # no diameter circle holds (1, 1.5), and the triple on y = 0 has d = 0 exactly
@@ -401,6 +442,22 @@ class TestIndicators:
         f = equilateral_formation(triangle_layout, 1.2)
         ind = indicators(f, 0.04, SafetyParams(delta_r=0.05, z_safe=0.04))
         assert ind.z_obsmax == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_stack_matches_each(self, n):
+        # a stack of formations gets each formation's own indicator bits
+        rng = np.random.default_rng(40 + n)
+        layout = SheetLayout(regular_polygon(n, 1.0), 0.79)
+        safety = SafetyParams(delta_r=0.05, z_safe=0.04)
+        robots = regular_polygon(n, 0.8) * rng.uniform(0.5, 1.0, (20, 1, 1)) \
+            + rng.normal(0.0, 0.02, (20, n, 2))
+        heights = rng.uniform(0.05, 0.6, 20)
+        stack = indicators(robots, heights, safety)
+        for k, (r, z) in enumerate(zip(robots, heights)):
+            one = indicators(Formation(r, layout), z, safety)
+            for name in ("W", "D", "L_min", "d_obsmax", "z_obsmax"):
+                assert getattr(stack, name)[k] == getattr(one, name)
+            assert type(one.L_min) is float and type(one.D) is float
 
     def test_invalid_height(self, triangle_layout):
         f = equilateral_formation(triangle_layout, 1.2)

@@ -598,6 +598,9 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     plus boundary samples, since contacts may pin to an edge), refined twice
     around the incumbent so the final spacing is below grid_resolution.
     Inner loop: the exact lowest point of the cable balls at each contact.
+    No scan is empty: the first holds every edge sample, and a refined
+    window holds a grid point within round-off of its centre, the incumbent,
+    or else samples of the incumbent's edge within a tenth of its half width.
     """
     require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
@@ -624,10 +627,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
             epts = a[None, :] + ts[:, None] * (b - a)[None, :]
             keep = np.all(np.abs(epts - center) <= half + 1e-12, axis=1)
             edge_chunks.append(epts[keep])
-        edge_pts = np.concatenate(edge_chunks)
-        pts = np.concatenate([pts, edge_pts]) if len(pts) else edge_pts
-        if len(pts) == 0:
-            return None
+        pts = np.concatenate([pts] + edge_chunks)
         rho = np.sqrt(np.sum((pts[:, None, :] - v[None, :, :]) ** 2, axis=2))
         q, z = kernels.lowest_point_grid(r, z_r, rho)
         k = int(np.argmin(z))
@@ -639,9 +639,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     best = scan(center, half, n0)
     for _ in range(2):
         win = 2 * spacing
-        refined = scan(best[0], win, 21)
-        if refined is not None and refined[2] < best[2]:
-            best = refined
+        best = min(best, scan(best[0], win, 21), key=lambda found: found[2])
         spacing = 2 * win / 20
     u, q, z = best
     on_edge = not point_in_polygon(u, v, tol=-1e-9)

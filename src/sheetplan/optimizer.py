@@ -103,7 +103,7 @@ class FormationSolution:
     j_trans: float
     j_pass: float
     j_cross: float
-    mode: str            # "crossing" | "bypassing" | "infeasible"
+    mode: str            # "crossing" | "bypassing"
     evaluations: int
 
 
@@ -194,6 +194,13 @@ def crossing_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_con
     )
 
 
+def bypass_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_convex: float,
+                       safety: SafetyParams):
+    """Bypass constraint value: the outline W fits the half corridor beside the
+    obstacle, delta_r clear of it, when it does not exceed CONSTRAINT_TOL."""
+    return (ind.W - (w_convex / 2.0 - obstacle.radius - safety.delta_r),)
+
+
 def _pattern_search(x, fun, budget, steps0):
     """Deterministic coordinate descent with shrinking steps.
 
@@ -270,12 +277,10 @@ def optimize_formation(
     """
     require_positive("w_convex", w_convex)
     chart = _start_chart(initial, safety)
-    crossing = _run_program(chart, obstacle, w_convex, weights, mode="crossing")
-    if crossing is not None:
-        return crossing
-    bypassing = _run_program(chart, obstacle, w_convex, weights, mode="bypassing")
-    if bypassing is not None:
-        return bypassing
+    for mode in ("crossing", "bypassing"):
+        solution = _run_program(chart, obstacle, w_convex, weights, mode)
+        if solution is not None:
+            return solution
     raise NoFeasibleFormation(
         f"obstacle (d={obstacle.d_obs:.3f}, z={obstacle.z_obs:.3f}) admits no "
         f"crossing or bypassing formation within corridor width {w_convex:.3f}"
@@ -283,13 +288,17 @@ def optimize_formation(
 
 
 def _run_program(chart, obstacle, w_convex, weights, mode):
+    """One program's formation, or None if its feasibility phase fails or its
+    final re-solve finds a slack cable. The objective phase starts at zero
+    violation, and accepts only lower costs (inf where a point fails to decode
+    or to meet the constraints), so the point it returns does both, with the
+    bits of its poll: a row decodes alike in any stack."""
     safety = chart.safety
 
     def constraint_values(ind):
         if mode == "crossing":
             return crossing_constraints(ind, obstacle, w_convex)
-        # bypass: formation and obstacle must fit side by side
-        return (ind.W - (w_convex - obstacle.d_obs - 2.0 * safety.delta_r),)
+        return bypass_constraints(ind, obstacle, w_convex, safety)
 
     def objective(robots, contacts, ind):
         j = cost_transport(robots, chart.initial, contacts, chart.v_o0, weights)
@@ -324,9 +333,7 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
     x, _, more = _pattern_search(x, hard_cost, EVAL_BUDGET - used, steps0)
     used += more
 
-    ok, robots, _, ind = chart.decode(x[None])
-    if not ok[0] or any(c[0] > CONSTRAINT_TOL for c in constraint_values(ind)):
-        return None
+    _, robots, _, _ = chart.decode(x[None])      # x decodes: see the docstring
     # recenter on the formation centroid and re-solve with full discovery
     formation = Formation(robots[0] - robots[0].mean(axis=0), chart.layout)
     eq = solve_equilibrium(formation)

@@ -30,6 +30,7 @@ from .optimizer import (
     CONSTRAINT_TOL,
     FormationSolution,
     ObstacleSpec,
+    bypass_constraints,
     crossing_constraints,
     optimize_formation,
 )
@@ -41,10 +42,9 @@ from .planner import (
     select_sides,
     wrap_angle,
 )
-from .scenario import Scenario
+from .scenario import DEFAULT_OMEGA, Scenario
 
 FMT = "%.9g"
-DEFAULT_OMEGA = 0.2        # rad/s, rotation rate of the formation
 START_MARGIN = 0.05        # extra approach clearance before rotating in place
 
 
@@ -99,7 +99,6 @@ def _crossing_schedule(formation, offsets, r_max, obstacle, safety, approach, de
     abscissas are measured along the approach and track_y is the centroid
     track's lateral position relative to the obstacle center.
     """
-    approach = np.asarray(approach, dtype=float)
     lateral = np.array([-approach[1], approach[0]])
     entering, exiting, theta1, theta2 = select_sides(formation, approach, depart)
     margin = obstacle.radius + safety.delta_r
@@ -131,10 +130,11 @@ def _crossing_schedule(formation, offsets, r_max, obstacle, safety, approach, de
 
 
 def _bypass_profile(solution, r_max, obstacle, w_convex, safety):
-    """Lateral trapezoid offsets for a bypass: (leg length, shift)."""
-    W = solution.indicators.W
-    shift = obstacle.radius + W / 2.0 + safety.delta_r
-    if shift + W / 2.0 > w_convex / 2.0 + 1e-9:
+    """Lateral trapezoid offsets for a bypass: (leg length, shift); raises
+    PlanInfeasible unless the outline meets `bypass_constraints`."""
+    ind = solution.indicators
+    shift = obstacle.radius + ind.W / 2.0 + safety.delta_r
+    if bypass_constraints(ind, obstacle, w_convex, safety)[0] > CONSTRAINT_TOL:
         raise PlanInfeasible(
             f"bypass shift {shift:.3f} m does not fit a corridor of width {w_convex:.3f} m"
         )
@@ -143,9 +143,8 @@ def _bypass_profile(solution, r_max, obstacle, w_convex, safety):
 
 
 def _translate_runner(xy_from, xy_to, theta, offsets, v):
-    """Rigid straight-line translation; offsets already world-oriented."""
-    xy_from = np.asarray(xy_from, dtype=float)
-    xy_to = np.asarray(xy_to, dtype=float)
+    """Rigid straight-line translation between float (2,) points; offsets
+    already world-oriented."""
     delta = xy_to - xy_from
     dist = float(np.linalg.norm(delta))
     duration = dist / v
@@ -160,7 +159,6 @@ def _translate_runner(xy_from, xy_to, theta, offsets, v):
 
 def _morph_runner(xy, theta, offsets_from, offsets_to, v):
     """In-place shape change at bounded robot speed (no rotation)."""
-    xy = np.asarray(xy, dtype=float)
     disp = float(np.max(np.linalg.norm(offsets_to - offsets_from, axis=1)))
     duration = disp / v
 
@@ -184,7 +182,8 @@ def _crossing_runner(schedule, x_start, track_y, center, rot_w, theta_acc, offse
 
 
 def _transit_runners(xy_from, xy_to, corridor, theta, offsets, v):
-    """Straight transit legs routed through intermediate corridor corners."""
+    """Straight transit legs routed through intermediate corridor corners; a
+    zero-length leg is a zero-duration segment, so there is at least one."""
     s_from = corridor.project(xy_from)
     s_to = corridor.project(xy_to)
     corners = [
@@ -192,13 +191,8 @@ def _transit_runners(xy_from, xy_to, corridor, theta, offsets, v):
         for k in range(1, len(corridor.points) - 1)
         if s_from + 1e-9 < corridor.arclengths[k] < s_to - 1e-9
     ]
-    route = [np.asarray(xy_from, dtype=float)] + corners + [np.asarray(xy_to, dtype=float)]
-    runners = []
-    for a, b in zip(route, route[1:]):
-        if np.linalg.norm(np.asarray(b) - np.asarray(a)) < 1e-12:
-            continue
-        runners.append(_translate_runner(a, b, theta, offsets, v))
-    return runners
+    route = [xy_from, *corners, xy_to]
+    return [_translate_runner(a, b, theta, offsets, v) for a, b in zip(route, route[1:])]
 
 
 def _maneuver(solution, obstacle, w_convex, safety, approach, depart, v, omega, dt,
@@ -382,9 +376,9 @@ def _clearances(timeline: PlanTimeline, obstacles, safety: SafetyParams):
 def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
     """Sample piecewise maneuvers into a full timeline.
 
-    segments: list of (duration, fn) with fn(t_local) -> (xy, theta, robots)
-    in world coordinates; the object equilibrium is re-solved at every
-    sample from the placed formation.
+    segments: a nonempty list of (duration, fn) with fn(t_local) -> (xy,
+    theta, robots) in world coordinates; the object equilibrium is re-solved
+    at every sample from the placed formation.
     """
     total = sum(d for d, _ in segments)
     count = int(np.ceil(total / dt - 1e-9)) + 1
@@ -397,7 +391,6 @@ def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
     taut = np.zeros((count, n), dtype=bool)
     for k, t in enumerate(times):
         t_rel = min(float(t), total)
-        xy, theta, robot_pts = None, 0.0, None
         for i, (duration, fn) in enumerate(segments):
             if t_rel <= duration + 1e-12 or i == len(segments) - 1:
                 xy, theta, robot_pts = fn(min(t_rel, duration))

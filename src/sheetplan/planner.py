@@ -53,8 +53,8 @@ class CrossingSchedule:
                 f"times must satisfy 0 < T1 <= T2 <= T3 <= T4, got "
                 f"({self.T1}, {self.T2}, {self.T3}, {self.T4})"
             )
-        if self.v <= 0:
-            raise InvalidSchedule("translation speed must be positive")
+        if not 0.0 < self.v < np.inf:
+            raise InvalidSchedule(f"translation speed must be positive and finite, got {self.v}")
 
     @property
     def delta_T(self) -> float:
@@ -95,8 +95,9 @@ def select_sides(formation: Formation, approach, depart):
 def crossing_pose(schedule: CrossingSchedule, t: float):
     """Closed-form centroid pose (x, theta) of the piecewise crossing path.
 
-    Rotation, translation, rotation, translation; x and theta are continuous
-    at every boundary; y is identically 0 in the obstacle-local frame.
+    Rotation, translation, rotation, translation, then rest from T4; x and
+    theta are continuous at every boundary; y is identically 0 in the
+    obstacle-local frame.
     """
     s = schedule
     if t <= 0.0:
@@ -105,12 +106,9 @@ def crossing_pose(schedule: CrossingSchedule, t: float):
         return 0.0, s.theta1 * t / s.T1
     if t <= s.T2:
         return s.v * (t - s.T1), s.theta1
-    if t <= s.T3:
-        frac = (t - s.T2) / (s.T3 - s.T2) if s.T3 > s.T2 else 1.0
-        return s.v * s.delta_T, s.theta1 + s.theta2 * frac
-    if t <= s.T4:
-        return s.v * (t + s.delta_T - s.T3), s.theta1 + s.theta2
-    return s.v * (s.T4 + s.delta_T - s.T3), s.theta1 + s.theta2
+    if t <= s.T3:      # so T2 < t <= T3
+        return s.v * s.delta_T, s.theta1 + s.theta2 * ((t - s.T2) / (s.T3 - s.T2))
+    return s.v * (min(t, s.T4) + s.delta_T - s.T3), s.theta1 + s.theta2
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ _KEYS = {
     "z_safe": (1, False),
     "weights": (5, False),
 }
-_DEFAULTS = {"name": "scenario", "speed": 0.1, "omega": 0.2, "dt": 0.1}
+DEFAULT_OMEGA = 0.2        # rad/s, rotation rate of the formation
+_DEFAULTS = {"name": "scenario", "speed": 0.1, "omega": DEFAULT_OMEGA, "dt": 0.1}
 _FIELD_KEYS = {"holding_height": "sheet_height"}    # constructor field -> scenario key
 
 

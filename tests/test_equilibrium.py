@@ -12,6 +12,8 @@ from sheetplan import (
     Formation,
     InconsistentRedundancy,
     InfeasibleFormation,
+    NoConvergence,
+    NoEquilibrium,
     SheetLayout,
     SingularSystem,
     TooFewTaut,
@@ -33,6 +35,7 @@ from sheetplan.equilibrium import (
 )
 from sheetplan.geometry import dot, pair_distances, pair_index, points_in_polygon, rotation
 from sheetplan import equilibrium, kernels
+from sheetplan.cli import main as cli_main
 
 from conftest import (
     draw_consistent_target,
@@ -242,6 +245,18 @@ class TestDirectKinematics:
         with pytest.raises(InfeasibleFormation):
             direct_kinematics(f, [1, 1, 1])
 
+    def test_taut_residual_above_tolerance(self, triangle_layout):
+        # a stationary point 1e-8 m off in height misses its taut cables by
+        # more than TAUT_TOL
+        def nudged(*args):
+            u, q, z, ok = _stationary_points(*args)
+            return u, q, z + 1e-8, ok
+
+        f = equilateral_formation(triangle_layout, 1.2)
+        with mock.patch.object(equilibrium, "_stationary_points", nudged), \
+                pytest.raises(NoConvergence, match="taut residual"):
+            direct_kinematics(f, [1, 1, 1])
+
 
 class TestSolveEquilibrium:
     def test_symmetric_all_taut(self, triangle_layout):
@@ -280,6 +295,28 @@ class TestSolveEquilibrium:
         f = equilateral_formation(triangle_layout, 1.7)
         with pytest.raises(InfeasibleFormation):
             solve_equilibrium(f)
+
+    def test_no_validated_candidate(self, triangle_layout, tmp_path, capsys):
+        # a kernel that finds no lowest point validates no row: the stack
+        # entry, the one-formation solve and `sheetplan kinematics` (exit 1)
+        # all name NoEquilibrium
+        def no_lowest(centers, z_r, rho):
+            return None, np.full(len(rho), np.inf)
+
+        f = equilateral_formation(triangle_layout, 1.2)
+        path = tmp_path / "formation.txt"
+        path.write_text("\n".join([f"sheet_height = {Z_R}"]
+                                  + [f"sheet_point = {x!r} {y!r}"
+                                     for x, y in triangle_layout.holding_points.tolist()]
+                                  + [f"robot = {x!r} {y!r}"
+                                     for x, y in f.robot_positions.tolist()]))
+        with mock.patch.object(kernels, "lowest_point_grid", no_lowest):
+            (got,) = solve_equilibria([f])
+            assert isinstance(got, NoEquilibrium)
+            with pytest.raises(NoEquilibrium):
+                solve_equilibrium(f)
+            assert cli_main(["kinematics", "--formation", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: no candidate equilibrium validated")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_coordinates_are_infeasible(self, triangle_layout):

@@ -65,6 +65,10 @@ class TestLocalFrame:
         with pytest.raises(DegenerateFormation):
             to_local_frame(pts)
 
+    def test_one_point_rejected(self):
+        with pytest.raises(DegenerateFormation, match="at least 2 points"):
+            to_local_frame(np.array([[0.3, 0.4]]))
+
     def test_first_two_coords_pinned(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(5, 2))

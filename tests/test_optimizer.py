@@ -1,5 +1,6 @@
 """Cost terms and the constrained formation optimizer."""
 import hashlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from sheetplan import (
     run_pipeline,
     solve_equilibrium,
 )
+from sheetplan import optimizer
 from sheetplan.geometry import FormationIndicators, pair_distances
 from sheetplan.optimizer import EVAL_BUDGET, STEP_MIN, _Chart, _pattern_search
 
@@ -210,7 +212,21 @@ class TestOptimizeFormation:
         ob = ObstacleSpec((0, 0), 0.1, 0.76)
         sol = optimize_formation(carry_start, ob, 4.0)
         assert sol.mode == "bypassing"
-        assert sol.indicators.W <= 4.0 - ob.d_obs - 2 * 0.05 + 1e-9
+        # the outline fits in the half corridor beside the obstacle's margin disc
+        assert sol.indicators.W <= 4.0 / 2 - ob.radius - 0.05 + 1e-9
+
+    def test_slack_final_solve_rejects(self, carry_start):
+        # a final re-solve that finds a slack cable rejects a program's
+        # formation; with both programs rejected, nothing works
+        solve = optimizer.solve_equilibrium
+
+        def slack(formation):
+            eq = solve(formation)
+            return replace(eq, taut_count=eq.taut_count - 1)
+
+        with mock.patch.object(optimizer, "solve_equilibrium", slack), \
+                pytest.raises(NoFeasibleFormation, match="admits no crossing or bypassing"):
+            optimize_formation(carry_start, ObstacleSpec((0, 0), 0.1, 0.05), 2.0)
 
     def test_reported_costs_keep_reward_signs(self, low_obstacle_solution):
         sol = low_obstacle_solution

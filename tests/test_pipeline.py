@@ -13,6 +13,7 @@ from sheetplan import (
     export_report,
     load_scenario,
     run_pipeline,
+    solve_equilibrium,
 )
 from sheetplan.cli import main as cli_main
 from sheetplan.geometry import rotation
@@ -295,26 +296,49 @@ class TestBuildReport:
         assert err.value.obstacle_index == 0
 
 
+def bypass_text(width):
+    """One obstacle taller than any crossing height, in a corridor of `width`."""
+    text = open(CORRIDOR).read()
+    for old, new in (
+        ("corridor_point = 6.0 0.0", "corridor_point = 8.0 0.0"),
+        ("corridor_width = 2.0", f"corridor_width = {width}"),
+        ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
+        ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 3.5 0.0 0.1 0.76"),
+        ("goal = 5.6 0.0", "goal = 7.0 0.0"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
 class TestBypassRun:
     def test_tall_obstacle_is_bypassed(self):
-        # one obstacle taller than any crossing height, in a corridor wide
-        # enough to go around it
-        text = open(CORRIDOR).read()
-        for old, new in (
-            ("corridor_point = 6.0 0.0", "corridor_point = 8.0 0.0"),
-            ("corridor_width = 2.0", "corridor_width = 4.0"),
-            ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
-            ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 3.5 0.0 0.1 0.76"),
-            ("goal = 5.6 0.0", "goal = 7.0 0.0"),
-        ):
-            assert old in text
-            text = text.replace(old, new)
-        scenario = parse_scenario(text)
+        # a corridor wide enough to go around the obstacle
+        scenario = parse_scenario(bypass_text(4.0))
         report = run_pipeline(scenario)
         assert report.obstacle_modes == ("bypassed",)
         assert report.min_horizontal_clearance >= scenario.safety.delta_r - 1e-9
         step = scenario.speed * scenario.dt
         assert np.linalg.norm(report.final_object[:2] - report.goal) <= 2 * step
+
+    def test_outline_sized_to_fit_beside_the_obstacle(self):
+        # in 2 m the optimizer shrinks the outline to the room the planner's
+        # shift leaves beside the obstacle, and the robots stay in the corridor
+        scenario = parse_scenario(bypass_text(2.0))
+        report = run_pipeline(scenario)
+        assert report.obstacle_modes == ("bypassed",)
+        assert report.min_horizontal_clearance >= scenario.safety.delta_r - 1e-9
+        assert np.max(np.abs(report.timeline.robots[..., 1])) <= 1.0
+
+    def test_no_bypass_fits(self, tmp_path, capsys):
+        # 1.9 m leaves too little room beside the obstacle for any outline:
+        # the optimizer says so, before any maneuver is planned
+        path = tmp_path / "narrow.txt"
+        path.write_text(bypass_text(1.9))
+        assert cli_main(["plan", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "infeasible: obstacle 0: obstacle (d=0.200, z=0.760) admits no crossing "
+            "or bypassing formation within corridor width 1.900")
 
 
 class TestCli:
@@ -373,6 +397,25 @@ class TestCli:
         assert rc == 1
         assert err.startswith(f"error: {flag[2:]}:")
         assert "Traceback" not in err
+
+    def test_plan_goal_at_start(self, tmp_path, capsys):
+        # no obstacles and the object already on the goal: one zero-length
+        # transit leg, sampled once
+        start = solve_equilibrium(load_scenario(CORRIDOR).initial_formation).horizontal
+        text = open(CORRIDOR).read()
+        for old, new in (
+            ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
+            ("obstacle = 4.2 0.0 0.2 0.2\n", ""),
+            ("goal = 5.6 0.0", "goal = {!r} {!r}".format(*start.tolist())),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "at_goal.txt"
+        path.write_text(text)
+        assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert "no obstacles" in capsys.readouterr().out
+        with open(tmp_path / "o" / "metrics.txt") as fh:
+            assert "samples = 1\n" in fh.read()
 
     def test_plan_infeasible_exit_code(self, tmp_path):
         text = open(CORRIDOR).read().replace(

@@ -1,4 +1,6 @@
 """Side selection, the piecewise crossing path, and local plan timelines."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,9 +112,26 @@ class TestCrossingPath:
             assert x == pytest.approx(expect[0], abs=1e-12)
             assert theta == pytest.approx(expect[1], abs=1e-12)
 
+    def test_pose_holds_after_t4(self):
+        s = make_schedule(np.deg2rad(14.0), np.deg2rad(9.0), 0.9, 3.7, 4.9, 8.3)
+        assert crossing_pose(s, s.T4 + 2.5) == crossing_pose(s, s.T4)
+
     def test_invalid_schedule(self):
         with pytest.raises(InvalidSchedule):
             make_schedule(0.1, 0.0, 2.0, 1.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("v", [0.0, np.nan, np.inf])
+    def test_speed_must_be_positive_and_finite(self, v):
+        with pytest.raises(InvalidSchedule, match="translation speed"):
+            make_schedule(0.1, 0.0, 1.0, 2.0, 3.0, 4.0, v=v)
+
+
+@pytest.fixture(scope="module")
+def bypass_solution():
+    layout = equilateral_layout()
+    initial = equilateral_formation(layout, 1.0, phase=np.deg2rad(60))
+    obstacle = ObstacleSpec((0.0, 0.0), 0.1, 0.76)    # too tall to cross
+    return optimize_formation(initial, obstacle, 4.0), obstacle
 
 
 @pytest.fixture(scope="module")
@@ -169,11 +188,8 @@ class TestPlanLocal:
         assert tl.schedule.theta2 == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(tl.poses[:, 1], tl.poses[0, 1], atol=1e-12)   # straight
 
-    def test_bypass_clears_laterally(self):
-        layout = equilateral_layout()
-        initial = equilateral_formation(layout, 1.0, phase=np.deg2rad(60))
-        obstacle = ObstacleSpec((0.0, 0.0), 0.1, 0.76)    # too tall to cross
-        solution = optimize_formation(initial, obstacle, 4.0)
+    def test_bypass_clears_laterally(self, bypass_solution):
+        solution, obstacle = bypass_solution
         assert solution.mode == "bypassing"
         tl = plan_local(solution, obstacle, 4.0, dt=0.1, v=0.1)
         safety = SafetyParams()
@@ -182,6 +198,28 @@ class TestPlanLocal:
         for k in range(len(tl)):
             d = np.linalg.norm(tl.robots[k] - obstacle.center, axis=1)
             assert np.min(d) >= obstacle.radius + safety.delta_r - 1e-9
+
+    def test_bypass_wider_than_corridor(self, bypass_solution):
+        # optimized for 4 m, the outline does not fit beside the obstacle in 2 m
+        solution, obstacle = bypass_solution
+        with pytest.raises(PlanInfeasible, match="does not fit a corridor of width 2.000"):
+            plan_local(solution, obstacle, 2.0, dt=0.1, v=0.1)
+
+    def test_unknown_mode(self, bypass_solution):
+        solution, obstacle = bypass_solution
+        with pytest.raises(PlanInfeasible, match="no local plan for mode 'infeasible'"):
+            plan_local(replace(solution, mode="infeasible"), obstacle, 4.0, dt=0.1, v=0.1)
+
+    @pytest.mark.parametrize("W, message", [
+        (-0.5, "object clearance"),     # the shift leaves the object over the obstacle
+        (-2.0, "robot clearance"),      # the shift drives a robot into its margin
+    ])
+    def test_clearances_checked(self, bypass_solution, W, message):
+        """A bypass shift sized for a wrong outline width fails on the samples."""
+        solution, obstacle = bypass_solution
+        solution = replace(solution, indicators=replace(solution.indicators, W=W))
+        with pytest.raises(PlanInfeasible, match=message):
+            plan_local(solution, obstacle, 4.0, dt=0.1, v=0.1)
 
     @pytest.mark.parametrize("dw, dz", [(-0.01, 0.0), (0.0, 0.01)])
     def test_crossing_constraints_checked(self, crossing_plan, dw, dz):

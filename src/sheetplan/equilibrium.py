@@ -30,7 +30,7 @@ height, which reduces every solve to small exact linear algebra:
   and ranked against it, which picks the same row as one ranking of all;
 * every step carries a leading formation axis: `solve_equilibria` solves a
   stack of formations with one team size (the optimizer's probes of one
-  poll) in one pass, each to the same bits as alone, and
+  poll) in one pass over arrays, each to the same bits as alone, and
   `solve_equilibrium` is its one-formation case;
 * a brute-force grid oracle (`oracle_equilibrium`) provides an independent
   check by nested search over contact candidates.
@@ -53,12 +53,12 @@ from .errors import (
     NoConvergence,
     NoEquilibrium,
     ObjectOutsideFormation,
-    SheetPlanError,
     SingularSystem,
     TooFewTaut,
     ValidationError,
 )
 from .geometry import (
+    STRETCH_TOL,
     Formation,
     SheetLayout,
     convex_turns,
@@ -72,9 +72,9 @@ from .geometry import (
     require_positive,
     rotation,
 )
+from .kernels import FEAS_TOL    # the kernel's ball slack: the allowed cable violation
 
 SLACK_BAND = 1e-6        # cable counts as slack only below geodesic - band
-FEAS_TOL = 1e-7          # allowed violation of the cable inequality
 TAUT_TOL = 1e-9          # taut-equality residual bound for solved subsets
 ENERGY_TOL = 1e-7        # agreement required with the lowest-point kernel
 FLAT_TOL = 1e-9          # hang depth below which the sheet counts as flat
@@ -314,14 +314,10 @@ def _stationary_points(v, z_r, r, plan, solve):
 
 
 # --------------------------------------------------------- known taut set
-def _stretched(stretch):
-    return InfeasibleFormation(f"robot pair exceeds sheet spacing by {stretch:.3e} m")
-
-
 def _require_feasible(formation):
     stretch = formation.stretch()
-    if stretch > 1e-9:
-        raise _stretched(stretch)
+    if stretch > STRETCH_TOL:
+        raise InfeasibleFormation(f"robot pair exceeds sheet spacing by {stretch:.3e} m")
 
 
 def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
@@ -447,14 +443,18 @@ def _select_best(v, z_r, r, z, u, q, ok, rank):
     return best
 
 
-def solve_equilibria(formations) -> list:
-    """Equilibria of formations with one team size, solved as one stack.
+def solve_equilibria(v, z_r, r):
+    """Equilibria of a stack of formations with one team size, as arrays.
 
-    Returns one entry per formation, in order: its ObjectEquilibrium, or the
-    SheetPlanError that `solve_equilibrium` raises for it. Infeasible
-    formations leave the stack before the solve; the others are solved
-    together along a leading formation axis, each to the same bits as on
-    its own. Raises ValueError when the team sizes differ.
+    `v` and `r` are (K, n, 2) and `z_r` is (K,): each formation's sheet,
+    team and holding height. Returns (at, u, q, z, l, d, boundary) for the
+    F formations that solve, in stack order: their stack positions (F,),
+    sheet contacts and horizontal object positions (F, 2), heights (F,),
+    each cable's geodesic length and robot-to-object distance (F, n), and
+    whether the contact is pinned to the sheet boundary or hangs from a
+    fold line (F,). A formation that stretches the sheet past STRETCH_TOL,
+    or for which no candidate validates, is absent; each row has the bits
+    of its own solve.
 
     The solve has two phases. Phase 1 solves the interior systems, adds
     the ridge rows and ranks them: each formation's best validated height
@@ -493,26 +493,17 @@ def solve_equilibria(formations) -> list:
       L_e t_max <= 2.5e-8 max(1, W^2); the code takes twice that bound,
       1e-7 max(1, W^2) / L_e for 2 t_max, as room for round-off.
 
-    Feasible formations have D_e <= L_e + 1e-9 < L_e + delta_e, so every
+    Feasible formations have D_e <= L_e + STRETCH_TOL < L_e + delta_e, so every
     floor is real. Every system rounds the same whatever it is stacked
     with, so the rows of both phases carry the bits of a solve of all.
     """
-    results = list(formations)
-    if not results:
-        return results
-    v, r, z_r = map(np.array, zip(*[(f.layout.holding_points, f.robot_positions,
-                                     f.holding_height) for f in results]))
     with np.errstate(over="ignore"):     # robots too far apart to square: inf apart
         lv, lr = pair_distances(v), pair_distances(r)
-    stretch = np.max(lr - lv, axis=1)          # as Formation.stretch() of each
-    stack = np.flatnonzero(~(stretch > 1e-9))
-    if len(stack) < len(results):
-        for k in np.flatnonzero(stretch > 1e-9):
-            results[k] = _stretched(stretch[k])
-        if not len(stack):
-            return results
-        v, r, z_r, lv, lr = v[stack], r[stack], z_r[stack], lv[stack], lr[stack]
-    K, n = r.shape[:2]
+    stack = np.flatnonzero(~(np.max(lr - lv, axis=1) > STRETCH_TOL))   # as Formation.stretch()
+    K, n = len(stack), r.shape[1]
+    if not K:     # every array empty, with its row shape
+        return stack, *np.empty((2, 0, 2)), np.empty(0), *np.empty((2, 0, n)), np.empty(0, bool)
+    v, r, z_r, lv, lr = v[stack], r[stack], z_r[stack], lv[stack], lr[stack]
 
     sets, plan, hulls, ends, spans, rank = _solve_plan(n)
     ni, ne = len(hulls), ends.shape[1]
@@ -552,20 +543,11 @@ def solve_equilibria(formations) -> list:
         won = np.flatnonzero(best[g] >= 0)
         keep[won, best[g[won]]] = True         # the phase-1 winner competes again
         best[g] = _select_best(v2, z2, r2, z[g], u[g], q[g], keep, rank)
-    for k in stack[best < 0]:
-        results[k] = NoEquilibrium(
-            "no candidate equilibrium validated; feasible input should always "
-            "admit one (solver bug signal)"
-        )
     f = np.flatnonzero(best >= 0)
     best = best[f]
     u, q, z, v, z_r = u[f, best], q[f, best], z[f, best], v[f], z_r[f]
     l, d = _cables(v, z_r, r[f], u, q, z)
-    on_edge = ~points_in_polygon(u, v, tol=-1e-9)
-    for row, k in enumerate(stack[f]):
-        results[k] = _equilibrium(u[row], q[row], z[row], z_r[row], l[row], d[row],
-                                  bool(best[row] >= ni or on_edge[row]))
-    return results
+    return stack[f], u, q, z, l, d, (best >= ni) | ~points_in_polygon(u, v, tol=-1e-9)
 
 
 def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
@@ -582,12 +564,16 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     Edge systems are solved only where their floor does not lie above the
     best interior or ridge row (see `solve_equilibria`). Ties favor larger
     taut sets, then lexicographic order. This is the one-formation stack of
-    `solve_equilibria`.
+    `solve_equilibria`; InfeasibleFormation or NoEquilibrium when it is absent.
     """
-    (eq,) = solve_equilibria([formation])
-    if isinstance(eq, SheetPlanError):
-        raise eq
-    return eq
+    z_r = formation.holding_height
+    _, u, q, z, l, d, boundary = solve_equilibria(
+        formation.layout.holding_points[None], np.array([z_r]), formation.robot_positions[None])
+    if not len(z):
+        _require_feasible(formation)
+        raise NoEquilibrium("no candidate equilibrium validated; feasible input should always "
+                            "admit one (solver bug signal)")
+    return _equilibrium(u[0], q[0], z[0], z_r, l[0], d[0], bool(boundary[0]))
 
 
 # -------------------------------------------------------------- the oracle

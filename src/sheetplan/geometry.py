@@ -16,6 +16,7 @@ from .errors import DegenerateFormation, InvalidHeight, NonConvexResult, Validat
 
 AREA_TOL = 1e-9          # signed-area tolerance for convexity tests (m^2)
 FRAME_TOL = 1e-9         # coincident-point tolerance for frame construction (m)
+STRETCH_TOL = 1e-9       # Formation.stretch() above which the team stretches the sheet (m)
 MAX_ROBOTS = 8           # largest team the solver is tested and benchmarked for
 
 
@@ -220,8 +221,8 @@ class Formation:
         """Worst pair stretch: max over pairs of ||r_i - r_j|| - ||v_i - v_j||.
 
         Negative means strictly feasible everywhere; 0 means some pair is
-        fully stretched (flat sheet along that pair); positive is infeasible,
-        and inf, with no overflow warning, for robots too far apart to square.
+        fully stretched (flat sheet along that pair); above STRETCH_TOL is
+        infeasible, and inf, with no warning, for robots too far apart to square.
         """
         with np.errstate(over="ignore"):
             return float(np.max(pair_distances(self.robot_positions) - self.layout.spacing))

@@ -25,6 +25,7 @@ import numpy as np
 
 from .equilibrium import inverse_kinematics  # noqa: F401  the benchmark's span table wraps this name
 from .equilibrium import (
+    SLACK_BAND,
     ObjectEquilibrium,
     inverse_kinematics_stack,
     solve_equilibria,
@@ -173,16 +174,13 @@ class _Chart:
         robots, code = inverse_kinematics_stack(self.layout, points[:, :2], points[:, 2],
                                                 points[:, 3:])
         built = np.flatnonzero((code == 0) & (points[:, 2] > 0.0))
-        eqs = solve_equilibria([Formation(robots[k], self.layout) for k in built])
-        # an error, or a cable gone slack (taut constraint violated), rejects the point
-        taut = [not isinstance(eq, SheetPlanError) and eq.taut_count == self.layout.n
-                for eq in eqs]
+        v = np.repeat(self.layout.holding_points[None], len(built), axis=0)
+        at, contacts, _, heights, l, d, _ = solve_equilibria(
+            v, np.full(len(built), self.layout.holding_height), robots[built])
+        taut = np.all(d >= l - SLACK_BAND, axis=1)
         ok = np.zeros(len(points), dtype=bool)
-        ok[built[taut]] = True
-        eqs = [eq for eq, keep in zip(eqs, taut) if keep]
-        contacts = np.array([eq.sheet_contact for eq in eqs]).reshape(-1, 2)
-        heights = np.array([eq.z for eq in eqs])
-        return ok, robots[ok], contacts, indicators(robots[ok], heights, self.safety)
+        ok[built[at[taut]]] = True
+        return ok, robots[ok], contacts[taut], indicators(robots[ok], heights[taut], self.safety)
 
 
 def crossing_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_convex: float):

@@ -410,11 +410,13 @@ def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
 
 
 def _build_report(scenario, timeline, modes, angles) -> RunReport:
-    """Derive the run metrics and re-check every clearance on the samples.
+    """Derive the run metrics and re-check every clearance on the samples,
+    the robots' to the corridor walls included.
 
     Checks are written as `not (x >= bound)` so that a NaN fails them.
     """
     safety = scenario.safety
+    corridor = scenario.corridor
     vertical, robot_clearances = _clearances(timeline, scenario.obstacles, safety)
     for index, vert in enumerate(vertical):
         if modes[index] == "crossed" and not (vert >= safety.z_safe - 1e-9):
@@ -430,10 +432,18 @@ def _build_report(scenario, timeline, modes, angles) -> RunReport:
             raise PipelineInfeasible(
                 worst, f"robot clearance {min_horiz:.4f} below delta_r at obstacle {worst}"
             )
+    robots = timeline.robots      # each within half its segment's width of the centerline
+    room = corridor.width_at(corridor.project(robots)) / 2 - corridor.distance_to(robots)
+    k, i = np.unravel_index(np.argmin(room), room.shape)
+    if not (room[k, i] >= -1e-9):
+        near = min(range(len(scenario.obstacles)), default=None,
+                   key=lambda j: np.linalg.norm(robots[k, i] - scenario.obstacles[j].center))
+        raise PipelineInfeasible(near, f"robot {i} is {-room[k, i]:.4f} m past the corridor wall "
+                                       f"at t = {timeline.times[k]:.2f} s (near obstacle {near})")
     path_lengths = np.sum(
         np.linalg.norm(np.diff(timeline.robots, axis=0), axis=2), axis=0
     )
-    deviations = scenario.corridor.distance_to(timeline.objects[:, :2])
+    deviations = corridor.distance_to(timeline.objects[:, :2])
     rmse = float(np.sqrt(np.mean(deviations**2)))
     final_object = timeline.objects[-1]
     miss = np.linalg.norm(final_object[:2] - scenario.goal)

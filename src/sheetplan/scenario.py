@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SheetPlanError, ValidationError
-from .geometry import Formation, SafetyParams, SheetLayout, dot, require_finite, require_positive
+from .geometry import (STRETCH_TOL, Formation, SafetyParams, SheetLayout, dot, require_finite,
+                       require_positive)
 from .optimizer import CostWeights, ObstacleSpec
 
 # key: (count of numbers, whether the key may repeat); None takes the rest of the line as text
@@ -120,8 +121,10 @@ class Corridor:
         seg = self.points[k + 1] - self.points[k]
         return seg / np.linalg.norm(seg)
 
-    def width_at(self, s: float) -> float:
-        return float(self.widths[self._segment(s)[1]])
+    def width_at(self, s):
+        """Width of the segment holding each arclength of `s`; one gives a float."""
+        width = self.widths[self._segment(s)[1]]
+        return float(width) if np.ndim(width) == 0 else width
 
     def project(self, points):
         """Arclength of the closest centerline point to each (..., 2) point.
@@ -177,7 +180,7 @@ class Scenario:
         for key in ("speed", "omega", "dt"):
             require_positive(key, getattr(self, key))
         stretch = self.initial_formation.stretch()
-        if not stretch <= 1e-9:
+        if not stretch <= STRETCH_TOL:
             raise ValidationError("robot", f"initial formation stretches the sheet by {stretch:.3e} m")
         if not all(ob.radius > 0 for ob in self.obstacles):
             raise ValidationError("obstacle", "radius must be positive")

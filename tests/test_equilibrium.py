@@ -27,6 +27,7 @@ from sheetplan.equilibrium import (
     TAUT_TOL,
     _cables,
     _edge_floors,
+    _equilibrium,
     _select_best,
     _solve_plan,
     _stationary_points,
@@ -297,11 +298,18 @@ class TestSolveEquilibrium:
             solve_equilibrium(f)
 
     def test_no_validated_candidate(self, triangle_layout, tmp_path, capsys):
-        # a kernel that finds no lowest point validates no row: the stack
-        # entry, the one-formation solve and `sheetplan kinematics` (exit 1)
-        # all name NoEquilibrium
+        # a kernel that finds no lowest point validates no row: the one-
+        # formation solve and `sheetplan kinematics` (exit 1) name
+        # NoEquilibrium, and in a stack that formation is absent while its
+        # neighbours keep the bits of their own solves
         def no_lowest(centers, z_r, rho):
             return None, np.full(len(rho), np.inf)
+
+        lowest = kernels.lowest_point_grid
+
+        def no_lowest_for_f(centers, z_r, rho):
+            q, z = lowest(centers, z_r, rho)
+            return q, np.where(np.all(centers == centers_f, axis=(1, 2)), np.inf, z)
 
         f = equilateral_formation(triangle_layout, 1.2)
         path = tmp_path / "formation.txt"
@@ -310,9 +318,13 @@ class TestSolveEquilibrium:
                                      for x, y in triangle_layout.holding_points.tolist()]
                                   + [f"robot = {x!r} {y!r}"
                                      for x, y in f.robot_positions.tolist()]))
+        centers_f = f.robot_positions - f.robot_positions[0]
+        others = [equilateral_formation(triangle_layout, side) for side in (1.0, 1.1)]
+        one = [_state_bytes(solve_equilibrium(g)) for g in others]
+        with mock.patch.object(kernels, "lowest_point_grid", no_lowest_for_f):
+            assert _stacked([others[0], f, others[1]]) == [one[0], None, one[1]]
         with mock.patch.object(kernels, "lowest_point_grid", no_lowest):
-            (got,) = solve_equilibria([f])
-            assert isinstance(got, NoEquilibrium)
+            assert _stacked([f]) == [None]
             with pytest.raises(NoEquilibrium):
                 solve_equilibrium(f)
             assert cli_main(["kinematics", "--formation", str(path)]) == 1
@@ -327,8 +339,7 @@ class TestSolveEquilibrium:
                       lambda f: direct_kinematics(f, [1, 1, 1])):
             with pytest.raises(InfeasibleFormation, match="by inf m"):
                 solve(f)
-        (got,) = solve_equilibria([f])
-        assert isinstance(got, InfeasibleFormation)
+        assert _stacked([f]) == [None]
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(32)
@@ -456,6 +467,19 @@ def _state_bytes(eq):
             + bytes([*(c.taut for c in eq.cables), eq.boundary_contact, eq.flat]))
 
 
+def _stacked(formations):
+    """`solve_equilibria` of a nonempty list of formations: each one's
+    `_state_bytes`, or None where it is absent from the result."""
+    v, z_r, r = (np.array(x) for x in zip(*[(f.layout.holding_points, f.holding_height,
+                                              f.robot_positions) for f in formations]))
+    at, *rows = solve_equilibria(v, z_r, r)
+    assert np.all(np.diff(at) > 0)             # in stack order
+    got = [None] * len(formations)
+    for k, u, q, z, l, d, boundary in zip(at.tolist(), *rows):
+        got[k] = _state_bytes(_equilibrium(u, q, z, z_r[k], l, d, bool(boundary)))
+    return got
+
+
 def _stretched(formation):
     """The formation scaled about its centroid past the sheet spacing."""
     r = formation.robot_positions
@@ -539,29 +563,27 @@ class TestStackedSolve:
         for n in range(3, 9):
             at = [k for k, f in enumerate(cases) if f.n == n]
             for order in (at, at[::-1]):
-                # every other row fails: robots stretched past the sheet spacing
+                # every other row is absent: robots stretched past the sheet spacing
                 rows = [x for k in order for x in (cases[k], _stretched(cases[k]))]
-                got = solve_equilibria(rows)
-                for k, eq, bad in zip(order, got[::2], got[1::2]):
-                    assert _state_bytes(eq) == one[k]
-                    assert isinstance(bad, InfeasibleFormation)
-                    stacked[k] = eq
-        assert hashlib.sha256(b"".join(map(_state_bytes, stacked))).hexdigest() == SOLVE_DIGEST
+                got = _stacked(rows)
+                assert got[1::2] == [None] * len(order)
+                for k, state in zip(order, got[::2]):
+                    assert state == one[k]
+                    stacked[k] = state
+        assert hashlib.sha256(b"".join(stacked)).hexdigest() == SOLVE_DIGEST
         assert hashlib.sha256(b"".join(one)).hexdigest() == SOLVE_DIGEST
 
-    def test_failing_rows_keep_their_errors(self):
+    def test_failing_rows_are_absent(self):
         rng = np.random.default_rng(5)
         _, f = draw_transport_case(rng, 4)
         bad = _stretched(f)
-        with pytest.raises(InfeasibleFormation) as raised:
+        with pytest.raises(InfeasibleFormation, match="robot pair exceeds sheet spacing by"):
             solve_equilibrium(bad)
-        got = solve_equilibria([bad, f, bad])
-        assert [type(x) for x in got] == [InfeasibleFormation, type(solve_equilibrium(f)),
-                                          InfeasibleFormation]
-        assert str(got[0]) == str(raised.value)
-        assert solve_equilibria([]) == []
-        with pytest.raises(ValueError):
-            solve_equilibria([f, draw_transport_case(rng, 3)[1]])
+        assert _stacked([bad, f, bad]) == [None, _state_bytes(solve_equilibrium(f)), None]
+        assert _stacked([bad, bad]) == [None, None]
+        # the empty stack: every array empty, with its row shape
+        empty = solve_equilibria(np.zeros((0, 4, 2)), np.zeros(0), np.zeros((0, 4, 2)))
+        assert [x.shape for x in empty] == [(0,), (0, 2), (0, 2), (0,), (0, 4), (0, 4), (0,)]
 
     def test_phase_two_in_a_mixed_stack(self):
         # formations whose every edge is skipped stacked with formations that
@@ -582,9 +604,9 @@ class TestStackedSolve:
                     return select(*args)
 
                 with mock.patch.object(equilibrium, "_select_best", spy):
-                    got = solve_equilibria(mixed[order])
+                    got = _stacked(mixed[order])
                 assert sizes == [4, 2]
-                assert list(map(_state_bytes, got)) == one[order]
+                assert got == one[order]
 
     def test_ridge_hang(self):
         rng = np.random.default_rng(21)
@@ -599,9 +621,10 @@ class TestStackedSolve:
             assert row - interior in (1, 4)
             assert eq.sheet_contact.tobytes() == (0.5 * (v[i] + v[j])).tobytes()
             assert eq.horizontal.tobytes() == (0.5 * (r[i] + r[j])).tobytes()
-        stacked = solve_equilibria(cases + [_stretched(cases[0])] + cases[::-1])
-        for f, eq, back in zip(cases, stacked, stacked[:4:-1]):
-            assert _state_bytes(eq) == _state_bytes(solve_equilibrium(f)) == _state_bytes(back)
+        stacked = _stacked(cases + [_stretched(cases[0])] + cases[::-1])
+        assert stacked[4] is None
+        for f, state, back in zip(cases, stacked, stacked[:4:-1]):
+            assert state == _state_bytes(solve_equilibrium(f)) == back
 
 
 def _floors(formation):

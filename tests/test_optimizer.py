@@ -25,7 +25,7 @@ from sheetplan import (
     run_pipeline,
     solve_equilibrium,
 )
-from sheetplan import optimizer
+from sheetplan import equilibrium, optimizer
 from sheetplan.geometry import FormationIndicators, pair_distances
 from sheetplan.optimizer import EVAL_BUDGET, STEP_MIN, _Chart, _pattern_search
 
@@ -255,6 +255,16 @@ class TestStackedDecode:
                 assert alone[2].tobytes() == contacts[k:k + 1].tobytes()
                 for name in ("W", "D", "L_min", "d_obsmax", "z_obsmax"):
                     assert getattr(alone[3], name).tobytes() == getattr(ind, name)[k:k + 1].tobytes()
+
+    def test_poll_builds_no_formation_or_equilibrium(self):
+        """A poll goes from chart points to decoded rows through arrays only."""
+        scenario = load_scenario(CORRIDOR)
+        chart = _Chart(scenario.initial_formation, scenario.safety)
+        points = chart.x0 + np.random.default_rng(3).normal(0.0, 0.05, (16, len(chart.x0)))
+        with mock.patch.object(Formation, "__post_init__", side_effect=AssertionError), \
+                mock.patch.object(equilibrium, "ObjectEquilibrium", side_effect=AssertionError):
+            ok, robots, _, _ = chart.decode(points)
+        assert 0 < ok.sum() < len(points) and len(robots) == ok.sum()
 
 
 def sequential_search(x, fun, budget, steps0):

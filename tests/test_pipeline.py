@@ -341,6 +341,19 @@ class TestBypassRun:
             "or bypassing formation within corridor width 1.900")
 
 
+    def test_off_centre_bypass_stays_in_the_walls(self, tmp_path, capsys):
+        # the bypass shifts the team to the obstacle's +y side: with the
+        # obstacle 1 m off the centreline that puts robot 0 at y = 2.116 m,
+        # past the 2 m half width, and the run names the obstacle (exit 2)
+        path = tmp_path / "off_centre.txt"
+        path.write_text(bypass_text(4.0).replace("obstacle = 3.5 0.0", "obstacle = 3.5 1.0"))
+        assert cli_main(["plan", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: robot 0 is 0.1162 m past the corridor wall at t = 24.90 s "
+            "(near obstacle 0)\n")
+        assert not (tmp_path / "x").exists()
+
+
 class TestCli:
     def test_validate(self, capsys):
         assert cli_main(["validate", CORRIDOR]) == 0

@@ -60,6 +60,9 @@ class TestParsing:
         s = parse_scenario(text.replace("goal = 5.6 0.0", "goal = 3.0 2.5"))
         assert s.corridor.width_at(1.0) == 2.0
         assert s.corridor.width_at(4.5) == 1.5
+        assert type(s.corridor.width_at(4.5)) is float
+        assert s.corridor.width_at(np.array([[1.0, 4.5], [2.9, 9.0]])).tolist() == [[2.0, 1.5],
+                                                                                  [2.0, 1.5]]
 
     def test_parse_error_reports_line(self):
         bad = MINIMAL.replace("goal = 5.6 0.0", "goal 5.6 0.0")

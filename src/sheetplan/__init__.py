@@ -36,7 +36,6 @@ from .geometry import (
     to_local_frame,
 )
 from .equilibrium import (
-    CableState,
     ObjectEquilibrium,
     direct_kinematics,
     inverse_kinematics,

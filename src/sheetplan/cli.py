@@ -41,11 +41,8 @@ def _cmd_kinematics(args):
     print("object_position = " + " ".join(FMT % x for x in p))
     print("sheet_contact = " + " ".join(FMT % x for x in eq.sheet_contact))
     print(f"taut_count = {eq.taut_count}")
-    for cable in eq.cables:
-        print(
-            f"cable_{cable.index + 1} = {cable.status} "
-            "(geodesic " + FMT % cable.geodesic_length + ")"
-        )
+    for i, (taut, length) in enumerate(zip(eq.taut, eq.geodesic_lengths)):
+        print(f"cable_{i + 1} = {'taut' if taut else 'slack'} (geodesic " + FMT % length + ")")
     if eq.flat:
         print("flat = true")
     if eq.boundary_contact:

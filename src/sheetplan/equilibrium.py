@@ -61,6 +61,7 @@ from .geometry import (
     STRETCH_TOL,
     Formation,
     SheetLayout,
+    cable_lengths,
     convex_turns,
     dot,
     pair_distances,
@@ -81,19 +82,6 @@ FLAT_TOL = 1e-9          # hang depth below which the sheet counts as flat
 
 
 @dataclass(frozen=True)
-class CableState:
-    """Status of one virtual cable at a solved equilibrium."""
-
-    index: int
-    geodesic_length: float
-    status: str                   # "taut" | "slack"
-
-    @property
-    def taut(self) -> bool:
-        return self.status == "taut"
-
-
-@dataclass(frozen=True)
 class ObjectEquilibrium:
     """Solved object state: world position, sheet contact, cable statuses.
 
@@ -105,8 +93,8 @@ class ObjectEquilibrium:
 
     world_position: np.ndarray    # (3,) [x_o, y_o, z_o]
     sheet_contact: np.ndarray     # (2,) [x_vo, y_vo] in the sheet frame
-    cables: tuple
-    taut_count: int
+    geodesic_lengths: np.ndarray  # (n,) each cable's length on the sheet
+    taut: np.ndarray              # (n,) bool: the cable is taut, else slack
     flat: bool = False
     boundary_contact: bool = False
 
@@ -119,8 +107,12 @@ class ObjectEquilibrium:
         return self.world_position[:2]
 
     @property
+    def taut_count(self) -> int:
+        return int(np.count_nonzero(self.taut))
+
+    @property
     def taut_indices(self) -> tuple:
-        return tuple(c.index for c in self.cables if c.taut)
+        return tuple(np.flatnonzero(self.taut).tolist())
 
 
 def _cables(v, z_r, r, u, q, z):
@@ -129,8 +121,7 @@ def _cables(v, z_r, r, u, q, z):
     Contacts u, object positions q and heights z may carry leading
     candidate axes; the cables are the last axis of l and d.
     """
-    e = v - np.asarray(u)[..., None, :]
-    l = np.sqrt(np.add.reduce(e * e, axis=-1))     # np.linalg.norm(e, axis=-1)
+    l = cable_lengths(v, u)
     d = np.sqrt(np.sum((r - np.asarray(q)[..., None, :]) ** 2, axis=-1)
                 + ((z_r - np.asarray(z)) ** 2)[..., None])
     return l, d
@@ -142,17 +133,19 @@ def cable_distances(formation: Formation, eq: ObjectEquilibrium):
                    formation.robot_positions, eq.sheet_contact, eq.horizontal, eq.z)
 
 
-def _equilibrium(u, q, z, z_r, l, d, boundary):
-    """The ObjectEquilibrium of a solved state whose cables measure (l, d)."""
-    cables = tuple(
-        CableState(i, float(l[i]), "taut" if d[i] >= l[i] - SLACK_BAND else "slack")
-        for i in range(len(l))
-    )
+def _taut(l, d):
+    """Mask of the cables whose robot-to-object distance d reaches their
+    geodesic length l within SLACK_BAND."""
+    return d >= l - SLACK_BAND
+
+
+def _equilibrium(u, q, z, z_r, l, taut, boundary):
+    """The ObjectEquilibrium of a solved state with cable lengths l and mask taut."""
     return ObjectEquilibrium(
         world_position=np.array([q[0], q[1], z]),
         sheet_contact=np.asarray(u, dtype=float),
-        cables=cables,
-        taut_count=sum(c.taut for c in cables),
+        geodesic_lengths=l,
+        taut=taut,
         flat=bool(z_r - z < FLAT_TOL),
         boundary_contact=boundary,
     )
@@ -342,7 +335,8 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
     if np.all(np.abs(pair_distances(v[taut]) - pair_distances(r[taut])) <= 1e-9):
         # fully stretched: the sheet is flat across the taut subset
         u, q, z = _flat_candidate(v, z_r, r, taut)
-        return _equilibrium(u, q, z, z_r, *_cables(v, z_r, r, u, q, z), False)
+        l, d = _cables(v, z_r, r, u, q, z)
+        return _equilibrium(u, q, z, z_r, l, _taut(l, d), False)
     base = taut[:5]
     u, q, z, ok = _stationary_points(v[None], np.array([z_r]), r[None],
                                      _plan([(tuple(base), -1)]), np.ones((1, 1), dtype=bool))
@@ -361,7 +355,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
             raise InconsistentRedundancy(
                 f"cable {k} off by {off[k]:.2e} at the five-cable solution"
             )
-    return _equilibrium(u, q, z, z_r, l, d, False)
+    return _equilibrium(u, q, z, z_r, l, _taut(l, d), False)
 
 
 # ------------------------------------------------- equilibrium discovery
@@ -447,10 +441,10 @@ def solve_equilibria(v, z_r, r):
     """Equilibria of a stack of formations with one team size, as arrays.
 
     `v` and `r` are (K, n, 2) and `z_r` is (K,): each formation's sheet,
-    team and holding height. Returns (at, u, q, z, l, d, boundary) for the
-    F formations that solve, in stack order: their stack positions (F,),
+    team and holding height. Returns (at, u, q, z, l, taut, boundary) for
+    the F formations that solve, in stack order: their stack positions (F,),
     sheet contacts and horizontal object positions (F, 2), heights (F,),
-    each cable's geodesic length and robot-to-object distance (F, n), and
+    each cable's geodesic length and whether it is taut (F, n), and
     whether the contact is pinned to the sheet boundary or hangs from a
     fold line (F,). A formation that stretches the sheet past STRETCH_TOL,
     or for which no candidate validates, is absent; each row has the bits
@@ -547,7 +541,7 @@ def solve_equilibria(v, z_r, r):
     best = best[f]
     u, q, z, v, z_r = u[f, best], q[f, best], z[f, best], v[f], z_r[f]
     l, d = _cables(v, z_r, r[f], u, q, z)
-    return stack[f], u, q, z, l, d, (best >= ni) | ~points_in_polygon(u, v, tol=-1e-9)
+    return stack[f], u, q, z, l, _taut(l, d), (best >= ni) | ~points_in_polygon(u, v, tol=-1e-9)
 
 
 def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
@@ -567,13 +561,13 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     `solve_equilibria`; InfeasibleFormation or NoEquilibrium when it is absent.
     """
     z_r = formation.holding_height
-    _, u, q, z, l, d, boundary = solve_equilibria(
+    _, u, q, z, l, taut, boundary = solve_equilibria(
         formation.layout.holding_points[None], np.array([z_r]), formation.robot_positions[None])
     if not len(z):
         _require_feasible(formation)
         raise NoEquilibrium("no candidate equilibrium validated; feasible input should always "
                             "admit one (solver bug signal)")
-    return _equilibrium(u[0], q[0], z[0], z_r, l[0], d[0], bool(boundary[0]))
+    return _equilibrium(u[0], q[0], z[0], z_r, l[0], taut[0], bool(boundary[0]))
 
 
 # -------------------------------------------------------------- the oracle
@@ -614,8 +608,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
             keep = np.all(np.abs(epts - center) <= half + 1e-12, axis=1)
             edge_chunks.append(epts[keep])
         pts = np.concatenate([pts] + edge_chunks)
-        rho = np.sqrt(np.sum((pts[:, None, :] - v[None, :, :]) ** 2, axis=2))
-        q, z = kernels.lowest_point_grid(r, z_r, rho)
+        q, z = kernels.lowest_point_grid(r, z_r, cable_lengths(v, pts))
         k = int(np.argmin(z))
         return pts[k], q[k], float(z[k])
 
@@ -628,8 +621,8 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
         best = min(best, scan(best[0], win, 21), key=lambda found: found[2])
         spacing = 2 * win / 20
     u, q, z = best
-    on_edge = not point_in_polygon(u, v, tol=-1e-9)
-    return _equilibrium(u, q, z, z_r, *_cables(v, z_r, r, u, q, z), on_edge)
+    l, d = _cables(v, z_r, r, u, q, z)
+    return _equilibrium(u, q, z, z_r, l, _taut(l, d), not point_in_polygon(u, v, tol=-1e-9))
 
 
 # ------------------------------------------------------ inverse kinematics
@@ -663,8 +656,7 @@ def _ik_rows(layout, contacts, heights, phis, anchors):
     bearing = np.empty(phis.shape + (2,))
     every = np.logical_and.reduce
     with np.errstate(over="ignore", invalid="ignore"):    # rows already rejected
-        e = v - contacts[:, None]
-        l = np.sqrt(np.add.reduce(e * e, axis=-1))    # layout.cable_lengths of each
+        l = cable_lengths(v, contacts)
         h = z_r - heights
         short = l * l - (h * h)[:, None]
         bearing[..., 0], bearing[..., 1] = np.cos(phis), np.sin(phis)

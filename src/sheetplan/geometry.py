@@ -84,6 +84,13 @@ def pair_distances(points) -> np.ndarray:
     return np.sqrt(dot(d, d))
 
 
+def cable_lengths(v, contacts) -> np.ndarray:
+    """Geodesic cable lengths (..., n) from (..., n, 2) holding points to
+    (..., 2) contacts, rounded as `np.linalg.norm(..., axis=-1)` is."""
+    e = v - np.asarray(contacts)[..., None, :]
+    return np.sqrt(np.add.reduce(e * e, axis=-1))
+
+
 def polygon_sides(polygon) -> np.ndarray:
     """Side vectors of (..., m, 2) polygons: side i runs from vertex i to i + 1."""
     return polygon.take(np.arange(1, polygon.shape[-2] + 1), axis=-2, mode="wrap") - polygon
@@ -180,7 +187,7 @@ class SheetLayout:
 
     def cable_lengths(self, contact) -> np.ndarray:
         """Geodesic cable lengths for a contact point in the sheet frame."""
-        return np.linalg.norm(self.holding_points - np.asarray(contact), axis=1)
+        return cable_lengths(self.holding_points, contact)
 
 
 @dataclass(frozen=True)
@@ -266,19 +273,20 @@ def to_local_frame(points) -> LocalFrame:
     return LocalFrame(origin=origin, rotation=angle, local_coords=local)
 
 
-def min_enclosing_circle(points, tol=1e-9):
+def min_enclosing_circle(points):
     """Exact minimum enclosing circle by combinatorial search.
 
     Tests every pair's diameter circle and every non-collinear triple's
-    circumcircle at once and keeps the first smallest circle containing all
-    points, diameter circles first. Each is rounded as the 1-D arithmetic of
-    its own pair or triple is. Fine for the small team sizes this toolkit
-    targets. A stack (..., N, 2) of sets gives centers (..., 2) and radii
-    (...), NaN where no circle fits; one set (N, 2) raises there.
+    circumcircle at once, relative to the set's first point (so an offset
+    costs only input rounding), and keeps the first smallest circle holding
+    all points within 1e-9, diameter circles first, each rounded as the 1-D
+    arithmetic of its own pair or triple is. A stack (..., N, 2) of sets
+    gives centers (..., 2) and radii (...), NaN where no circle fits; one
+    set (N, 2) raises there.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 2:
-        center, radius = min_enclosing_circle(as_points(pts)[None], tol)
+        center, radius = min_enclosing_circle(as_points(pts)[None])
         if np.isnan(radius[0]):
             raise DegenerateFormation("no enclosing circle found (degenerate input)")
         return center[0], float(radius[0])
@@ -287,6 +295,8 @@ def min_enclosing_circle(points, tol=1e-9):
         if not n:
             raise DegenerateFormation("no enclosing circle found (degenerate input)")
         return pts[..., 0, :].copy(), np.zeros(pts.shape[:-2])
+    origin = pts[..., 0, :]
+    pts = pts - origin[..., None, :]
     i, j = pair_index(n)
     a, b, c = np.moveaxis(pts[..., triple_index(n), :], -3, 0)
     d = 2.0 * (a[..., 0] * (b[..., 1] - c[..., 1]) + b[..., 0] * (c[..., 1] - a[..., 1])
@@ -304,13 +314,13 @@ def min_enclosing_circle(points, tol=1e-9):
         e = a - centers[..., len(i):, :]
         radii = np.concatenate([0.5 * pair_distances(pts), np.sqrt(dot(e, e))], axis=-1)
         fits = (np.linalg.norm(pts[..., None, :, :] - centers[..., None, :], axis=-1)
-                <= radii[..., None] + tol).all(axis=-1)
+                <= radii[..., None] + 1e-9).all(axis=-1)
     fits[..., len(i):] &= np.abs(d) >= 1e-14
     diameter = np.arange(radii.shape[-1]) < len(i)
     fits &= diameter == fits[..., :len(i)].any(axis=-1, keepdims=True)   # diameter circles first
     least = np.where(fits, radii, np.inf).min(axis=-1, keepdims=True)
     k = np.argmax(fits & (radii == least), axis=-1)[..., None]
-    center = np.take_along_axis(centers, k[..., None], axis=-2)[..., 0, :]
+    center = np.take_along_axis(centers, k[..., None], axis=-2)[..., 0, :] + origin
     radius = np.take_along_axis(radii, k, axis=-1)[..., 0]
     none = ~fits.any(axis=-1)
     center[none], radius[none] = np.nan, np.nan

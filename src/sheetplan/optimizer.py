@@ -25,7 +25,6 @@ import numpy as np
 
 from .equilibrium import inverse_kinematics  # noqa: F401  the benchmark's span table wraps this name
 from .equilibrium import (
-    SLACK_BAND,
     ObjectEquilibrium,
     inverse_kinematics_stack,
     solve_equilibria,
@@ -78,6 +77,8 @@ class ObstacleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if self.center.shape != (2,):
+            raise ValidationError("center", f"must be two numbers, got shape {self.center.shape}")
         require_finite("center", self.center)
         require_finite("radius", self.radius)
         require_finite("height", self.height)
@@ -109,9 +110,8 @@ class FormationSolution:
 
 
 def _square(x):
-    """x ** 2 of a float, or of each entry of a 1-D array as of a float: libm's
-    pow, which rounds unlike numpy's array square on about 1 input in 1,000."""
-    return x ** 2 if np.ndim(x) == 0 else np.array([e ** 2 for e in x.tolist()])
+    """x * x, for a float as for an array (a float's x ** 2 is libm's pow)."""
+    return x * x
 
 
 def cost_transport(candidate, initial: Formation,
@@ -175,9 +175,9 @@ class _Chart:
                                                 points[:, 3:])
         built = np.flatnonzero((code == 0) & (points[:, 2] > 0.0))
         v = np.repeat(self.layout.holding_points[None], len(built), axis=0)
-        at, contacts, _, heights, l, d, _ = solve_equilibria(
+        at, contacts, _, heights, _, taut, _ = solve_equilibria(
             v, np.full(len(built), self.layout.holding_height), robots[built])
-        taut = np.all(d >= l - SLACK_BAND, axis=1)
+        taut = taut.all(axis=1)
         ok = np.zeros(len(points), dtype=bool)
         ok[built[at[taut]]] = True
         return ok, robots[ok], contacts[taut], indicators(robots[ok], heights[taut], self.safety)
@@ -335,7 +335,7 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
     # recenter on the formation centroid and re-solve with full discovery
     formation = Formation(robots[0] - robots[0].mean(axis=0), chart.layout)
     eq = solve_equilibrium(formation)
-    if eq.taut_count < formation.n:
+    if not eq.taut.all():
         return None
     ind = indicators(formation, eq.z, safety)
     return FormationSolution(

@@ -402,7 +402,7 @@ def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
         eq = solve_equilibrium(placed)
         objects[k] = eq.world_position
         contacts[k] = eq.sheet_contact
-        taut[k] = [c.taut for c in eq.cables]
+        taut[k] = eq.taut
     return PlanTimeline(
         times=times, poses=poses, robots=robots, objects=objects,
         contacts=contacts, taut=taut, mode=mode, schedule=schedule,

@@ -60,8 +60,7 @@ def residuals(formation, eq):
     """(worst cable-inequality violation, worst taut-equality residual)."""
     l, d = cable_distances(formation, eq)
     ineq = float(np.max(d - l))
-    taut = [abs(d[c.index] - l[c.index]) for c in eq.cables if c.taut]
-    return ineq, max(taut) if taut else 0.0
+    return ineq, float(np.abs(d - l)[eq.taut].max(initial=0.0))
 
 
 class TestTriangle:
@@ -214,7 +213,7 @@ class TestDirectKinematics:
             eq = solve_equilibrium(f)
             if eq.taut_count != n or eq.boundary_contact:
                 continue
-            dk = direct_kinematics(f, [c.taut for c in eq.cables])
+            dk = direct_kinematics(f, eq.taut)
             orc = oracle_equilibrium(f, 1e-3)
             assert dk.z == pytest.approx(orc.z, abs=2e-3)
             assert dk.z == pytest.approx(eq.z, abs=1e-10)
@@ -464,7 +463,7 @@ def _digest_cases():
 def _state_bytes(eq):
     """What SOLVE_DIGEST hashes of one equilibrium."""
     return (eq.world_position.tobytes() + eq.sheet_contact.tobytes()
-            + bytes([*(c.taut for c in eq.cables), eq.boundary_contact, eq.flat]))
+            + eq.taut.tobytes() + bytes([eq.boundary_contact, eq.flat]))
 
 
 def _stacked(formations):
@@ -475,8 +474,8 @@ def _stacked(formations):
     at, *rows = solve_equilibria(v, z_r, r)
     assert np.all(np.diff(at) > 0)             # in stack order
     got = [None] * len(formations)
-    for k, u, q, z, l, d, boundary in zip(at.tolist(), *rows):
-        got[k] = _state_bytes(_equilibrium(u, q, z, z_r[k], l, d, bool(boundary)))
+    for k, u, q, z, l, taut, boundary in zip(at.tolist(), *rows):
+        got[k] = _state_bytes(_equilibrium(u, q, z, z_r[k], l, taut, bool(boundary)))
     return got
 
 
@@ -499,7 +498,7 @@ class TestCandidateTable:
             eq = solve_equilibrium(f)
             h.update(eq.world_position.tobytes())
             h.update(eq.sheet_contact.tobytes())
-            h.update(bytes([*(c.taut for c in eq.cables), eq.boundary_contact, eq.flat]))
+            h.update(eq.taut.tobytes() + bytes([eq.boundary_contact, eq.flat]))
             assert type(eq.boundary_contact) is bool and type(eq.flat) is bool
         assert h.hexdigest() == SOLVE_DIGEST
 
@@ -552,7 +551,8 @@ class TestFlatSheet:
                 eq = solve_equilibrium(f)
                 assert eq.flat and eq.z == Z_R and eq.taut_count == len(v)
                 dk = direct_kinematics(f, [1] * len(v))
-                assert _state_bytes(eq) == _state_bytes(dk) and eq.cables == dk.cables
+                assert _state_bytes(eq) == _state_bytes(dk)
+                assert eq.geodesic_lengths.tobytes() == dk.geodesic_lengths.tobytes()
 
 
 class TestStackedSolve:

@@ -128,7 +128,8 @@ class TestLocalFrame:
 
 
 def loop_enclosing_circle(pts, tol=1e-9):
-    """Reference: the pair-then-triple loop `min_enclosing_circle` replaced."""
+    """Reference: the pair-then-triple loop `min_enclosing_circle` replaced,
+    run relative to the first point as the stacked search is."""
     def circumcircle(a, b, c):
         d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
         if abs(d) < 1e-14:
@@ -141,6 +142,8 @@ def loop_enclosing_circle(pts, tol=1e-9):
 
     if len(pts) == 1:
         return pts[0].copy(), 0.0
+    origin = pts[0] if len(pts) else np.zeros(2)
+    pts = pts - origin
     best = None
     for i, j in itertools.combinations(range(len(pts)), 2):
         center, radius = 0.5 * (pts[i] + pts[j]), 0.5 * float(np.linalg.norm(pts[i] - pts[j]))
@@ -148,7 +151,7 @@ def loop_enclosing_circle(pts, tol=1e-9):
             if best is None or radius < best[1]:
                 best = (center, radius)
     if best is not None:
-        return best
+        return best[0] + origin, best[1]
     for i, j, k in itertools.combinations(range(len(pts)), 3):
         got = circumcircle(pts[i], pts[j], pts[k])
         if got is None:
@@ -159,7 +162,7 @@ def loop_enclosing_circle(pts, tol=1e-9):
                 best = (center, radius)
     if best is None:
         raise DegenerateFormation("no enclosing circle found (degenerate input)")
-    return best
+    return best[0] + origin, best[1]
 
 
 class TestMinEnclosingCircle:
@@ -252,6 +255,21 @@ class TestMinEnclosingCircle:
             # at least two points on the boundary determine the circle
             assert np.sum(d >= radius - 1e-7) >= 2
 
+    @pytest.mark.parametrize("offset", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_translation_invariant(self, offset):
+        # far from the origin only the rounding of the shifted inputs moves
+        # the circle; searched in absolute coordinates, this triangle's
+        # radius was 1.4e-8 m off at 1e4 m and found no circle at 1e5 m
+        sets = [np.array([[0.0, 0.0], [1.2, 0.1], [0.5, 0.9]])]
+        sets += [regular_polygon(n, 0.7, phase=0.3) for n in range(3, 9)]
+        ulp = np.spacing(offset)
+        for pts in sets:
+            center0, radius0 = min_enclosing_circle(pts)
+            for shift in (offset * np.array([1.0, -0.5]), np.array([0.0, offset])):
+                center, radius = min_enclosing_circle(pts + shift)
+                assert abs(radius - radius0) <= 4 * ulp
+                assert np.all(np.abs(center - shift - center0) <= 4 * ulp)
+
     def test_interior_point_ignored(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.1]])
         _, radius = min_enclosing_circle(pts)
@@ -297,6 +315,8 @@ class TestPolygonValidation:
         ("z_safe", lambda: SafetyParams(0.05, -0.01)),
         ("radius", lambda: ObstacleSpec((0.0, 0.0), -1, 0.1)),
         ("height", lambda: ObstacleSpec((0.0, 0.0), 0.1, -0.1)),
+        ("center", lambda: ObstacleSpec(np.zeros((2, 2)), 0.1, 0.1)),
+        ("center", lambda: ObstacleSpec((0.0, 0.0, 0.0), 0.1, 0.1)),
         ("robot_positions",
          lambda: Formation(regular_polygon(4, 0.5), equilateral_layout())),
         ("holding_height", lambda: equilateral_layout(z_r=0.0)),

@@ -467,3 +467,37 @@ class TestCli:
         assert cli_main(["kinematics", "--formation", str(f)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert {"flat = true", "boundary_contact = true"} & set(out) == {line}
+
+    @pytest.mark.parametrize("formation, printed", [
+        # a square team with one robot pulled in: cable 2 goes slack
+        (["sheet_height = 0.79", "sheet_point = 0.0 0.0", "sheet_point = 1.2 0.0",
+          "sheet_point = 1.2 1.2", "sheet_point = 0.0 1.2", "robot = 0.0 0.0",
+          "robot = 1.1 0.0", "robot = 1.1 1.1", "robot = 0.3 0.8"],
+         ["object_position = 0.449159664 0.650840336 0.329775356",
+          "sheet_contact = 0.357983193 0.842016807",
+          "taut_count = 3",
+          "cable_1 = taut (geodesic 0.914955884)",
+          "cable_2 = slack (geodesic 1.19079159)",
+          "cable_3 = taut (geodesic 0.914955884)",
+          "cable_4 = taut (geodesic 0.506264687)",
+          "# object hangs 46.0 cm below the holding plane"]),
+        # the obtuse sheet of `test_kinematics_flags`, contracted by 0.8
+        (["sheet_height = 1.29", "sheet_point = 0.0 0.0", "sheet_point = 2.0 0.0",
+          "sheet_point = 1.0 0.25", "robot = 0.2 0.01666666666666667",
+          "robot = 1.8 0.01666666666666667", "robot = 1.0 0.21666666666666667"],
+         ["object_position = 0.678125 0.136197917 0.95191457",
+          "sheet_contact = 0.59765625 3.06073124e-17",
+          "taut_count = 2",
+          "cable_1 = taut (geodesic 0.59765625)",
+          "cable_2 = slack (geodesic 1.40234375)",
+          "cable_3 = taut (geodesic 0.473688181)",
+          "boundary_contact = true",
+          "# object hangs 33.8 cm below the holding plane"]),
+    ], ids=["slack", "boundary"])
+    def test_kinematics_output(self, formation, printed, tmp_path, capsys):
+        # every printed line, cable by cable, as recorded when each
+        # equilibrium still held a tuple of per-cable records
+        f = tmp_path / "formation.txt"
+        f.write_text("\n".join(formation))
+        assert cli_main(["kinematics", "--formation", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == printed

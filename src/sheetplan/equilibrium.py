@@ -66,7 +66,6 @@ from .geometry import (
     dot,
     pair_distances,
     pair_index,
-    point_in_polygon,
     points_in_polygon,
     polygon_sides,
     require_finite,
@@ -81,14 +80,15 @@ ENERGY_TOL = 1e-7        # agreement required with the lowest-point kernel
 FLAT_TOL = 1e-9          # hang depth below which the sheet counts as flat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectEquilibrium:
     """Solved object state: world position, sheet contact, cable statuses.
 
     flat marks the fully stretched limit (object at holding height);
     boundary_contact marks contacts pinned to the sheet polygon boundary or
     hanging from a two-cable fold line, where fewer than three cables may be
-    taut. Both are outside the model's nominal transport envelope.
+    taut. Both are outside the model's nominal transport envelope. Equality
+    is identity: an array field has no single truth value.
     """
 
     world_position: np.ndarray    # (3,) [x_o, y_o, z_o]
@@ -344,7 +344,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
     u, q, z = u[0, 0], q[0, 0], z[0, 0]
-    if not point_in_polygon(u, v[taut], tol=1e-9):
+    if not points_in_polygon(u, v[taut], tol=1e-9):
         raise ContactOutsideHull(f"contact {u} outside taut hull")
     l, d = _cables(v, z_r, r, u, q, z)
     off = np.abs(l - d)         # taut-equality residual |l_k - ||p_o - p_k||| per cable
@@ -622,7 +622,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
         spacing = 2 * win / 20
     u, q, z = best
     l, d = _cables(v, z_r, r, u, q, z)
-    return _equilibrium(u, q, z, z_r, l, _taut(l, d), not point_in_polygon(u, v, tol=-1e-9))
+    return _equilibrium(u, q, z, z_r, l, _taut(l, d), not points_in_polygon(u, v, tol=-1e-9))
 
 
 # ------------------------------------------------------ inverse kinematics
@@ -642,12 +642,6 @@ def inverse_kinematics_stack(layout: SheetLayout, contacts, heights, phis, ancho
     alone; a rejected row's robots mean nothing. Rows that pass the first
     three checks have finite robots: no cable outreaches the sheet.
     """
-    return _ik_rows(layout, contacts, heights, phis, anchors)[:2]
-
-
-def _ik_rows(layout, contacts, heights, phis, anchors):
-    """`inverse_kinematics_stack`, plus the cable lengths (M, n) and the pair
-    gaps to the sheet spacing (M, P) that the one-point errors quote."""
     contacts = np.asarray(contacts, dtype=float)
     heights = np.asarray(heights, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -680,7 +674,7 @@ def _ik_rows(layout, contacts, heights, phis, anchors):
             ]).reshape(7, -1)
     # the first check each row fails, counted from 1; 0 when it passes all
     code = np.where(every(passed), 0, np.argmin(passed, axis=0) + 1)
-    return robots, code, l, gap
+    return robots, code
 
 
 def inverse_kinematics(
@@ -710,8 +704,8 @@ def inverse_kinematics(
     if len(phis) != layout.n:
         require_finite_inputs()
         raise ValidationError("phis", f"expected {layout.n} angles, got {len(phis)}")
-    (robots,), (code,), (l,), (gap,) = _ik_rows(layout, contact[None], np.ravel(object_height),
-                                                phis[None], anchor)
+    (robots,), (code,) = inverse_kinematics_stack(layout, contact[None], np.ravel(object_height),
+                                                  phis[None], anchor)
     if code == IK_NONFINITE:
         require_finite_inputs()
     if code == IK_OFF_SHEET:
@@ -719,10 +713,11 @@ def inverse_kinematics(
     if code == IK_TOO_HIGH:
         raise ValidationError("object_height", "must be below the holding height")
     if code == IK_TOO_SHORT:
-        h = layout.holding_height - object_height
+        l, h = layout.cable_lengths(contact), layout.holding_height - object_height
         k = int(np.argmin(l * l - h * h))
         raise CableTooShort(f"cable {k}: geodesic {l[k]:.6f} m cannot reach depth {h:.6f} m")
     if code == IK_INELASTIC:
+        gap = pair_distances(robots) - layout.spacing
         k = np.flatnonzero(gap >= -1e-9)[0]
         i, j = pair_index(layout.n)[:, k]
         raise InelasticityViolated(

@@ -20,10 +20,11 @@ STRETCH_TOL = 1e-9       # Formation.stretch() above which the team stretches th
 MAX_ROBOTS = 8           # largest team the solver is tested and benchmarked for
 
 
-def as_points(points) -> np.ndarray:
+def as_points(points, field) -> np.ndarray:
+    """`points` as a float (N, 2) array; ValidationError(field) for any other shape."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected an (N, 2) point array, got shape {pts.shape}")
+        raise ValidationError(field, f"expected an (N, 2) point array, got shape {pts.shape}")
     return pts
 
 
@@ -33,8 +34,6 @@ def rotation(angle) -> np.ndarray:
     An array of angles gives a C-contiguous (..., 2, 2) stack of them.
     """
     c, s = np.cos(angle), np.sin(angle)
-    if np.ndim(angle) == 0:
-        return np.array([[c, -s], [s, c]])
     out = np.empty(np.shape(angle) + (2, 2))
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
     return out
@@ -109,7 +108,7 @@ def check_convex_ccw(points, what="polygon"):
     """Raise NonConvexResult unless every turn passes `convex_turns`, with no
     numpy warning on overflow. Both callers pass at least three points:
     `SheetLayout` rejects fewer first, and a `Formation` matches its layout."""
-    pts = as_points(points)
+    pts = as_points(points, what)
     with np.errstate(over="ignore", invalid="ignore"):
         turns = convex_turns(pts)
     if not turns.all():
@@ -129,11 +128,6 @@ def points_in_polygon(points, polygon, tol=1e-9) -> np.ndarray:
     side = polygon_sides(polygon)
     rel = points[..., None, :] - polygon
     return (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0] >= -tol).all(axis=-1)
-
-
-def point_in_polygon(p, polygon, tol=1e-12) -> bool:
-    """True when p lies inside the convex ccw polygon (boundary within tol)."""
-    return bool(points_in_polygon(np.asarray(p, dtype=float)[None], as_points(polygon), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,7 @@ class SheetLayout:
     spacing: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = as_points(self.holding_points)
+        pts = as_points(self.holding_points, "holding_points")
         object.__setattr__(self, "holding_points", pts)
         object.__setattr__(self, "holding_height", float(self.holding_height))
         require_finite("holding_points", pts)
@@ -203,7 +197,7 @@ class Formation:
     layout: SheetLayout
 
     def __post_init__(self):
-        pts = as_points(self.robot_positions)
+        pts = as_points(self.robot_positions, "robot_positions")
         object.__setattr__(self, "robot_positions", pts)
         require_finite("robot_positions", pts)
         if len(pts) != self.layout.n:
@@ -261,7 +255,7 @@ def to_local_frame(points) -> LocalFrame:
     """
     if isinstance(points, Formation):
         points = points.robot_positions
-    pts = as_points(points)
+    pts = as_points(points, "points")
     if len(pts) < 2:
         raise DegenerateFormation("need at least 2 points to define a frame")
     d = pts[1] - pts[0]
@@ -285,8 +279,8 @@ def min_enclosing_circle(points):
     set (N, 2) raises there.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 2:
-        center, radius = min_enclosing_circle(as_points(pts)[None])
+    if pts.ndim <= 2:
+        center, radius = min_enclosing_circle(as_points(pts, "points")[None])
         if np.isnan(radius[0]):
             raise DegenerateFormation("no enclosing circle found (degenerate input)")
         return center[0], float(radius[0])

@@ -38,7 +38,6 @@ from .geometry import (
     dot,
     indicators,
     pair_distances,
-    pair_index,
     require_finite,
     require_positive,
 )
@@ -109,35 +108,22 @@ class FormationSolution:
     evaluations: int
 
 
-def _square(x):
-    """x * x, for a float as for an array (a float's x ** 2 is libm's pow)."""
-    return x * x
-
-
 def cost_transport(candidate, initial: Formation,
                    candidate_contact, initial_contact, weights: CostWeights):
-    """Transport cost: contact drift plus ordered-pair spacing changes; for a
-    stack (..., n, 2) of candidate robots with a contact (..., 2) each, one
-    cost per candidate."""
+    """Transport cost: contact drift plus ordered-pair spacing changes (each
+    unordered pair twice); for a stack (..., n, 2) of candidate robots with a
+    contact (..., 2) each, one cost per candidate."""
     if isinstance(candidate, Formation):
         candidate = candidate.robot_positions
     dv = np.asarray(candidate_contact, dtype=float) - np.asarray(initial_contact, dtype=float)
     d = pair_distances(candidate) - pair_distances(initial.robot_positions)
-    n = initial.n
-    i, j = pair_index(n)
-    terms = np.zeros(d.shape[:-1] + (n, n))
-    terms[..., i, j] = terms[..., j, i] = weights.l2 * d * d
-    # added one ordered pair at a time, in row-major order, so that the sum
-    # rounds the same whatever numpy's summation order
-    ordered = np.concatenate([weights.l1 * dot(dv, dv)[..., None],
-                              terms[..., ~np.eye(n, dtype=bool)]], axis=-1)
-    total = np.add.accumulate(ordered, axis=-1)[..., -1]
+    total = weights.l1 * dot(dv, dv) + 2.0 * weights.l2 * np.sum(d * d, axis=-1)
     return total if total.ndim else float(total)
 
 
 def cost_pass(W, w_convex: float, weights: CostWeights):
     """Passable-area cost (reward form: favors a small outline)."""
-    return -weights.l3 * _square(w_convex - W)
+    return -weights.l3 * np.square(w_convex - W)
 
 
 def cost_cross(ind: FormationIndicators, obstacle: ObstacleSpec, weights: CostWeights) -> float:
@@ -303,14 +289,14 @@ def _run_program(chart, obstacle, w_convex, weights, mode):
         j += cost_pass(ind.W, w_convex, weights)
         if mode == "crossing":
             # penalty-form crossing terms (see module docstring)
-            j += weights.l4 * _square(ind.z_obsmax - obstacle.z_obs)
-            j += weights.l5 * _square(np.maximum(obstacle.d_obs - ind.d_obsmax, 0.0))
+            j += weights.l4 * np.square(ind.z_obsmax - obstacle.z_obs)
+            j += weights.l5 * np.square(np.maximum(obstacle.d_obs - ind.d_obsmax, 0.0))
         return j
 
     def violation(points):
         ok, _, _, ind = chart.decode(points)
         values = np.full(len(points), np.inf)
-        values[ok] = sum(_square(np.maximum(c, 0.0)) for c in constraint_values(ind))
+        values[ok] = sum(np.square(np.maximum(c, 0.0)) for c in constraint_values(ind))
         return values
 
     def hard_cost(points):

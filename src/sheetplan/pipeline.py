@@ -65,29 +65,20 @@ class RunReport:
     dt: float
 
 
-def _track_offset(offsets, lateral, theta1, theta2, margin):
+def _track_offset(pts_in, pts_out, lateral, margin):
     """Lateral channel for the obstacle track through the formation.
 
-    The obstacle sweeps a line parallel to the motion through the polygon;
-    every robot must stay `margin` away from it in both the entry and exit
-    orientations (a triangle always has a robot on the centroid line, so a
-    centered track would hit it). Returns the feasible offset closest to
-    the centroid line, or None when no channel is wide enough.
+    Every robot, at its offset pts_in (entry orientation) and pts_out
+    (exit), must stay `margin` away from the line the obstacle sweeps
+    through the polygon (a triangle always has a robot on the centroid line,
+    so a centered track would hit it). Returns the feasible offset closest
+    to the centroid line, or None when no channel is wide enough.
     """
-    ys = []
-    for ang in (theta1, theta1 + theta2):
-        ys.extend((offsets @ rotation(ang).T) @ lateral)
-    ys = np.sort(np.asarray(ys))
-    candidates = []
-    for a, b in zip(ys, ys[1:]):
-        lo, hi = a + margin, b - margin
-        if hi < lo:
-            continue
-        candidates.append(float(np.clip(0.0, lo, hi)))
-    if not candidates:
-        return None
+    ys = np.sort(np.concatenate([pts_in @ lateral, pts_out @ lateral]))
+    lo, hi = ys[:-1] + margin, ys[1:] - margin
+    y = np.clip(0.0, lo, hi)[lo <= hi]
     # smallest lateral excursion; ties resolved toward positive y
-    return min(candidates, key=lambda y: (abs(y), -np.sign(y)))
+    return float(y[np.lexsort((-y, np.abs(y)))[0]]) if len(y) else None
 
 
 def _crossing_schedule(formation, offsets, r_max, obstacle, safety, approach, depart,
@@ -102,16 +93,16 @@ def _crossing_schedule(formation, offsets, r_max, obstacle, safety, approach, de
     lateral = np.array([-approach[1], approach[0]])
     entering, exiting, theta1, theta2 = select_sides(formation, approach, depart)
     margin = obstacle.radius + safety.delta_r
-    y_off = _track_offset(offsets, lateral, theta1, theta2, margin + 1e-6)
+    pts_in = offsets @ rotation(theta1).T
+    pts_out = offsets @ rotation(theta1 + theta2).T
+    y_off = _track_offset(pts_in, pts_out, lateral, margin + 1e-6)
     if y_off is None:
         raise PlanInfeasible(
             f"no robot-free channel of width {2 * margin:.3f} m through the formation"
         )
     # entering side line distance ahead of the centroid once aligned
-    pts_in = offsets @ rotation(theta1).T
     side = [entering, (entering + 1) % formation.n]
     d_in = float(0.5 * (pts_in[side] @ approach).sum())
-    pts_out = offsets @ rotation(theta1 + theta2).T
     rear_extent = float(-np.min(pts_out @ approach))
     x_start = -(r_max + margin + START_MARGIN)
     x_enter_done = margin - d_in

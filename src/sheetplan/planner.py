@@ -63,7 +63,7 @@ class CrossingSchedule:
 
 def outward_normals(points) -> np.ndarray:
     """Unit outward normals of a ccw convex polygon's sides (side i spans vertices i, i+1)."""
-    nv = polygon_sides(as_points(points))[:, ::-1] * (1.0, -1.0)
+    nv = polygon_sides(as_points(points, "points"))[:, ::-1] * (1.0, -1.0)
     return nv / np.sqrt(dot(nv, nv))[:, None]
 
 

@@ -265,6 +265,13 @@ class TestSolveEquilibrium:
         assert eq.taut_count == 3
         assert eq.z == pytest.approx(0.1789899, abs=1e-6)
 
+    def test_equality_is_identity(self, triangle_layout):
+        # array fields have no single truth value: == and hash must not ask for one
+        f = equilateral_formation(triangle_layout, 1.2)
+        eq = solve_equilibrium(f)
+        assert (solve_equilibrium(f) == solve_equilibrium(f)) is False
+        assert eq == eq and len({eq, eq, solve_equilibrium(f)}) == 2
+
     def test_slack_cable_discovery(self):
         # five holding points; robots 1 and 3 pulled far enough inward that
         # their cables hang slack while the 0/2/4 triangle carries the load

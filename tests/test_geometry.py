@@ -34,7 +34,6 @@ from sheetplan.geometry import (
     check_convex_ccw,
     pair_distances,
     pair_index,
-    point_in_polygon,
     points_in_polygon,
     triple_index,
 )
@@ -321,6 +320,11 @@ class TestPolygonValidation:
          lambda: Formation(regular_polygon(4, 0.5), equilateral_layout())),
         ("holding_height", lambda: equilateral_layout(z_r=0.0)),
         ("l4", lambda: CostWeights(l4=-1.0)),
+        pytest.param("robot_positions", lambda: Formation(np.zeros((3, 3)), equilateral_layout()),
+                     id="robot_positions-shape"),
+        pytest.param("holding_points", lambda: SheetLayout(np.zeros(4), 0.79),
+                     id="holding_points-shape"),
+        pytest.param("points", lambda: circumscribed_diameter(np.zeros(3)), id="points-shape"),
     ])
     def test_out_of_range_rejected(self, field, build):
         with pytest.raises(SheetPlanError) as err:
@@ -387,9 +391,9 @@ class TestPolygonValidation:
 
     def test_point_in_polygon_boundary(self):
         poly = regular_polygon(4, 1.0)
-        assert point_in_polygon(poly[0], poly, tol=1e-9)
-        assert not point_in_polygon(np.array([2.0, 2.0]), poly)
-        assert not point_in_polygon([np.nan, 0.0], poly)
+        assert points_in_polygon(poly[0], poly, tol=1e-9)
+        assert not points_in_polygon(np.array([2.0, 2.0]), poly, tol=1e-12)
+        assert not points_in_polygon(np.array([np.nan, 0.0]), poly, tol=1e-12)
         with pytest.raises(NonConvexResult):
             check_convex_ccw([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -437,7 +441,7 @@ class TestPairAndPolygonArithmetic:
             each = points_in_polygon(pts, polys, tol)
             one = [points_in_polygon(p[None], poly, tol)[0] for p, poly in zip(pts, polys)]
             assert each.tolist() == one
-            assert [point_in_polygon(p, poly, tol) for p, poly in zip(pts, polys)] == one
+            assert [points_in_polygon(p, poly, tol) for p, poly in zip(pts, polys)] == one
             assert (each[:10] == (tol >= 0)).all() and not each[10]
         assert 0 < each.sum() < len(pts) - 11
 

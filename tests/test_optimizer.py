@@ -15,6 +15,7 @@ from sheetplan import (
     NoFeasibleFormation,
     ObstacleSpec,
     SafetyParams,
+    SheetLayout,
     cost_cross,
     cost_pass,
     cost_transport,
@@ -29,7 +30,7 @@ from sheetplan import equilibrium, optimizer
 from sheetplan.geometry import FormationIndicators, pair_distances
 from sheetplan.optimizer import EVAL_BUDGET, STEP_MIN, _Chart, _pattern_search
 
-from conftest import CORRIDOR, TURNED, equilateral_formation, equilateral_layout
+from conftest import CORRIDOR, TURNED, equilateral_formation, equilateral_layout, regular_polygon
 
 W = CostWeights()
 TINY = CostWeights(l1=1.0, l2=1.0, l3=1e-300, l4=1e-300, l5=1e-300)
@@ -66,12 +67,15 @@ class TestCostTerms:
                 expected += 2.0 * d * d
         assert cost_transport(f2, f1, v_o, v_o, W) == pytest.approx(expected, rel=1e-12)
 
-    def test_transport_stack_matches_each(self, triangle_layout):
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_transport_stack_matches_each(self, n):
         # a stack of formations gets each formation's own cost bits
         rng = np.random.default_rng(9)
-        initial = equilateral_formation(triangle_layout, 1.2)
-        formations = [equilateral_formation(triangle_layout, s, center=c, phase=a) for s, c, a in
-                      zip(rng.uniform(0.9, 1.4, 30), rng.normal(0, 0.2, (30, 2)),
+        layout = SheetLayout(regular_polygon(n, 1.0), 0.79)
+        initial = Formation(regular_polygon(n, 0.7), layout)
+        formations = [Formation(regular_polygon(n, s, center=c, phase=a)
+                                + rng.normal(0.0, 0.01, (n, 2)), layout) for s, c, a in
+                      zip(rng.uniform(0.5, 0.9, 30), rng.normal(0, 0.2, (30, 2)),
                           rng.uniform(0, 7, 30))]
         contacts = rng.normal(0.0, 0.1, (30, 2))
         v_o0 = np.array([0.01, -0.02])
@@ -82,8 +86,7 @@ class TestCostTerms:
         assert all(type(c) is float for c in each)
 
     def test_pass_stack_rounds_as_floats(self):
-        # the square is libm's pow of each float, as in the one-point cost,
-        # which differs from numpy's array square on about 1 in 1,000 inputs
+        # a float's square rounds as the same float's square in an array
         widths = np.random.default_rng(4).uniform(0.5, 3.0, 5000)
         each = [cost_pass(float(w), 2.0, W) for w in widths]
         assert cost_pass(widths, 2.0, W).tobytes() == np.array(each).tobytes()

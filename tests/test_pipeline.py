@@ -17,7 +17,7 @@ from sheetplan import (
 )
 from sheetplan.cli import main as cli_main
 from sheetplan.geometry import rotation
-from sheetplan.pipeline import RunReport, _build_report
+from sheetplan.pipeline import RunReport, _build_report, _track_offset
 from sheetplan.scenario import parse_scenario
 
 from conftest import CORRIDOR, REFERENCE, TURNED
@@ -234,6 +234,53 @@ class TestInfeasiblePipeline:
         f.write_text(text)
         assert cli_main(["plan", str(f), "--out", str(tmp_path / "x")]) == 2
         assert "infeasible: obstacle 0" in capsys.readouterr().err
+
+
+def loop_track_offset(ys, margin):
+    """The channel choice as a loop over the gaps between sorted projections:
+    the offset closest to the centroid line, ties toward +y, None if none."""
+    ys = sorted(ys)
+    candidates = []
+    for a, b in zip(ys, ys[1:]):
+        lo, hi = a + margin, b - margin
+        if hi < lo:
+            continue
+        candidates.append(float(np.clip(0.0, lo, hi)))
+    if not candidates:
+        return None
+    return min(candidates, key=lambda y: (abs(y), -np.sign(y)))
+
+
+class TestTrackOffset:
+    def test_matches_the_loop(self):
+        rng = np.random.default_rng(3)
+        found = set()
+        for _ in range(2000):
+            n = int(rng.integers(3, 9))
+            pts_in, pts_out = rng.normal(0.0, 0.5, (2, n, 2))
+            angle = rng.uniform(0, 2 * np.pi)
+            lateral = np.array([np.cos(angle), np.sin(angle)])
+            margin = rng.uniform(0.0, 0.4)
+            got = _track_offset(pts_in, pts_out, lateral, margin)
+            want = loop_track_offset([*(pts_in @ lateral), *(pts_out @ lateral)], margin)
+            assert got == want and type(got) is type(want)
+            found.add("none" if got is None else "zero" if got == 0.0 else "offset")
+        assert found == {"none", "zero", "offset"}
+
+    @pytest.mark.parametrize("ys, margin, want", [
+        ([-2.0, -0.2, 0.2, 2.0], 0.5, 0.7),          # a tie: toward +y
+        ([-2.0, -0.2, 0.3, 2.0], 0.5, -0.7),         # the nearer channel
+        ([-0.2, 0.4, 1.0, 2.0], 0.1, 0.0),           # the centroid line is free
+        ([-1.0, -0.3, 0.3, 1.0], 0.5, None),         # no channel
+    ])
+    def test_choice(self, ys, margin, want):
+        pts = np.column_stack([np.zeros(4), ys])
+        got = _track_offset(pts[:2], pts[2:], np.array([0.0, 1.0]), margin)
+        assert got == loop_track_offset(ys, margin)
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=1e-15)
 
 
 def hand_timeline(robots, objects):

@@ -32,8 +32,14 @@ height, which reduces every solve to small exact linear algebra:
   stack of formations with one team size (the optimizer's probes of one
   poll) in one pass over arrays, each to the same bits as alone, and
   `solve_equilibrium` is its one-formation case;
-* a brute-force grid oracle (`oracle_equilibrium`) provides an independent
-  check by nested search over contact candidates.
+* a brute-force grid oracle (`oracle_equilibrium`) checks the solve
+  independently of it: a nested search over a grid of sheet contacts, with
+  each contact's lowest point from the kernel. A contact goes to the kernel
+  only when its floor (`_contact_floors`) lies at or below an incumbent
+  height: the depth of its shortest cable, then of every robot pair's lens,
+  widened by a round-off margin. A skipped contact's lowest point lies
+  strictly above the incumbent, so it can neither win nor tie, and the
+  oracle returns the bits of a scan of every contact.
 """
 from __future__ import annotations
 
@@ -571,6 +577,48 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
 
 
 # -------------------------------------------------------------- the oracle
+def _contact_floors(r, z_r, rho, bound):
+    """Per row of radii `rho` (G, n), a height below which
+    `kernels.lowest_point_grid(r, z_r, rho)` puts no lowest point: the
+    shortest cable's floor, raised to the pair lens floor on the rows where
+    the first lies at or below `bound`.
+
+    An accepted point lies within a_i = rho_i + FEAS_TOL of every center
+    (r_i, z_r). The shortest cable bounds its depth h by min a_i. The
+    centers of a pair (i, j), D apart, bound it by the depth of their lens:
+    at t along the pair's line, h^2 <= a_i^2 - t^2 and h^2 <= a_j^2 -
+    (D - t)^2, so for every weight w in [0, 1], h^2 is at most their
+    w-weighted mean, whose maximum over t (at t = (1 - w) D) is
+    w a_i^2 + (1 - w) a_j^2 - w (1 - w) D^2. At the weight that puts t where
+    the two spheres cross, clipped to [0, D], this is the lens's deepest
+    point, or a ball's bottom inside the other ball; any weight gives a
+    bound, so the rounding of the weight does not matter. Each floor is
+    z_r - sqrt(h^2 + 1e-12 S^2) - 1e-12 S, S = |z_r| + max a_i + max D.
+    The kernel's ball test, the rounding of its height, the bound's squares
+    and this height are each off by a few units of 2^-52 relative to S^2
+    (the squares) or S (the heights); the margin is 1e-12, over 4000 such
+    units. A lens empty by more than the margin gives depth 0.
+    """
+    a = rho + FEAS_TOL
+    e = r - r[:, None]
+    d2 = dot(e, e)      # (n, n) squared center distances
+    scale = abs(z_r) + a.max() + np.sqrt(d2.max())
+
+    def height(depth2):
+        return z_r - np.sqrt(np.maximum(depth2 + 1e-12 * scale**2, 0.0)) - 1e-12 * scale
+
+    floors = height(np.square(functools.reduce(np.minimum, a.T)))
+    rows = np.flatnonzero(floors <= bound)
+    a2 = np.square(a[rows])
+    depth2 = a2.copy()      # per row and ball, the least bound of its pairs so far
+    for j in range(1, len(r)):
+        ai, aj, dd = a2[:, :j], a2[:, j:j + 1], d2[j, :j]
+        w = np.fmax(np.fmin(0.5 + (aj - ai) / (2.0 * dd), 1.0), 0.0)
+        np.fmin(depth2[:, :j], aj + w * (ai - aj) - w * (1.0 - w) * dd, out=depth2[:, :j])
+    floors[rows] = height(functools.reduce(np.minimum, depth2.T))
+    return floors
+
+
 def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> ObjectEquilibrium:
     """Brute-force equilibrium: nested search independent of the solvers.
 
@@ -581,6 +629,15 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     No scan is empty: the first holds every edge sample, and a refined
     window holds a grid point within round-off of its centre, the incumbent,
     or else samples of the incumbent's edge within a tenth of its half width.
+
+    Each scan sends the kernel only the contacts whose floor
+    (`_contact_floors`) lies at or below an incumbent height: the lowest
+    point of the few contacts with the longest shortest cable in the first
+    scan, the best so far in a refined one. The other contacts keep the
+    kernel's empty result, (0, +inf). A skipped contact's lowest point lies
+    at or above its floor, strictly above the incumbent, hence strictly
+    above the scan's lowest point (or the best so far): it can neither win
+    nor tie, and the oracle returns the bits of a scan of every contact.
     """
     require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
@@ -591,7 +648,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     extent = float(max(hi - lo))
     n0 = max(int(np.ceil(extent / (25.0 * grid_resolution))) + 1, 41)
 
-    def scan(center, half, npts):
+    def scan(center, half, npts, bound=None):
         xs = np.linspace(center[0] - half, center[0] + half, npts)
         ys = np.linspace(center[1] - half, center[1] + half, npts)
         gx, gy = np.meshgrid(xs, ys)
@@ -608,7 +665,13 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
             keep = np.all(np.abs(epts - center) <= half + 1e-12, axis=1)
             edge_chunks.append(epts[keep])
         pts = np.concatenate([pts] + edge_chunks)
-        q, z = kernels.lowest_point_grid(r, z_r, cable_lengths(v, pts))
+        rho = cable_lengths(v, pts)
+        if bound is None:   # the first scan: the few contacts of longest shortest cable
+            few = np.argsort(functools.reduce(np.minimum, rho.T))[-8:]
+            bound = kernels.lowest_point_grid(r, z_r, rho[few])[1].min()
+        send = np.flatnonzero(_contact_floors(r, z_r, rho, bound) <= bound)
+        q, z = np.zeros((len(pts), 2)), np.full(len(pts), np.inf)
+        q[send], z[send] = kernels.lowest_point_grid(r, z_r, rho[send])
         k = int(np.argmin(z))
         return pts[k], q[k], float(z[k])
 
@@ -618,7 +681,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     best = scan(center, half, n0)
     for _ in range(2):
         win = 2 * spacing
-        best = min(best, scan(best[0], win, 21), key=lambda found: found[2])
+        best = min(best, scan(best[0], win, 21, best[2]), key=lambda found: found[2])
         spacing = 2 * win / 20
     u, q, z = best
     l, d = _cables(v, z_r, r, u, q, z)

@@ -26,6 +26,7 @@ from sheetplan.equilibrium import (
     FEAS_TOL,
     TAUT_TOL,
     _cables,
+    _contact_floors,
     _edge_floors,
     _equilibrium,
     _select_best,
@@ -44,6 +45,7 @@ from conftest import (
     draw_ridge_case,
     draw_transport_case,
     equilateral_formation,
+    equilateral_layout,
     reference_lowest_point,
     regular_polygon,
     winning_row,
@@ -54,6 +56,9 @@ Z_R = 0.79
 # position, sheet contact, taut flags, boundary_contact and flat, recorded
 # before the candidates became one table per team size
 SOLVE_DIGEST = "cef1e4834f8005a4d970e7a3f92363f258682efd2eecbeb1ffbdfa1faea6f201"
+# sha256 of the `_state_bytes` of `oracle_equilibrium` on `_oracle_cases()`
+# at 1 mm, recorded before the oracle's scans skipped contacts
+ORACLE_DIGEST = "84c2f28d9de519968044e355f625292bbaf1f94752f62acd63154e13c50102e2"
 
 
 def residuals(formation, eq):
@@ -746,3 +751,102 @@ class TestEdgeSkip:
         assert len(sizes) == 2 and sizes[1] > 1
         assert eq.sheet_contact.tobytes() == u[best].tobytes()
         assert eq.world_position.tobytes() == np.array([*q[best], z[best]]).tobytes()
+
+
+def _oracle_cases():
+    """Seeded formations, per n = 3..8 an all-taut target, a transport draw
+    (slack cables) and a folded-edge draw (a fold line or a boundary
+    contact), then the sheet-shaped triangle (the flat limit)."""
+    rng = np.random.default_rng(92)
+    for n in range(3, 9):
+        yield draw_consistent_target(rng, n)[1]
+        yield draw_transport_case(rng, n, max_tries=5000)[1]
+        yield draw_folded_case(rng, n, max_tries=5000)[1]
+    yield equilateral_formation(equilateral_layout(), 1.6)
+
+
+def _lens_rows(rng, centers, rows):
+    """Radii (rows, n) about `centers`: random ones (small radii leave the
+    balls disjoint), ball 0's bottom inside ball 1, and a pair whose radii
+    barely span the pair's distance (a lens of almost no depth)."""
+    n = len(centers)
+    span = np.linalg.norm(centers[-1] - centers[0])
+    rho = span * rng.uniform(0.02, 2.0, (rows, n)) + 1e-3
+    third = rows // 3
+    rho[:third, 1] = np.hypot(np.linalg.norm(centers[1] - centers[0]), rho[:third, 0])
+    rho[:third, 1] *= rng.uniform(1.0, 1.1, third)
+    share = rng.uniform(0.0, 1.0, third)
+    stretch = 1.0 + rng.uniform(-1e-6, 1e-6, third)
+    rho[-third:, 0], rho[-third:, -1] = share * span * stretch, (1 - share) * span * stretch
+    return rho
+
+
+class TestOracle:
+    def test_oracle_digest(self):
+        h = hashlib.sha256()
+        for f in _oracle_cases():
+            h.update(_state_bytes(oracle_equilibrium(f, 1e-3)))
+        assert h.hexdigest() == ORACLE_DIGEST
+
+    def test_scans_send_few_rows(self):
+        # on `_oracle_cases()` the scans hold 61,900 contacts, all of which
+        # went to the kernel before the floors; 15,350 of them (24.8%) now do
+        sent, held = [], []
+        kernel, floors = kernels.lowest_point_grid, equilibrium._contact_floors
+
+        def count_sent(centers, z_r, rho):
+            sent.append(len(rho))
+            return kernel(centers, z_r, rho)
+
+        def count_held(r, z_r, rho, bound):
+            held.append(len(rho))
+            return floors(r, z_r, rho, bound)
+
+        with mock.patch.object(kernels, "lowest_point_grid", count_sent), \
+                mock.patch.object(equilibrium, "_contact_floors", count_held):
+            for f in _oracle_cases():
+                oracle_equilibrium(f, 1e-3)
+        assert sum(held) == 61900
+        assert sum(sent) < sum(held) / 3
+
+    def test_floors_below_kernel(self):
+        # no lowest point of the kernel lies below its row's floor: random
+        # centers at n = 2..8 with near-coincident pairs,
+        # disjoint balls, a ball's bottom inside another and lenses of
+        # almost no depth, at both floors (bound -inf keeps the shortest
+        # cable's, +inf the pair lens's on every row)
+        seen = np.zeros(2, dtype=int)       # rows without and with a lowest point
+
+        @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+        @settings(max_examples=200, deadline=None)
+        def check(n, seed):
+            rng = np.random.default_rng(seed)
+            centers = rng.normal(0.0, 10.0 ** rng.uniform(-2, 1), (n, 2))
+            if rng.random() < 0.5:
+                centers[1] = centers[0] + 1e-9 * rng.normal(size=2)
+            z_r = rng.uniform(-2.0, 2.0)
+            rho = _lens_rows(rng, centers, 30)
+            _, z = kernels.lowest_point_grid(centers, z_r, rho)
+            for bound in (-np.inf, np.inf):
+                assert np.all(z >= _contact_floors(centers, z_r, rho, bound))
+            seen[:] += np.bincount(np.isfinite(z), minlength=2)
+
+        check()
+        assert np.all(seen > 0)
+
+    def test_fully_pruned_refine_scan(self, triangle_layout):
+        # a first scan whose pick is sunk 1 m below every contact's floor
+        # leaves the refined scans nothing to send: they find no row, and
+        # the sunk pick stands
+        sizes, kernel = [], kernels.lowest_point_grid
+
+        def sunk(centers, z_r, rho):
+            q, z = kernel(centers, z_r, rho)
+            sizes.append(len(rho))
+            return q, (z - 1.0 if len(sizes) == 2 else z)    # the first scan's second call
+
+        f = equilateral_formation(triangle_layout, 1.2)
+        with mock.patch.object(kernels, "lowest_point_grid", sunk):
+            orc = oracle_equilibrium(f, 1e-3)
+        assert sizes[2:] == [0, 0]
+        assert orc.z == pytest.approx(solve_equilibrium(f).z - 1.0, abs=2e-3)

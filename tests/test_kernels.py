@@ -195,6 +195,13 @@ def test_grid_rows_with_own_centers():
     assert q.shape == (0, 2) and z.shape == (0,)
 
 
+def test_grid_no_rows_shared_centers():
+    # a scan of the oracle may leave no contact to send: no rows, no result
+    centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+    q, z = kernels.lowest_point_grid(centers, 0.79, np.zeros((0, 3)))
+    assert q.shape == (0, 2) and z.shape == (0,)
+
+
 def test_lowest_point_is_one_grid_row():
     # the one-instance kernel returns the bytes of its one-row grid call, and
     # (None, +inf) where the row is empty

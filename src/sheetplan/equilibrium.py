@@ -35,11 +35,13 @@ height, which reduces every solve to small exact linear algebra:
 * a brute-force grid oracle (`oracle_equilibrium`) checks the solve
   independently of it: a nested search over a grid of sheet contacts, with
   each contact's lowest point from the kernel. A contact goes to the kernel
-  only when its floor (`_contact_floors`) lies at or below an incumbent
-  height: the depth of its shortest cable, then of every robot pair's lens,
-  widened by a round-off margin. A skipped contact's lowest point lies
-  strictly above the incumbent, so it can neither win nor tie, and the
-  oracle returns the bits of a scan of every contact.
+  only when its floors lie at or below an incumbent height: the depth of
+  its shortest cable, of every robot pair's lens (`_contact_floors`), then
+  of the three balls of each triple of the incumbent's taut cables
+  (`_triple_floors`), each widened by a round-off margin. A skipped
+  contact's lowest point lies strictly above the incumbent, so it can
+  neither win nor tie, and the oracle returns the bits of a scan of every
+  contact.
 """
 from __future__ import annotations
 
@@ -577,6 +579,13 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
 
 
 # -------------------------------------------------------------- the oracle
+def _floor(z_r, depth2, scale):
+    """z_r - sqrt(depth2 + 1e-12 S^2) - 1e-12 S for the scale S = `scale`:
+    the height of a bound depth2 on the squared depth, lowered by the
+    round-off margin derived in `_contact_floors`."""
+    return z_r - np.sqrt(np.maximum(depth2 + 1e-12 * scale**2, 0.0)) - 1e-12 * scale
+
+
 def _contact_floors(r, z_r, rho, bound):
     """Per row of radii `rho` (G, n), a height below which
     `kernels.lowest_point_grid(r, z_r, rho)` puts no lowest point: the
@@ -603,11 +612,7 @@ def _contact_floors(r, z_r, rho, bound):
     e = r - r[:, None]
     d2 = dot(e, e)      # (n, n) squared center distances
     scale = abs(z_r) + a.max() + np.sqrt(d2.max())
-
-    def height(depth2):
-        return z_r - np.sqrt(np.maximum(depth2 + 1e-12 * scale**2, 0.0)) - 1e-12 * scale
-
-    floors = height(np.square(functools.reduce(np.minimum, a.T)))
+    floors = _floor(z_r, np.square(functools.reduce(np.minimum, a.T)), scale)
     rows = np.flatnonzero(floors <= bound)
     a2 = np.square(a[rows])
     depth2 = a2.copy()      # per row and ball, the least bound of its pairs so far
@@ -615,8 +620,65 @@ def _contact_floors(r, z_r, rho, bound):
         ai, aj, dd = a2[:, :j], a2[:, j:j + 1], d2[j, :j]
         w = np.fmax(np.fmin(0.5 + (aj - ai) / (2.0 * dd), 1.0), 0.0)
         np.fmin(depth2[:, :j], aj + w * (ai - aj) - w * (1.0 - w) * dd, out=depth2[:, :j])
-    floors[rows] = height(functools.reduce(np.minimum, depth2.T))
+    floors[rows] = _floor(z_r, functools.reduce(np.minimum, depth2.T), scale)
     return floors
+
+
+def _triple_floors(r, z_r, rho, taut):
+    """Per row of radii `rho` (G, n), a height below which
+    `kernels.lowest_point_grid(r, z_r, rho)` puts no lowest point, from the
+    triples of consecutive cables of `taut` (at least three, read cyclically).
+
+    An accepted point at depth h above x has h^2 <= a_i^2 - |x - c_i|^2 for
+    every center c_i, a_i = rho_i + FEAS_TOL. For any weights w_i >= 0 of
+    sum W > 0, W h^2 is at most their weighted sum, whose maximum over x (at
+    the weighted centroid of the centers) gives
+    W h^2 <= sum w_i a_i^2 - sum w_i |c_i|^2 + |sum w_i c_i|^2 / W, so the
+    rounding of the weights does not matter. The best weights are the
+    barycentric ones of the point where the triple's spheres cross, at
+    which the bound is the depth of its three balls; outside the triangle
+    they are clipped to [0, 1], the first to 1 minus the other two, so W
+    lies in [1, 2] up to rounding. Collinear centers (a zero Gram
+    determinant) get the weights (1, 0, 0), the first ball's bound.
+
+    The margin is that of `_contact_floors`. With the centers taken relative
+    to the triple's first one, every term is at most 4 S^2 in size, so the
+    bound rounds by a few tens of units of 2^-52 S^2, far inside 1e-12 S^2,
+    wherever the team is. In absolute coordinates sum w_i |c_i|^2 and
+    |sum w_i c_i|^2 / W would each be as large as |c_i|^2 and cancel, and
+    their round-off would pass the margin for a team 1 km from the origin.
+    """
+    a2 = np.square(rho + FEAS_TOL)
+    scale = abs(z_r) + np.sqrt(a2.max(initial=0.0)) + pair_distances(r).max()
+    depth2 = np.full(len(rho), np.inf)
+    m = len(taut)
+    for k in range(m if m > 3 else 1):     # three cables read cyclically make one triple
+        i, j, l = taut[k], taut[(k + 1) % m], taut[(k + 2) % m]
+        b, c = r[j] - r[i], r[l] - r[i]
+        bb, bc, cc = dot(b, b), dot(b, c), dot(c, c)
+        det = bb * cc - bc * bc
+        g = 0.5 / det if det else 0.0
+        sj, sk = a2[:, i] - a2[:, j] + bb, a2[:, i] - a2[:, l] + cc   # 2 b.x and 2 c.x
+        wj = np.fmin(np.fmax((cc * sj - bc * sk) * g, 0.0), 1.0)
+        wk = np.fmin(np.fmax((bb * sk - bc * sj) * g, 0.0), 1.0)
+        wi = np.fmax(1.0 - wj - wk, 0.0)
+        w = wi + wj + wk
+        np.fmin(depth2, (wi * a2[:, i] + wj * (a2[:, j] - bb) + wk * (a2[:, l] - cc)
+                         + (wj * wj * bb + 2.0 * wj * wk * bc + wk * wk * cc) / w) / w,
+                out=depth2)
+    return _floor(z_r, depth2, scale)
+
+
+def _edge_samples(v, side, length, step):
+    """Samples at most `step` apart along every side of the polygon `v`, in
+    order: v_e + t side_e for t in np.linspace(0, 1, m_e), to the bit, with
+    m_e = max(ceil(length_e / step) + 1, 2) for side e of length length_e."""
+    m = np.maximum(np.ceil(length / step).astype(int) + 1, 2)
+    ends = np.cumsum(m)
+    e = np.repeat(np.arange(len(v)), m)
+    t = (np.arange(ends[-1]) - (ends - m)[e]) * (1.0 / (m - 1))[e]    # as np.linspace rounds
+    t[ends - 1] = 1.0
+    return v[e] + t[:, None] * side[e]
 
 
 def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> ObjectEquilibrium:
@@ -630,14 +692,19 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     window holds a grid point within round-off of its centre, the incumbent,
     or else samples of the incumbent's edge within a tenth of its half width.
 
-    Each scan sends the kernel only the contacts whose floor
-    (`_contact_floors`) lies at or below an incumbent height: the lowest
-    point of the few contacts with the longest shortest cable in the first
-    scan, the best so far in a refined one. The other contacts keep the
-    kernel's empty result, (0, +inf). A skipped contact's lowest point lies
-    at or above its floor, strictly above the incumbent, hence strictly
-    above the scan's lowest point (or the best so far): it can neither win
-    nor tie, and the oracle returns the bits of a scan of every contact.
+    Each scan sends the kernel only the contacts whose floors lie at or
+    below an incumbent height: the lowest point of the few contacts with
+    the longest shortest cable in the first scan, the best so far in a
+    refined one. The floors are the depth of a contact's shortest cable and
+    of every robot pair's lens (`_contact_floors`), and, when three or more
+    of the incumbent's cables are taut, the depth of the three balls of each
+    triple of consecutive taut cables (`_triple_floors`): near the
+    incumbent three balls bind, and a pair's lens is deeper than their
+    intersection. The other contacts keep the kernel's empty result,
+    (0, +inf). A skipped contact's lowest point lies at or above a floor,
+    strictly above the incumbent, hence strictly above the scan's lowest
+    point (or the best so far): it can neither win nor tie, and the oracle
+    returns the bits of a scan of every contact.
     """
     require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
@@ -647,29 +714,29 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     lo, hi = v.min(axis=0), v.max(axis=0)
     extent = float(max(hi - lo))
     n0 = max(int(np.ceil(extent / (25.0 * grid_resolution))) + 1, 41)
+    side = polygon_sides(v)
+    length = np.sqrt(dot(side, side))
 
-    def scan(center, half, npts, bound=None):
+    def scan(center, half, npts, best=None):
         xs = np.linspace(center[0] - half, center[0] + half, npts)
         ys = np.linspace(center[1] - half, center[1] + half, npts)
         gx, gy = np.meshgrid(xs, ys)
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         pts = pts[points_in_polygon(pts, v)]
-        step = 2 * half / (npts - 1)
-        edge_chunks = []
-        nv = len(v)
-        for i in range(nv):
-            a, b = v[i], v[(i + 1) % nv]
-            L = float(np.linalg.norm(b - a))
-            ts = np.linspace(0.0, 1.0, max(int(np.ceil(L / step)) + 1, 2))
-            epts = a[None, :] + ts[:, None] * (b - a)[None, :]
-            keep = np.all(np.abs(epts - center) <= half + 1e-12, axis=1)
-            edge_chunks.append(epts[keep])
-        pts = np.concatenate([pts] + edge_chunks)
+        epts = _edge_samples(v, side, length, 2 * half / (npts - 1))
+        off = np.abs(epts - center)
+        pts = np.concatenate([pts, epts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]])
         rho = cable_lengths(v, pts)
-        if bound is None:   # the first scan: the few contacts of longest shortest cable
+        if best is None:   # the first scan: the best of the few contacts of longest shortest cable
             few = np.argsort(functools.reduce(np.minimum, rho.T))[-8:]
-            bound = kernels.lowest_point_grid(r, z_r, rho[few])[1].min()
+            q, z = kernels.lowest_point_grid(r, z_r, rho[few])
+            k = int(np.argmin(z))
+            best = pts[few[k]], q[k], z[k]
+        bound = best[2]
         send = np.flatnonzero(_contact_floors(r, z_r, rho, bound) <= bound)
+        taut = np.flatnonzero(_taut(*_cables(v, z_r, r, *best)))
+        if len(taut) >= 3:
+            send = send[_triple_floors(r, z_r, rho[send], taut) <= bound]
         q, z = np.zeros((len(pts), 2)), np.full(len(pts), np.inf)
         q[send], z[send] = kernels.lowest_point_grid(r, z_r, rho[send])
         k = int(np.argmin(z))
@@ -681,7 +748,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     best = scan(center, half, n0)
     for _ in range(2):
         win = 2 * spacing
-        best = min(best, scan(best[0], win, 21, best[2]), key=lambda found: found[2])
+        best = min(best, scan(best[0], win, 21, best), key=lambda found: found[2])
         spacing = 2 * win / 20
     u, q, z = best
     l, d = _cables(v, z_r, r, u, q, z)

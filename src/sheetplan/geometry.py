@@ -86,8 +86,10 @@ def pair_distances(points) -> np.ndarray:
 def cable_lengths(v, contacts) -> np.ndarray:
     """Geodesic cable lengths (..., n) from (..., n, 2) holding points to
     (..., 2) contacts, rounded as `np.linalg.norm(..., axis=-1)` is."""
-    e = v - np.asarray(contacts)[..., None, :]
-    return np.sqrt(np.add.reduce(e * e, axis=-1))
+    c = np.asarray(contacts)
+    # per coordinate: a reduction over the short last axis costs more per row
+    e0, e1 = v[..., 0] - c[..., None, 0], v[..., 1] - c[..., None, 1]
+    return np.sqrt(e0 * e0 + e1 * e1)
 
 
 def polygon_sides(polygon) -> np.ndarray:
@@ -126,8 +128,11 @@ def points_in_polygon(points, polygon, tol=1e-9) -> np.ndarray:
     (..., m, 2). A NaN point is outside.
     """
     side = polygon_sides(polygon)
-    rel = points[..., None, :] - polygon
-    return (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0] >= -tol).all(axis=-1)
+    # per coordinate, as in `cable_lengths`: products of the columns of a
+    # (..., m, 2) difference run strided, and cost more
+    x, y = points[..., None, 0], points[..., None, 1]
+    return (side[..., 0] * (y - polygon[..., 1]) - side[..., 1] * (x - polygon[..., 0])
+            >= -tol).all(axis=-1)
 
 
 @dataclass(frozen=True)

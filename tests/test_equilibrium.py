@@ -28,10 +28,12 @@ from sheetplan.equilibrium import (
     _cables,
     _contact_floors,
     _edge_floors,
+    _edge_samples,
     _equilibrium,
     _select_best,
     _solve_plan,
     _stationary_points,
+    _triple_floors,
     cable_distances,
     solve_equilibria,
 )
@@ -790,7 +792,9 @@ class TestOracle:
 
     def test_scans_send_few_rows(self):
         # on `_oracle_cases()` the scans hold 61,900 contacts, all of which
-        # went to the kernel before the floors; 15,350 of them (24.8%) now do
+        # went to the kernel before the floors; 15,350 of them (24.8%) did
+        # with the shortest cable and pair floors, 6,940 (11.2%) do with the
+        # triple floors too
         sent, held = [], []
         kernel, floors = kernels.lowest_point_grid, equilibrium._contact_floors
 
@@ -807,7 +811,7 @@ class TestOracle:
             for f in _oracle_cases():
                 oracle_equilibrium(f, 1e-3)
         assert sum(held) == 61900
-        assert sum(sent) < sum(held) / 3
+        assert sum(sent) < sum(held) / 8
 
     def test_floors_below_kernel(self):
         # no lowest point of the kernel lies below its row's floor: random
@@ -833,6 +837,93 @@ class TestOracle:
 
         check()
         assert np.all(seen > 0)
+
+    def test_triple_floors_below_kernel(self):
+        # no lowest point of the kernel lies below the triple floor: random
+        # centers at n = 3..8, some 1e3 m from the origin, whose first taut
+        # triple is collinear, near-collinear or has two near-coincident
+        # centers, or whose three other centers repeat it with radii FEAS_TOL
+        # longer (the kernel then accepts a point on the floor's spheres);
+        # radii random, or on three spheres that cross above a point inside
+        # the triple's triangle (the floor's weights then sum to 1 only up to
+        # rounding) or outside it (they are clipped), the other balls larger
+        seen = np.zeros(3, dtype=int)   # rows: outside crossings, lowest points, floors within 1e-9
+
+        @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+        @settings(max_examples=200, deadline=None)
+        def check(n, seed):
+            rng = np.random.default_rng(seed)
+            size = 10.0 ** rng.uniform(-2, 1)
+            centers = rng.normal(0.0, size, (n, 2))
+            taut = np.sort(rng.choice(n, rng.integers(3, n + 1), replace=False))
+            tri, other = taut[:3], np.setdiff1d(np.arange(n), taut[:3])
+            kind = rng.integers(5 if n >= 6 else 4)
+            if kind == 1:       # exactly collinear: a zero Gram determinant
+                centers[tri] = np.floor(centers[tri[0]]) + np.array([[0, 0], [1, 0], [3, 0]])
+            elif kind == 2:
+                a, b = centers[tri[:2]]
+                centers[tri[2]] = a + rng.uniform(-2, 2) * (b - a) + 1e-9 * size * rng.normal(size=2)
+            elif kind == 3:
+                centers[tri[1]] = centers[tri[0]] + 1e-9 * size * rng.normal(size=2)
+            elif kind == 4:
+                centers[other[:3]] = centers[tri]
+            centers += np.round(rng.choice([0.0, 1e3]) * rotation(rng.uniform(0, 7))[0])
+            z_r = rng.uniform(-2.0, 2.0)
+            w = np.vstack([rng.dirichlet(np.ones(3), 10), rng.uniform(-1.0, 2.0, (10, 3))])
+            w /= w.sum(axis=1, keepdims=True)
+            d = (w @ centers[tri])[:, None] - centers     # from each center to the crossing
+            depth = size * rng.uniform(0.0, 2.0, (20, 1))
+            crossing = np.sqrt(dot(d, d) + depth**2) * np.where(
+                np.isin(np.arange(n), tri), 1.0, rng.uniform(1.0, 2.0, (20, n)))
+            if kind == 4:
+                crossing[:, other[:3]] = crossing[:, tri] + FEAS_TOL
+            rho = np.vstack([_lens_rows(rng, centers, 30), crossing])
+            _, z = kernels.lowest_point_grid(centers, z_r, rho)
+            floors = _triple_floors(centers, z_r, rho, taut)
+            assert np.all(z >= floors)
+            seen[:] += (np.sum(np.isfinite(z[30:]) & np.any(w < 0, axis=1)), np.sum(np.isfinite(z)),
+                        np.sum(z - floors < 1e-9))
+
+        check()
+        assert np.all(seen > 0)
+
+    def test_two_taut_incumbent_skips_the_triples(self):
+        # on the first oracle case the first scan's incumbent, one of its few
+        # grid contacts, hangs from two taut cables: that scan keeps the rows
+        # its other floors leave, and only the refined scans (three taut
+        # cables) run the triple stage
+        taut, triples, mask = [], [], equilibrium._taut
+        f = next(_oracle_cases())
+
+        def count_taut(l, d):
+            taut.append(mask(l, d))
+            return taut[-1]
+
+        def count_triples(r, z_r, rho, idx):
+            triples.append(len(idx))
+            return _triple_floors(r, z_r, rho, idx)
+
+        with mock.patch.object(equilibrium, "_taut", count_taut), \
+                mock.patch.object(equilibrium, "_triple_floors", count_triples):
+            orc = oracle_equilibrium(f, 1e-3)
+        assert [int(m.sum()) for m in taut] == [2, 3, 3, 3]     # three scans, then the result
+        assert triples == [3, 3]
+        assert orc.z == pytest.approx(solve_equilibrium(f).z, abs=2e-3)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_edge_samples_match_linspace_loop(self, n):
+        # the same bytes as one np.linspace per side, the samples' first form
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            v = rng.normal(0.0, 10.0 ** rng.uniform(-1, 1), (n, 2))
+            step = 10.0 ** rng.uniform(-3, 1)
+            side = v[(np.arange(n) + 1) % n] - v
+            want = []
+            for a, s in zip(v, side):
+                ts = np.linspace(0.0, 1.0, max(int(np.ceil(np.linalg.norm(s) / step)) + 1, 2))
+                want.append(a + ts[:, None] * s)
+            want = np.concatenate(want)
+            assert _edge_samples(v, side, np.sqrt(dot(side, side)), step).tobytes() == want.tobytes()
 
     def test_fully_pruned_refine_scan(self, triangle_layout):
         # a first scan whose pick is sunk 1 m below every contact's floor

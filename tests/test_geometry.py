@@ -31,6 +31,7 @@ from sheetplan import (
     to_local_frame,
 )
 from sheetplan.geometry import (
+    cable_lengths,
     check_convex_ccw,
     pair_distances,
     pair_index,
@@ -420,6 +421,18 @@ class TestPairAndPolygonArithmetic:
         assert pair_distances(pts).tobytes() == want.tobytes()
         for p, w in zip(pts, want):
             assert pair_distances(p).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cable_lengths_match_axis_norm(self, n):
+        """The same bytes as `np.linalg.norm(..., axis=-1)`, for one contact,
+        many contacts, and one sheet per contact."""
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=(500, n, 2)) * rng.choice([1e-6, 1.0, 1e3], (500, 1, 1))
+        u = rng.normal(size=(500, 2)) * rng.choice([1e-6, 1.0, 1e3], (500, 1))
+        u[::5] = v[::5, 0]                          # a contact on a holding point
+        assert cable_lengths(v, u).tobytes() == np.linalg.norm(v - u[:, None], axis=-1).tobytes()
+        assert cable_lengths(v[0], u).tobytes() == np.linalg.norm(v[0] - u[:, None], axis=-1).tobytes()
+        assert cable_lengths(v[0], u[0]).tobytes() == np.linalg.norm(v[0] - u[0], axis=-1).tobytes()
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_triple_index_is_combinations(self, n):

@@ -10,11 +10,12 @@ drop, enumerated exactly over active subsets of size 1, 2 and 3.
 the active subsets; `lowest_point` is its batch of one. The batch shares
 its centers (one sheet-contact grid of the oracle) or carries one center
 set and height per row (the candidates of a stack of equilibrium solves,
-each row with its formation's robots). Its membership test runs one ball
-at a time on the candidates that are still inside every ball so far; most
-candidates leave after two or three balls, so it makes far fewer tests
-than one of every candidate against all n balls, and returns the same
-bits.
+each row with its formation's robots). Its membership test is one boolean
+mask over the (candidate, row) entries, which each ball in turn narrows.
+Copying out the entries still inside after each ball would test fewer of
+them, but callers send tens of rows per call (a solve's candidate rows, or
+the contacts of an oracle scan that its floors did not rule out), and at
+that size the copy per ball costs more than the tests it skips.
 """
 import numpy as np
 
@@ -71,18 +72,17 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     """`lowest_point_grid` on one block of rows, all candidates stacked.
 
     `r` and the subset terms carry one center set per row of the block, or
-    one shared by all of them. Every (candidate, row) entry is a column of
-    one packed array with five rows: x, y, clipped squared drop, flat entry
-    index and batch row. The entries with a negative drop go first; then
-    each ball in turn keeps only the entries inside it, so later balls test
-    ever fewer entries. Each entry meets the same comparisons as in a test
-    of all balls at once, so the result is the same to the bit.
+    one shared by all of them. Every (candidate, row) entry gets its x, y
+    and clipped squared drop, and one boolean mask marks the entries that
+    are still candidates: it starts at the nonnegative drops and each ball
+    in turn clears the entries outside it. Each entry meets the comparisons
+    of a test of all balls at once, so the result is the same to the bit.
     """
     rows, n = rho.shape
     (pi, pf), (ti, tf) = pairs, triples
     m = n + pi.shape[1]
-    packed = np.empty((5, m + ti.shape[1], rows))
-    q, drop2, at = packed[:2], packed[2], packed[3]
+    q = np.empty((2, m + ti.shape[1], rows))
+    drop2 = np.empty(q.shape[1:])
     rho2 = (rho * rho).T
     centers = r.transpose(1, 2, 0)              # (ball, x/y, row or shared)
     q[:, :n] = centers.transpose(1, 0, 2)
@@ -100,20 +100,15 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     e = qt - tf[:2]
     e *= e
     np.subtract(g[0], e[0] + e[1], out=drop2[m:])
-    keep = (drop2 >= -DROP_TOL).ravel()
+    inside = drop2 >= -DROP_TOL
     np.maximum(drop2, 0.0, out=drop2)
-    at[...] = np.arange(at.size, dtype=float).reshape(at.shape)
-    packed[4] = np.arange(rows, dtype=float)
-    live = packed.reshape(5, -1).compress(keep, axis=1)
     bound = rho2 + FEAS_TOL * (2.0 * rho.T + FEAS_TOL)
     for c, bk in zip(centers, bound):
-        row = live[4].astype(np.intp)
-        d = live[:2] - (c if c.shape[1] == 1 else c.take(row, axis=1))
+        d = q - c[:, None, :]
         d *= d
-        live = live.compress(d[0] + d[1] + live[2] <= bk.take(row), axis=1)
-    z = np.full(at.size, -np.inf)
-    z[live[3].astype(np.intp)] = np.sqrt(live[2])
-    z = z_r - z.reshape(at.shape)       # +inf where no candidate is inside every ball
+        inside &= d[0] + d[1] + drop2 <= bk
+    # +inf where no candidate is inside every ball
+    z = np.where(inside, z_r - np.sqrt(drop2), np.inf)
     # the first lowest candidate wins, in singles, pairs, triples order
     best = np.argmin(z, axis=0)
     at = np.arange(rows)

@@ -192,14 +192,17 @@ def _pattern_search(x, fun, budget, steps0):
     first improvement. A sweep without improvement halves every step.
     `fun` maps a stack of points (M, d) to their M values. Each poll stacks
     the sweep's remaining probes from the current point, cut at the
-    remaining budget, and evaluates them in one call; the first probe that
-    improves is accepted, its sign twin and the later probes are dropped, and
-    the next poll starts at the next coordinate. The points, values and
-    count are those of probing one point at a time. Returns (x, f,
-    evaluations_used), counting only the probes that search would make.
+    remaining budget, and evaluates in one call the probes this search has
+    not evaluated before (a step back returns to an earlier point); the
+    first probe that improves is accepted, its sign twin and the later
+    probes are dropped, and the next poll starts at the next coordinate.
+    The points, values and count are those of probing one point at a time,
+    since `fun` gives a point the same value in any stack. Returns (x, f,
+    evaluations_used), counting every probe that search would make.
     """
     steps = np.array(steps0, dtype=float)
     f0 = fun(x[None])[0]
+    seen = {x.tobytes(): f0}        # value of every point evaluated, by its bytes
     used = 1
     dims = len(x)
     while used < budget and float(np.max(steps)) > STEP_MIN:
@@ -210,7 +213,11 @@ def _pattern_search(x, fun, budget, steps0):
             sign = np.resize([1.0, -1.0], len(coord))
             probes = np.repeat(x[None], len(coord), axis=0)
             probes[np.arange(len(coord)), coord] += sign * steps[coord]
-            values = fun(probes)
+            keys = [p.tobytes() for p in probes]
+            new = {k: i for i, k in enumerate(keys) if k not in seen}
+            if new:
+                seen.update(zip(new, fun(probes[list(new.values())])))
+            values = np.array([seen[k] for k in keys])
             better = np.flatnonzero(values < f0 - 1e-15)
             if not len(better):
                 used += len(coord)

@@ -12,6 +12,9 @@ from conftest import reference_lowest_point
 # sha256 of the (q, z) bytes of `lowest_point_grid` on `_pinned_cases()`,
 # recorded with the dense all-balls feasibility test (numpy 2.4, x86-64)
 GRID_DIGEST = "d9c0274b9561f0dd31d075c3019b49d38ddb32dc69d0cf0ce50acf9951ee395f"
+# the same for `_row_center_cases()`, the path of the stacked solves, recorded
+# with the kernel that tested one ball at a time on a compressed copy
+ROWS_DIGEST = "dbedd314a6a37cb569e5961097c950028704fb424f33771862d59b517c89d21c"
 
 
 def _random_instance(rng, n):
@@ -157,6 +160,47 @@ def test_grid_bytes_pinned():
         h.update(q.tobytes())
         h.update(z.tobytes())
     assert h.hexdigest() == GRID_DIGEST
+
+
+def _row_center_cases():
+    """Seeded `lowest_point_grid` inputs with one center set and height per row.
+
+    Per n = 1..8, four teams in runs of one to forty rows, each run with its
+    own height, a tenth of the rows with 0.05 m radii (mostly disjoint), and
+    more than one block of rows at n >= 4.
+    """
+    rng = np.random.default_rng(50)
+    cases = []
+    for n in range(1, 9):
+        teams = rng.uniform(-1, 1, (4, n, 2))
+        runs = rng.integers(0, 4, 24)
+        lengths = rng.choice([1, 2, 7, 40], 24)
+        which = np.repeat(runs, lengths)
+        centers = teams[which]
+        z_r = np.repeat(rng.uniform(0.5, 1.2, 24), lengths)
+        pts = rng.uniform(-0.4, 0.4, (len(which), 2))
+        rho = np.linalg.norm(pts[:, None] - centers, axis=2)
+        rho *= rng.uniform(0.95, 1.4, (len(which), 1))
+        rho[rng.random(len(which)) < 0.1] = 0.05   # mostly disjoint balls
+        cases.append((centers, z_r, rho))
+    return cases
+
+
+def test_grid_rows_bytes_pinned():
+    # the per-row-centers path the stacked solves take, pinned to the byte
+    h = hashlib.sha256()
+    split = empty = 0
+    for centers, z_r, rho in _row_center_cases():
+        assert (centers != centers[:1]).any()
+        q, z = kernels.lowest_point_grid(centers, z_r, rho)
+        # a row with its own centers takes at least two candidates' entries
+        split += len(rho) * 2 * _candidates(centers.shape[1]) > kernels.BLOCK
+        empty += np.isinf(z).sum()
+        assert np.isfinite(z).any()
+        h.update(q.tobytes())
+        h.update(z.tobytes())
+    assert split >= 2 and empty > 0
+    assert h.hexdigest() == ROWS_DIGEST
 
 
 def test_grid_split_rows_same_bytes():

@@ -319,20 +319,50 @@ class TestStackedPolls:
         x0 = rng.uniform(-1, 1, dims)
         steps0 = rng.choice([1e-4, 0.05, 0.1, 0.3], dims)
         fun = synthetic_objective(rng.uniform(-1, 1, dims), scale, seed.to_bytes(4, "little"))
-        calls = []
+        calls, evaluated, probed = [], [], []
 
         def stacked(points):
             calls.append(len(points))
+            evaluated.extend(x.tobytes() for x in points)
             return np.array([fun(x) for x in points])
 
+        def one(x):
+            probed.append(x.tobytes())
+            return fun(x)
+
         x, f, used = _pattern_search(x0.copy(), stacked, budget, steps0)
-        x_ref, f_ref, used_ref = sequential_search(x0.copy(), fun, budget, steps0)
+        x_ref, f_ref, used_ref = sequential_search(x0.copy(), one, budget, steps0)
         assert x.tobytes() == x_ref.tobytes()
         assert f == f_ref or (np.isinf(f) and np.isinf(f_ref))
-        assert type(used) is int and used == used_ref
-        # the stacks cover every probe the sequential search counts, and a
-        # poll holds at most the 2 * dims probes of one sweep
-        assert sum(calls) >= used and max(calls) <= 2 * dims
+        assert type(used) is int and used == used_ref == len(probed)
+        # the stacks evaluate every point the sequential search probes, each
+        # once, and a poll holds at most the 2 * dims probes of one sweep
+        assert len(set(evaluated)) == len(evaluated)
+        assert set(probed) <= set(evaluated) and max(calls) <= 2 * dims
+
+    def test_no_point_evaluated_twice(self):
+        # a bowl off the grid of steps: the one-at-a-time search steps back to
+        # points it has already probed, the stacked search evaluates each once
+        center = np.array([0.33, -0.21, 0.07])
+        probed, evaluated = [], []
+
+        def bowl(x):
+            return float(np.sum((x - center) ** 2))
+
+        def one(x):
+            probed.append(x.tobytes())
+            return bowl(x)
+
+        def stacked(points):
+            evaluated.extend(x.tobytes() for x in points)
+            return np.array([bowl(x) for x in points])
+
+        x, f, used = _pattern_search(np.zeros(3), stacked, 200, np.full(3, 0.1))
+        x_ref, f_ref, used_ref = sequential_search(np.zeros(3), one, 200, np.full(3, 0.1))
+        assert x.tobytes() == x_ref.tobytes() and f == f_ref and used == used_ref
+        assert len(set(probed)) < len(probed)
+        assert len(set(evaluated)) == len(evaluated)
+        assert set(probed) <= set(evaluated)
 
     def test_budget_cut_mid_sweep(self):
         # every probe improves by a little: the search spends the whole

@@ -33,15 +33,15 @@ height, which reduces every solve to small exact linear algebra:
   poll) in one pass over arrays, each to the same bits as alone, and
   `solve_equilibrium` is its one-formation case;
 * a brute-force grid oracle (`oracle_equilibrium`) checks the solve
-  independently of it: a nested search over a grid of sheet contacts, with
-  each contact's lowest point from the kernel. A contact goes to the kernel
-  only when its floors lie at or below an incumbent height: the depth of
-  its shortest cable, of every robot pair's lens (`_contact_floors`), then
-  of the three balls of each triple of the incumbent's taut cables
-  (`_triple_floors`), each widened by a round-off margin. A skipped
-  contact's lowest point lies strictly above the incumbent, so it can
-  neither win nor tie, and the oracle returns the bits of a scan of every
-  contact.
+  independently of it: a nested search over a grid of sheet contacts, built
+  from per-axis terms to the bit of a per-point build, with each contact's
+  lowest point from the kernel. A contact goes to the kernel only when its
+  floors lie at or below an incumbent height, tested cheapest first: the
+  depth of its shortest cable, of the three balls of each triple of the
+  incumbent's taut cables, then of every robot pair's lens, each widened
+  by a round-off margin. A skipped contact's lowest point lies strictly
+  above the incumbent, so it can neither win nor tie, and the oracle
+  returns the bits of a scan of every contact.
 """
 from __future__ import annotations
 
@@ -580,48 +580,51 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
 
 # -------------------------------------------------------------- the oracle
 def _floor(z_r, depth2, scale):
-    """z_r - sqrt(depth2 + 1e-12 S^2) - 1e-12 S for the scale S = `scale`:
-    the height of a bound depth2 on the squared depth, lowered by the
-    round-off margin derived in `_contact_floors`."""
+    """z_r - sqrt(depth2 + 1e-12 S^2) - 1e-12 S, S = `scale` = |z_r| +
+    max a_i + max D (D the center distances): a bound depth2 on the squared
+    depth of an accepted point, lowered by a round-off margin. The kernel's
+    ball test, the rounding of its height, the bound's squares and this
+    height are each off by a few units of 2^-52 relative to S^2 (the
+    squares) or S (the heights); the margin is 1e-12, over 4000 such units."""
     return z_r - np.sqrt(np.maximum(depth2 + 1e-12 * scale**2, 0.0)) - 1e-12 * scale
 
 
-def _contact_floors(r, z_r, rho, bound):
+def _shortest_floors(r, z_r, rho):
     """Per row of radii `rho` (G, n), a height below which
-    `kernels.lowest_point_grid(r, z_r, rho)` puts no lowest point: the
-    shortest cable's floor, raised to the pair lens floor on the rows where
-    the first lies at or below `bound`.
+    `kernels.lowest_point_grid(r, z_r, rho)` puts no lowest point: an
+    accepted point lies within a_i = rho_i + FEAS_TOL of every center
+    (r_i, z_r), so its depth is at most min a_i, the shortest cable's."""
+    a = rho + FEAS_TOL
+    scale = abs(z_r) + a.max() + pair_distances(r).max()
+    return _floor(z_r, np.square(functools.reduce(np.minimum, a.T)), scale)
 
-    An accepted point lies within a_i = rho_i + FEAS_TOL of every center
-    (r_i, z_r). The shortest cable bounds its depth h by min a_i. The
-    centers of a pair (i, j), D apart, bound it by the depth of their lens:
-    at t along the pair's line, h^2 <= a_i^2 - t^2 and h^2 <= a_j^2 -
-    (D - t)^2, so for every weight w in [0, 1], h^2 is at most their
-    w-weighted mean, whose maximum over t (at t = (1 - w) D) is
-    w a_i^2 + (1 - w) a_j^2 - w (1 - w) D^2. At the weight that puts t where
-    the two spheres cross, clipped to [0, D], this is the lens's deepest
-    point, or a ball's bottom inside the other ball; any weight gives a
-    bound, so the rounding of the weight does not matter. Each floor is
-    z_r - sqrt(h^2 + 1e-12 S^2) - 1e-12 S, S = |z_r| + max a_i + max D.
-    The kernel's ball test, the rounding of its height, the bound's squares
-    and this height are each off by a few units of 2^-52 relative to S^2
-    (the squares) or S (the heights); the margin is 1e-12, over 4000 such
-    units. A lens empty by more than the margin gives depth 0.
+
+def _pair_floors(r, z_r, rho):
+    """Per row of radii `rho` (G, n), a height below which
+    `kernels.lowest_point_grid(r, z_r, rho)` puts no lowest point, from the
+    lens of every robot pair.
+
+    The centers of a pair (i, j), D apart, bound the depth h of an accepted
+    point by the depth of their lens: at t along the pair's line,
+    h^2 <= a_i^2 - t^2 and h^2 <= a_j^2 - (D - t)^2, so for every weight w
+    in [0, 1], h^2 is at most their w-weighted mean, whose maximum over t
+    (at t = (1 - w) D) is w a_i^2 + (1 - w) a_j^2 - w (1 - w) D^2. At the
+    weight that puts t where the two spheres cross, clipped to [0, D], this
+    is the lens's deepest point, or a ball's bottom inside the other ball;
+    any weight gives a bound, so the rounding of the weight does not matter.
+    A lens empty by more than the margin gives depth 0.
     """
     a = rho + FEAS_TOL
     e = r - r[:, None]
     d2 = dot(e, e)      # (n, n) squared center distances
-    scale = abs(z_r) + a.max() + np.sqrt(d2.max())
-    floors = _floor(z_r, np.square(functools.reduce(np.minimum, a.T)), scale)
-    rows = np.flatnonzero(floors <= bound)
-    a2 = np.square(a[rows])
+    a2 = np.square(a)
     depth2 = a2.copy()      # per row and ball, the least bound of its pairs so far
     for j in range(1, len(r)):
         ai, aj, dd = a2[:, :j], a2[:, j:j + 1], d2[j, :j]
         w = np.fmax(np.fmin(0.5 + (aj - ai) / (2.0 * dd), 1.0), 0.0)
         np.fmin(depth2[:, :j], aj + w * (ai - aj) - w * (1.0 - w) * dd, out=depth2[:, :j])
-    floors[rows] = _floor(z_r, functools.reduce(np.minimum, depth2.T), scale)
-    return floors
+    scale = abs(z_r) + a.max() + np.sqrt(d2.max())
+    return _floor(z_r, functools.reduce(np.minimum, depth2.T), scale)
 
 
 def _triple_floors(r, z_r, rho, taut):
@@ -641,7 +644,7 @@ def _triple_floors(r, z_r, rho, taut):
     lies in [1, 2] up to rounding. Collinear centers (a zero Gram
     determinant) get the weights (1, 0, 0), the first ball's bound.
 
-    The margin is that of `_contact_floors`. With the centers taken relative
+    The margin is that of `_floor`. With the centers taken relative
     to the triple's first one, every term is at most 4 S^2 in size, so the
     bound rounds by a few tens of units of 2^-52 S^2, far inside 1e-12 S^2,
     wherever the team is. In absolute coordinates sum w_i |c_i|^2 and
@@ -681,6 +684,28 @@ def _edge_samples(v, side, length, step):
     return v[e] + t[:, None] * side[e]
 
 
+def _scan_contacts(v, side, length, center, half, npts):
+    """The contacts of an oracle scan and their cable lengths: the points of
+    the npts x npts grid of half width `half` about `center` inside the
+    polygon `v`, row by row, then the edge samples in that window. The grid
+    is tested and measured from per-row and per-column terms, by the same
+    operations as `points_in_polygon` (tol 1e-9) and `cable_lengths`, to
+    their bits, with no array over every point of the grid."""
+    xs = np.linspace(center[0] - half, center[0] + half, npts)
+    ys = np.linspace(center[1] - half, center[1] + half, npts)
+    inside = np.ones((npts, npts), dtype=bool)
+    for across, along in zip(side[:, :1] * (ys - v[:, 1:]), side[:, 1:] * (xs - v[:, :1])):
+        inside &= across[:, None] - along >= -1e-9
+    iy, ix = np.nonzero(inside)
+    rho = np.square(v[:, 0] - xs[:, None]).take(ix, axis=0)
+    rho += np.square(v[:, 1] - ys[:, None]).take(iy, axis=0)
+    epts = _edge_samples(v, side, length, 2 * half / (npts - 1))
+    off = np.abs(epts - center)
+    epts = epts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]
+    return (np.concatenate([np.column_stack([xs.take(ix), ys.take(iy)]), epts]),
+            np.concatenate([np.sqrt(rho), cable_lengths(v, epts)]))
+
+
 def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> ObjectEquilibrium:
     """Brute-force equilibrium: nested search independent of the solvers.
 
@@ -692,19 +717,20 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     window holds a grid point within round-off of its centre, the incumbent,
     or else samples of the incumbent's edge within a tenth of its half width.
 
-    Each scan sends the kernel only the contacts whose floors lie at or
-    below an incumbent height: the lowest point of the few contacts with
-    the longest shortest cable in the first scan, the best so far in a
-    refined one. The floors are the depth of a contact's shortest cable and
-    of every robot pair's lens (`_contact_floors`), and, when three or more
-    of the incumbent's cables are taut, the depth of the three balls of each
-    triple of consecutive taut cables (`_triple_floors`): near the
-    incumbent three balls bind, and a pair's lens is deeper than their
-    intersection. The other contacts keep the kernel's empty result,
-    (0, +inf). A skipped contact's lowest point lies at or above a floor,
-    strictly above the incumbent, hence strictly above the scan's lowest
-    point (or the best so far): it can neither win nor tie, and the oracle
-    returns the bits of a scan of every contact.
+    Each scan (`_scan_contacts`, from per-axis terms) sends the kernel only
+    the contacts whose floors lie at or below an incumbent height: the
+    lowest point of the few contacts with the longest shortest cable in the
+    first scan, the best so far in a refined one. The floors are tested
+    cheapest first, each on the contacts the last leaves: the depth of the
+    shortest cable (`_shortest_floors`); when three or more of the
+    incumbent's cables are taut, of the three balls of each triple of
+    consecutive taut cables (`_triple_floors`), which bind near the
+    incumbent; then of every robot pair's lens (`_pair_floors`), an O(n^2)
+    loop. The other contacts keep the kernel's empty result, (0, +inf). A
+    skipped contact's lowest point lies at or above a floor, strictly above
+    the incumbent, hence strictly above the scan's lowest point (or the best
+    so far): it can neither win nor tie, and the oracle returns the bits of
+    a scan of every contact.
     """
     require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
@@ -718,25 +744,19 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     length = np.sqrt(dot(side, side))
 
     def scan(center, half, npts, best=None):
-        xs = np.linspace(center[0] - half, center[0] + half, npts)
-        ys = np.linspace(center[1] - half, center[1] + half, npts)
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = pts[points_in_polygon(pts, v)]
-        epts = _edge_samples(v, side, length, 2 * half / (npts - 1))
-        off = np.abs(epts - center)
-        pts = np.concatenate([pts, epts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]])
-        rho = cable_lengths(v, pts)
+        pts, rho = _scan_contacts(v, side, length, center, half, npts)
         if best is None:   # the first scan: the best of the few contacts of longest shortest cable
             few = np.argsort(functools.reduce(np.minimum, rho.T))[-8:]
             q, z = kernels.lowest_point_grid(r, z_r, rho[few])
             k = int(np.argmin(z))
             best = pts[few[k]], q[k], z[k]
         bound = best[2]
-        send = np.flatnonzero(_contact_floors(r, z_r, rho, bound) <= bound)
         taut = np.flatnonzero(_taut(*_cables(v, z_r, r, *best)))
-        if len(taut) >= 3:
+        send = np.flatnonzero(_shortest_floors(r, z_r, rho) <= bound)
+        if len(taut) >= 3 and len(send):
             send = send[_triple_floors(r, z_r, rho[send], taut) <= bound]
+        if len(send):
+            send = send[_pair_floors(r, z_r, rho[send]) <= bound]
         q, z = np.zeros((len(pts), 2)), np.full(len(pts), np.inf)
         q[send], z[send] = kernels.lowest_point_grid(r, z_r, rho[send])
         k = int(np.argmin(z))

@@ -26,18 +26,28 @@ from sheetplan.equilibrium import (
     FEAS_TOL,
     TAUT_TOL,
     _cables,
-    _contact_floors,
     _edge_floors,
     _edge_samples,
     _equilibrium,
+    _pair_floors,
+    _scan_contacts,
     _select_best,
+    _shortest_floors,
     _solve_plan,
     _stationary_points,
     _triple_floors,
     cable_distances,
     solve_equilibria,
 )
-from sheetplan.geometry import dot, pair_distances, pair_index, points_in_polygon, rotation
+from sheetplan.geometry import (
+    cable_lengths,
+    dot,
+    pair_distances,
+    pair_index,
+    points_in_polygon,
+    polygon_sides,
+    rotation,
+)
 from sheetplan import equilibrium, kernels
 from sheetplan.cli import main as cli_main
 
@@ -794,20 +804,21 @@ class TestOracle:
         # on `_oracle_cases()` the scans hold 61,900 contacts, all of which
         # went to the kernel before the floors; 15,350 of them (24.8%) did
         # with the shortest cable and pair floors, 6,940 (11.2%) do with the
-        # triple floors too
+        # triple floors too. Every contact of a scan meets the first floor
+        # stage, the shortest cable's.
         sent, held = [], []
-        kernel, floors = kernels.lowest_point_grid, equilibrium._contact_floors
+        kernel, floors = kernels.lowest_point_grid, equilibrium._shortest_floors
 
         def count_sent(centers, z_r, rho):
             sent.append(len(rho))
             return kernel(centers, z_r, rho)
 
-        def count_held(r, z_r, rho, bound):
+        def count_held(r, z_r, rho):
             held.append(len(rho))
-            return floors(r, z_r, rho, bound)
+            return floors(r, z_r, rho)
 
         with mock.patch.object(kernels, "lowest_point_grid", count_sent), \
-                mock.patch.object(equilibrium, "_contact_floors", count_held):
+                mock.patch.object(equilibrium, "_shortest_floors", count_held):
             for f in _oracle_cases():
                 oracle_equilibrium(f, 1e-3)
         assert sum(held) == 61900
@@ -817,8 +828,8 @@ class TestOracle:
         # no lowest point of the kernel lies below its row's floor: random
         # centers at n = 2..8 with near-coincident pairs,
         # disjoint balls, a ball's bottom inside another and lenses of
-        # almost no depth, at both floors (bound -inf keeps the shortest
-        # cable's, +inf the pair lens's on every row)
+        # almost no depth, at both floors (the shortest cable's and the pair
+        # lens's)
         seen = np.zeros(2, dtype=int)       # rows without and with a lowest point
 
         @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
@@ -831,8 +842,8 @@ class TestOracle:
             z_r = rng.uniform(-2.0, 2.0)
             rho = _lens_rows(rng, centers, 30)
             _, z = kernels.lowest_point_grid(centers, z_r, rho)
-            for bound in (-np.inf, np.inf):
-                assert np.all(z >= _contact_floors(centers, z_r, rho, bound))
+            for floors in (_shortest_floors, _pair_floors):
+                assert np.all(z >= floors(centers, z_r, rho))
             seen[:] += np.bincount(np.isfinite(z), minlength=2)
 
         check()
@@ -924,6 +935,46 @@ class TestOracle:
                 want.append(a + ts[:, None] * s)
             want = np.concatenate(want)
             assert _edge_samples(v, side, np.sqrt(dot(side, side)), step).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_grid_matches_pointwise(self, n):
+        # the same contacts in the same order and the same radii, byte for
+        # byte, as one `points_in_polygon` and `cable_lengths` over the
+        # meshgrid's points, the scan's first form: on random convex sheets,
+        # some 1e3 m from the origin, over the whole sheet (a first scan) and
+        # refined windows wholly inside and about a point just off an edge,
+        # where the polygon test's cross product is -1e-9, its tolerance
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            angles = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+            v = 10.0 ** rng.uniform(-1, 1) * np.column_stack([np.cos(angles), np.sin(angles)])
+            v += np.round(rng.choice([0.0, 1e3]) * rotation(rng.uniform(0, 7))[0])
+            side = polygon_sides(v)
+            length = np.sqrt(dot(side, side))
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            extent = float(max(hi - lo))
+            k = rng.integers(n)
+            mid = v.mean(axis=0)
+            inner = np.min((side[:, 0] * (mid[1] - v[:, 1]) - side[:, 1] * (mid[0] - v[:, 0])) / length)
+            windows = [(0.5 * (lo + hi), 0.5 * extent, 41 + 40 * (n % 2), "whole"),
+                       (v[k] + 0.5 * side[k] + 1e-9 / length[k]**2 * side[k, ::-1] * [1, -1],
+                        0.05 * extent, 21, "edge"),
+                       (mid, 0.5 * inner, 21, "inside")]
+            for center, half, npts, kind in windows:
+                xs = np.linspace(center[0] - half, center[0] + half, npts)
+                ys = np.linspace(center[1] - half, center[1] + half, npts)
+                gx, gy = np.meshgrid(xs, ys)
+                pts = np.column_stack([gx.ravel(), gy.ravel()])
+                inside = points_in_polygon(pts, v)
+                pts = pts[inside]
+                epts = _edge_samples(v, side, length, 2 * half / (npts - 1))
+                off = np.abs(epts - center)
+                pts = np.concatenate([pts, epts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]])
+                got = _scan_contacts(v, side, length, center, half, npts)
+                assert got[0].tobytes() == pts.tobytes()
+                assert got[1].tobytes() == cable_lengths(v, pts).tobytes()
+                assert inside.all() == (kind == "inside")      # the window is what it says
+                assert inside.any()
 
     def test_fully_pruned_refine_scan(self, triangle_layout):
         # a first scan whose pick is sunk 1 m below every contact's floor

@@ -34,14 +34,15 @@ height, which reduces every solve to small exact linear algebra:
   `solve_equilibrium` is its one-formation case;
 * a brute-force grid oracle (`oracle_equilibrium`) checks the solve
   independently of it: a nested search over a grid of sheet contacts, built
-  from per-axis terms to the bit of a per-point build, with each contact's
-  lowest point from the kernel. A contact goes to the kernel only when its
-  floors lie at or below an incumbent height, tested cheapest first: the
-  depth of its shortest cable, of the three balls of each triple of the
-  incumbent's taut cables, then of every robot pair's lens, each widened
-  by a round-off margin. A skipped contact's lowest point lies strictly
-  above the incumbent, so it can neither win nor tie, and the oracle
-  returns the bits of a scan of every contact.
+  from per-axis terms to the bit of a per-point build, and the edge samples
+  of the scan's window, made only there. The kernel gives each contact's
+  lowest point, from team terms built once per oracle. A contact goes to
+  the kernel only when its floors lie at or below an incumbent height,
+  tested cheapest first: the depth of its shortest cable, of the three
+  balls of each triple of the incumbent's taut cables, then of every robot
+  pair's lens, each widened by a round-off margin. A skipped contact's
+  lowest point lies strictly above the incumbent, so it can neither win nor
+  tie, and the oracle returns the bits of a scan of every contact.
 """
 from __future__ import annotations
 
@@ -612,19 +613,23 @@ def _pair_floors(r, z_r, rho):
     weight that puts t where the two spheres cross, clipped to [0, D], this
     is the lens's deepest point, or a ball's bottom inside the other ball;
     any weight gives a bound, so the rounding of the weight does not matter.
-    A lens empty by more than the margin gives depth 0.
+    A lens empty by more than the margin gives depth 0. The pairs' bounds
+    are one array expression, in blocks of at most `kernels.BLOCK` entries.
     """
     a = rho + FEAS_TOL
-    e = r - r[:, None]
-    d2 = dot(e, e)      # (n, n) squared center distances
     a2 = np.square(a)
-    depth2 = a2.copy()      # per row and ball, the least bound of its pairs so far
-    for j in range(1, len(r)):
-        ai, aj, dd = a2[:, :j], a2[:, j:j + 1], d2[j, :j]
+    i, j = pair_index(len(r))
+    e = r[j] - r[i]
+    dd = dot(e, e)      # squared center distance of each pair
+    depth2 = a2.min(axis=1)     # per row, the least bound of its balls and pairs
+    step = max(1, kernels.BLOCK // len(dd))
+    for lo in range(0, len(a2), step):
+        ai, aj = a2[lo:lo + step, i], a2[lo:lo + step, j]
         w = np.fmax(np.fmin(0.5 + (aj - ai) / (2.0 * dd), 1.0), 0.0)
-        np.fmin(depth2[:, :j], aj + w * (ai - aj) - w * (1.0 - w) * dd, out=depth2[:, :j])
-    scale = abs(z_r) + a.max() + np.sqrt(d2.max())
-    return _floor(z_r, functools.reduce(np.minimum, depth2.T), scale)
+        np.minimum(depth2[lo:lo + step], (aj + w * (ai - aj) - w * (1.0 - w) * dd).min(axis=1),
+                   out=depth2[lo:lo + step])
+    scale = abs(z_r) + a.max() + np.sqrt(dd.max())
+    return _floor(z_r, depth2, scale)
 
 
 def _triple_floors(r, z_r, rho, taut):
@@ -672,16 +677,30 @@ def _triple_floors(r, z_r, rho, taut):
     return _floor(z_r, depth2, scale)
 
 
-def _edge_samples(v, side, length, step):
+def _edge_samples(v, side, length, step, center, half):
     """Samples at most `step` apart along every side of the polygon `v`, in
-    order: v_e + t side_e for t in np.linspace(0, 1, m_e), to the bit, with
-    m_e = max(ceil(length_e / step) + 1, 2) for side e of length length_e."""
+    order, that lie within half + 1e-12 of `center` in x and y: v_e + t side_e
+    for t in np.linspace(0, 1, m_e), m_e = max(ceil(length_e / step) + 1, 2),
+    to the bit. A side makes only its samples whose t can reach the window
+    widened by one step: at least one more sample at each end, whatever the
+    rounding of t."""
     m = np.maximum(np.ceil(length / step).astype(int) + 1, 2)
-    ends = np.cumsum(m)
-    e = np.repeat(np.arange(len(v)), m)
-    t = (np.arange(ends[-1]) - (ends - m)[e]) * (1.0 / (m - 1))[e]    # as np.linspace rounds
-    t[ends - 1] = 1.0
-    return v[e] + t[:, None] * side[e]
+    gap = center - v
+    # a side fixed in a coordinate crosses that bound at t = +-inf, or at nan
+    # when it lies on it, which fmin and fmax pass over
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = (gap - (half + step)) / side, (gap + (half + step)) / side
+    lo = np.clip(np.fmin(a, b).max(axis=1), 0.0, 1.0) * (m - 1)
+    hi = np.clip(np.fmax(a, b).min(axis=1), 0.0, 1.0) * (m - 1)
+    first = np.floor(lo).astype(int)
+    count = np.maximum(np.ceil(hi).astype(int) - first + 1, 0)
+    e = np.repeat(np.arange(len(v)), count)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+    t = k * (1.0 / (m - 1))[e]      # as np.linspace rounds
+    t[k == m[e] - 1] = 1.0
+    pts = v[e] + t[:, None] * side[e]
+    off = np.abs(pts - center)
+    return pts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]
 
 
 def _scan_contacts(v, side, length, center, half, npts):
@@ -699,9 +718,7 @@ def _scan_contacts(v, side, length, center, half, npts):
     iy, ix = np.nonzero(inside)
     rho = np.square(v[:, 0] - xs[:, None]).take(ix, axis=0)
     rho += np.square(v[:, 1] - ys[:, None]).take(iy, axis=0)
-    epts = _edge_samples(v, side, length, 2 * half / (npts - 1))
-    off = np.abs(epts - center)
-    epts = epts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]
+    epts = _edge_samples(v, side, length, 2 * half / (npts - 1), center, half)
     return (np.concatenate([np.column_stack([xs.take(ix), ys.take(iy)]), epts]),
             np.concatenate([np.sqrt(rho), cable_lengths(v, epts)]))
 
@@ -717,20 +734,21 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     window holds a grid point within round-off of its centre, the incumbent,
     or else samples of the incumbent's edge within a tenth of its half width.
 
-    Each scan (`_scan_contacts`, from per-axis terms) sends the kernel only
-    the contacts whose floors lie at or below an incumbent height: the
-    lowest point of the few contacts with the longest shortest cable in the
-    first scan, the best so far in a refined one. The floors are tested
-    cheapest first, each on the contacts the last leaves: the depth of the
-    shortest cable (`_shortest_floors`); when three or more of the
-    incumbent's cables are taut, of the three balls of each triple of
-    consecutive taut cables (`_triple_floors`), which bind near the
-    incumbent; then of every robot pair's lens (`_pair_floors`), an O(n^2)
-    loop. The other contacts keep the kernel's empty result, (0, +inf). A
-    skipped contact's lowest point lies at or above a floor, strictly above
-    the incumbent, hence strictly above the scan's lowest point (or the best
-    so far): it can neither win nor tie, and the oracle returns the bits of
-    a scan of every contact.
+    Each scan (`_scan_contacts`, from per-axis terms, with the edge samples
+    of its window only) sends the kernel only the contacts whose floors lie
+    at or below an incumbent height: the lowest point of the few contacts
+    with the longest shortest cable in the first scan, the best so far in a
+    refined one. The floors are tested cheapest first, each on the contacts
+    the last leaves: the depth of the shortest cable (`_shortest_floors`);
+    when three or more of the incumbent's cables are taut, of the three
+    balls of each triple of consecutive taut cables (`_triple_floors`),
+    which bind near the incumbent; then of every robot pair's lens
+    (`_pair_floors`). The other contacts keep the kernel's empty result,
+    (0, +inf). A skipped contact's lowest point lies at or above a floor,
+    strictly above the incumbent, hence strictly above the scan's lowest
+    point (or the best so far): it can neither win nor tie, and the oracle
+    returns the bits of a scan of every contact. Every kernel call of the
+    oracle takes one `kernels.Centers` of the team, its terms built once.
     """
     require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
@@ -742,12 +760,13 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     n0 = max(int(np.ceil(extent / (25.0 * grid_resolution))) + 1, 41)
     side = polygon_sides(v)
     length = np.sqrt(dot(side, side))
+    team = kernels.Centers(r)     # the terms of every kernel call of the oracle
 
     def scan(center, half, npts, best=None):
         pts, rho = _scan_contacts(v, side, length, center, half, npts)
         if best is None:   # the first scan: the best of the few contacts of longest shortest cable
             few = np.argsort(functools.reduce(np.minimum, rho.T))[-8:]
-            q, z = kernels.lowest_point_grid(r, z_r, rho[few])
+            q, z = kernels.lowest_point_grid(team, z_r, rho[few])
             k = int(np.argmin(z))
             best = pts[few[k]], q[k], z[k]
         bound = best[2]
@@ -758,7 +777,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
         if len(send):
             send = send[_pair_floors(r, z_r, rho[send]) <= bound]
         q, z = np.zeros((len(pts), 2)), np.full(len(pts), np.inf)
-        q[send], z[send] = kernels.lowest_point_grid(r, z_r, rho[send])
+        q[send], z[send] = kernels.lowest_point_grid(team, z_r, rho[send])
         k = int(np.argmin(z))
         return pts[k], q[k], float(z[k])
 

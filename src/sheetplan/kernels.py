@@ -10,12 +10,14 @@ drop, enumerated exactly over active subsets of size 1, 2 and 3.
 the active subsets; `lowest_point` is its batch of one. The batch shares
 its centers (one sheet-contact grid of the oracle) or carries one center
 set and height per row (the candidates of a stack of equilibrium solves,
-each row with its formation's robots). Its membership test is one boolean
-mask over the (candidate, row) entries, which each ball in turn narrows.
-Copying out the entries still inside after each ball would test fewer of
-them, but callers send tens of rows per call (a solve's candidate rows, or
-the contacts of an oracle scan that its floors did not rule out), and at
-that size the copy per ball costs more than the tests it skips.
+each row with its formation's robots), raw or as `Centers`, which a caller
+solving one team many times (the oracle) builds once. Its membership test
+is one boolean mask over the (candidate, row) entries, which each ball in
+turn narrows. Copying out the entries still inside after each ball would
+test fewer of them, but callers send tens of rows per call (a solve's
+candidate rows, or the contacts of an oracle scan that its floors did not
+rule out), and at that size the copy per ball costs more than the tests it
+skips.
 """
 import numpy as np
 
@@ -118,13 +120,29 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     return best_q, best_z
 
 
+class Centers:
+    """Ball centers, (N, 2) shared or (G, N, 2) one set per row, with the
+    `_subset_terms` of each run of rows with equal centers (`run` maps the
+    rows to their set; None for one set shared by every row)."""
+
+    def __init__(self, points):
+        r = np.asarray(points, dtype=float)
+        if r.ndim == 2 or (r == r[:1]).all():
+            self.points, self.run = r.reshape((-1,) + r.shape[-2:])[:1], None
+        else:
+            new = np.ones(len(r), dtype=bool)
+            new[1:] = (r[1:] != r[:-1]).reshape(len(r) - 1, -1).any(axis=1)
+            self.points, self.run = r[new], np.cumsum(new) - 1
+        self.pairs, self.triples = _subset_terms(self.points)
+
+
 def lowest_point_grid(centers, z_r, rho_grid):
     """Lowest points of G ball intersections, one per candidate row.
 
     Parameters
     ----------
     centers : (N, 2) planar ball-center positions shared by every candidate,
-        or (G, N, 2), one center set per candidate
+        or (G, N, 2), one center set per candidate; raw or as `Centers`
     z_r : common center height, or (G,), one per candidate
     rho_grid : (G, N) radii, one row per candidate
 
@@ -133,18 +151,13 @@ def lowest_point_grid(centers, z_r, rho_grid):
     (q, z) : (G, 2) lowest-point positions and (G,) heights; +inf height and
         a zero position where the intersection is empty.
     """
-    r = np.asarray(centers, dtype=float)
+    if not isinstance(centers, Centers):
+        centers = Centers(centers)
+    r, run = centers.points, centers.run
+    (pi, pf), (ti, tf) = centers.pairs, centers.triples
     z_r = np.asarray(z_r, dtype=float)
     rho = np.asarray(rho_grid, dtype=float)
     G, n = rho.shape
-    if r.ndim == 2 or (r == r[:1]).all():
-        r, run = r.reshape(-1, n, 2)[:1], None      # one center set, broadcast
-    else:
-        # consecutive rows with the same centers share one set of subset terms
-        new = np.ones(G, dtype=bool)
-        new[1:] = (r[1:] != r[:-1]).reshape(G - 1, -1).any(axis=1)
-        r, run = r[new], np.cumsum(new) - 1
-    (pi, pf), (ti, tf) = _subset_terms(r)
     width = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6    # candidates per row
     if run is not None:
         # a row with its own centers brings its subset terms (five floats per

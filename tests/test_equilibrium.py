@@ -793,6 +793,36 @@ def _lens_rows(rng, centers, rows):
     return rho
 
 
+def _linspace_samples(v, side, step):
+    """The edge samples' first form: one np.linspace per side, round the
+    whole perimeter."""
+    want = []
+    for a, s in zip(v, side):
+        ts = np.linspace(0.0, 1.0, max(int(np.ceil(np.linalg.norm(s) / step)) + 1, 2))
+        want.append(a + ts[:, None] * s)
+    return np.concatenate(want)
+
+
+def _in_window(pts, center, half):
+    off = np.abs(pts - center)
+    return pts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]
+
+
+def _looped_pair_floors(r, z_r, rho):
+    """`_pair_floors`' first form: one pass per robot over its lower pairs."""
+    a = rho + FEAS_TOL
+    e = r - r[:, None]
+    d2 = dot(e, e)
+    a2 = np.square(a)
+    depth2 = a2.copy()
+    for j in range(1, len(r)):
+        ai, aj, dd = a2[:, :j], a2[:, j:j + 1], d2[j, :j]
+        w = np.fmax(np.fmin(0.5 + (aj - ai) / (2.0 * dd), 1.0), 0.0)
+        np.fmin(depth2[:, :j], aj + w * (ai - aj) - w * (1.0 - w) * dd, out=depth2[:, :j])
+    scale = abs(z_r) + a.max() + np.sqrt(d2.max())
+    return equilibrium._floor(z_r, np.min(depth2, axis=1), scale)
+
+
 class TestOracle:
     def test_oracle_digest(self):
         h = hashlib.sha256()
@@ -823,6 +853,23 @@ class TestOracle:
                 oracle_equilibrium(f, 1e-3)
         assert sum(held) == 61900
         assert sum(sent) < sum(held) / 8
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_pair_floors_match_robot_loop(self, n):
+        # the same bytes as the loop over each robot's lower pairs: one row,
+        # a scan's worth and more rows than one block holds (2,730 at n = 3),
+        # teams near the origin and 1e3 m from it
+        rng = np.random.default_rng(60 + n)
+        step = kernels.BLOCK // (n * (n - 1) // 2)
+        for rows in (1, 76, 3000):
+            centers = rng.normal(0.0, 10.0 ** rng.uniform(-1, 1), (n, 2))
+            for shift in (0.0, 1e3):
+                r = centers + np.round(shift * rotation(rng.uniform(0, 7))[0])
+                rho = _lens_rows(rng, r, 3000)[rng.permutation(3000)[:rows]]
+                z_r = rng.uniform(-2.0, 2.0)
+                got = _pair_floors(r, z_r, rho)
+                assert got.tobytes() == _looped_pair_floors(r, z_r, rho).tobytes()
+            assert (rows > step) == (rows == 3000)
 
     def test_floors_below_kernel(self):
         # no lowest point of the kernel lies below its row's floor: random
@@ -921,27 +968,63 @@ class TestOracle:
         assert triples == [3, 3]
         assert orc.z == pytest.approx(solve_equilibrium(f).z, abs=2e-3)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", range(3, 9))
     def test_edge_samples_match_linspace_loop(self, n):
-        # the same bytes as one np.linspace per side, the samples' first form
+        # the same bytes as one np.linspace per side kept to the window, the
+        # samples' first form: on random convex sheets, some 1e3 m from the
+        # origin, in windows over the whole sheet, across an edge, about a
+        # vertex and wholly inside (no samples), and on an axis-aligned
+        # rectangle, whose sides each have a zero coordinate, with no warning
         rng = np.random.default_rng(n)
-        for _ in range(50):
-            v = rng.normal(0.0, 10.0 ** rng.uniform(-1, 1), (n, 2))
-            step = 10.0 ** rng.uniform(-3, 1)
-            side = v[(np.arange(n) + 1) % n] - v
-            want = []
-            for a, s in zip(v, side):
-                ts = np.linspace(0.0, 1.0, max(int(np.ceil(np.linalg.norm(s) / step)) + 1, 2))
-                want.append(a + ts[:, None] * s)
-            want = np.concatenate(want)
-            assert _edge_samples(v, side, np.sqrt(dot(side, side)), step).tobytes() == want.tobytes()
+        for trial in range(40):
+            size = 10.0 ** rng.uniform(-1, 1)
+            if trial % 4:
+                angles = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+                v = size * np.column_stack([np.cos(angles), np.sin(angles)])
+            else:
+                v = size * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.6], [0.0, 0.6]])
+            v += np.round(rng.choice([0.0, 1e3]) * rotation(rng.uniform(0, 7))[0])
+            side = polygon_sides(v)
+            length = np.sqrt(dot(side, side))
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            k = rng.integers(len(v))
+            mid = v.mean(axis=0)
+            inner = np.min((side[:, 0] * (mid[1] - v[:, 1]) - side[:, 1] * (mid[0] - v[:, 0])) / length)
+            near = 0.05 * size * rng.uniform(0.2, 1.0)
+            windows = [(0.5 * (lo + hi), 0.5 * float(max(hi - lo)), "whole"),
+                       (v[k] + rng.uniform(0.2, 0.8) * side[k], near, "edge"),
+                       (v[k] + near * rng.uniform(-0.5, 0.5, 2), near, "vertex"),
+                       (mid, 0.5 * inner, "inside")]
+            if trial % 4 == 0:      # a window whose top lies on the top side
+                windows.append((np.array([lo[0] + 0.3 * size, hi[1] - near]), near, "edge"))
+            for center, half, kind in windows:
+                step = 2 * half / rng.choice([20, 40, 200])
+                every = _linspace_samples(v, side, step)
+                want = _in_window(every, center, half)
+                got = _edge_samples(v, side, length, step, center, half)
+                assert got.tobytes() == want.tobytes()
+                # the window is what it says
+                assert (len(want) == len(every)) == (kind == "whole")
+                assert (len(want) == 0) == (kind == "inside")
+            assert (side == 0).any() == (trial % 4 == 0)
+        # the top side's fixed y lies exactly on a bound of the window widened
+        # by one step (0/0 in the range of its samples), the right side's x
+        # on the window's edge
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]])
+        side = polygon_sides(v)
+        center, half = np.array([0.875, 0.25]), 0.125
+        got = _edge_samples(v, side, np.sqrt(dot(side, side)), half, center, half)
+        assert got.tobytes() == _in_window(_linspace_samples(v, side, half), center, half).tobytes()
+        assert len(got) > 0
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_grid_matches_pointwise(self, n):
         # the same contacts in the same order and the same radii, byte for
         # byte, as one `points_in_polygon` and `cable_lengths` over the
-        # meshgrid's points, the scan's first form: on random convex sheets,
-        # some 1e3 m from the origin, over the whole sheet (a first scan) and
+        # meshgrid's points and the whole perimeter's edge samples kept to
+        # the window, the scan's first form: on random convex sheets, some
+        # 1e3 m from the origin, over the whole sheet (a first scan) and
         # refined windows wholly inside and about a point just off an edge,
         # where the polygon test's cross product is -1e-9, its tolerance
         rng = np.random.default_rng(n)
@@ -967,9 +1050,8 @@ class TestOracle:
                 pts = np.column_stack([gx.ravel(), gy.ravel()])
                 inside = points_in_polygon(pts, v)
                 pts = pts[inside]
-                epts = _edge_samples(v, side, length, 2 * half / (npts - 1))
-                off = np.abs(epts - center)
-                pts = np.concatenate([pts, epts[(off[:, 0] <= half + 1e-12) & (off[:, 1] <= half + 1e-12)]])
+                epts = _linspace_samples(v, side, 2 * half / (npts - 1))
+                pts = np.concatenate([pts, _in_window(epts, center, half)])
                 got = _scan_contacts(v, side, length, center, half, npts)
                 assert got[0].tobytes() == pts.tobytes()
                 assert got[1].tobytes() == cable_lengths(v, pts).tobytes()

@@ -203,6 +203,35 @@ def test_grid_rows_bytes_pinned():
     assert h.hexdigest() == ROWS_DIGEST
 
 
+def test_prebuilt_centers_same_bytes():
+    # `Centers` built once give the bytes of raw centers: on the pinned
+    # inputs of both center forms they hash to GRID_DIGEST and ROWS_DIGEST,
+    # one set of shared centers serves any number of calls, as the oracle's
+    # scans use it, and `lowest_point` takes them too
+    grid, rows = hashlib.sha256(), hashlib.sha256()
+    for centers, rho in _pinned_cases():
+        team = kernels.Centers(centers)
+        q, z = kernels.lowest_point_grid(team, 0.79, rho)
+        grid.update(q.tobytes())
+        grid.update(z.tobytes())
+        parts = [kernels.lowest_point_grid(team, 0.79, part) for part in np.array_split(rho, 3)]
+        assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
+        for row in rho[::11]:
+            q_one, z_one = kernels.lowest_point(team, 0.79, row)
+            q_raw, z_raw = kernels.lowest_point(centers, 0.79, row)
+            assert np.asarray(z_one).tobytes() == np.asarray(z_raw).tobytes()
+            assert (q_one is None) == (q_raw is None)
+            assert q_raw is None or q_one.tobytes() == q_raw.tobytes()
+    for centers, z_r, rho in _row_center_cases():
+        team = kernels.Centers(centers)
+        assert len(team.points) < len(centers)      # each run of equal centers has one set
+        q, z = kernels.lowest_point_grid(team, z_r, rho)
+        rows.update(q.tobytes())
+        rows.update(z.tobytes())
+    assert grid.hexdigest() == GRID_DIGEST
+    assert rows.hexdigest() == ROWS_DIGEST
+
+
 def test_grid_split_rows_same_bytes():
     # each row is solved on its own: any split of a batch gives the same bytes
     rng = np.random.default_rng(48)

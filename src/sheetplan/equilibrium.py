@@ -28,10 +28,10 @@ height, which reduces every solve to small exact linear algebra:
   edge (`_edge_floors`). The interior and ridge rows are ranked first, and
   only the edges whose floor does not lie above that winner are solved
   and ranked against it, which picks the same row as one ranking of all;
-* every step carries a leading formation axis: `solve_equilibria` solves a
-  stack of formations with one team size (the optimizer's probes of one
-  poll) in one pass over arrays, each to the same bits as alone, and
-  `solve_equilibrium` is its one-formation case;
+* every step carries a leading formation axis over the teams of one sheet:
+  `solve_equilibria` solves a stack of teams holding one `SheetLayout` (the
+  optimizer's probes of one poll) in one pass over arrays, each to the same
+  bits as alone, and `solve_equilibrium` is its one-formation case;
 * a brute-force grid oracle (`oracle_equilibrium`) checks the solve
   independently of it: a nested search over a grid of sheet contacts, built
   from per-axis terms to the bit of a per-point build, and the edge samples
@@ -235,16 +235,17 @@ def _stationary_points(v, z_r, r, plan, solve):
     so that a system rounds the same whatever it is stacked with: the golden
     outputs print round-off.
 
-    `v` and `r` are (K, n, 2) and `z_r` is (K,): one sheet, team and
-    holding height per formation of the stack; `solve` (K, S) marks the
-    systems of the plan to solve for each formation. Returns the contacts
-    u (K, S, 2), object positions q (K, S, 2) and heights z (K, S) in
-    original coordinates (zero where not solved), and the mask of the
+    `v` (n, 2) is the sheet and `z_r` its holding height, shared by the
+    stack; `r` (K, n, 2) holds one team per formation, and `solve` (K, S)
+    marks the systems of the plan to solve for each formation. Returns the
+    contacts u (K, S, 2), object positions q (K, S, 2) and heights z (K, S)
+    in original coordinates (zero where not solved), and the mask of the
     solved systems that have a minimum: consistent, with the hang quadratic
     bounded below along the null space, at a real hang depth.
     """
     pairs, stacks = plan
-    canon, (vrows, _), origin, back = _frames(np.array([v, r]), pairs)
+    vcanon, vrows, vorigin, vback = _frames(v, pairs)      # the sheet's, shared
+    rcanon, _, rorigin, rback = _frames(r, pairs)
     # the chosen (formation, system, anchor pair) entries, stack by stack
     at, x0, Vt, rank, consistent = [], [], [], [], []
     for sel, pair, cables, edge in stacks:
@@ -252,13 +253,13 @@ def _stationary_points(v, z_r, r, plan, solve):
         if not len(f):
             continue
         p, e = pair[s], edge[s]
-        vk, rk = canon[:, f[:, None], p[:, None], cables[s]]
+        vk, rk = vcanon[p[:, None], cables[s]], rcanon[f[:, None], p[:, None], cables[s]]
         A = np.concatenate([2 * vk, -2 * rk], axis=2)
         b = dot(vk, vk) - dot(rk, rk)
         pinned = np.flatnonzero(e >= 0)
         if len(pinned):
-            fp, pp, ep = f[pinned], p[pinned], e[pinned]
-            a2, b2 = vrows[fp, pp, ep], vrows[fp, pp, (ep + 1) % v.shape[1]]
+            pp, ep = p[pinned], e[pinned]
+            a2, b2 = vrows[pp, ep], vrows[pp, (ep + 1) % len(v)]
             A[pinned, -1, :2] = (b2 - a2)[..., ::-1] * (-1.0, 1.0)
             A[pinned, -1, 2:] = 0.0
             b[pinned, -1] = b2[..., 0] * a2[..., 1] - b2[..., 1] * a2[..., 0]
@@ -310,8 +311,9 @@ def _stationary_points(v, z_r, r, plan, solve):
         ok[g] = has & ~(drop2 < -1e-9)
     u, q = np.zeros((2,) + solve.shape + (2,))
     z, good = np.zeros(solve.shape), np.zeros(solve.shape, dtype=bool)
-    u[f, s], q[f, s] = (uw[..., None, :] @ _T(back[:, f, p]))[..., 0, :] + origin[:, f, p]
-    z[f, s], good[f, s] = z_r[f] - depth, ok
+    u[f, s] = (uw[0, :, None] @ _T(vback[p]))[:, 0] + vorigin[p]
+    q[f, s] = (uw[1, :, None] @ _T(rback[f, p]))[:, 0] + rorigin[f, p]
+    z[f, s], good[f, s] = z_r - depth, ok
     return u, q, z, good
 
 
@@ -347,8 +349,8 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         l, d = _cables(v, z_r, r, u, q, z)
         return _equilibrium(u, q, z, z_r, l, _taut(l, d), False)
     base = taut[:5]
-    u, q, z, ok = _stationary_points(v[None], np.array([z_r]), r[None],
-                                     _plan([(tuple(base), -1)]), np.ones((1, 1), dtype=bool))
+    u, q, z, ok = _stationary_points(v, z_r, r[None], _plan([(tuple(base), -1)]),
+                                     np.ones((1, 1), dtype=bool))
     if not ok[0, 0]:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
@@ -402,39 +404,39 @@ def _solve_plan(n):
 
 
 def _edge_floors(v, z_r, r):
-    """Per formation and sheet edge e, a height below which no row pinned to
-    e validates: z_r - 1/2 sqrt((L_e + delta_e)^2 - D_e^2) - ENERGY_TOL, as
-    derived in `solve_equilibria`."""
+    """Per team of `r` (K, n, 2) and sheet edge e, a height below which no
+    row pinned to e validates: z_r - 1/2 sqrt((L_e + delta_e)^2 - D_e^2) -
+    ENERGY_TOL, as derived in `solve_equilibria`."""
     side, gap = polygon_sides(v), polygon_sides(r)
     L = np.sqrt(dot(side, side))
-    W = 0.5 * L.sum(axis=-1, keepdims=True)     # half the perimeter: at least the sheet's width
+    W = 0.5 * L.sum()     # half the perimeter: at least the sheet's width
     delta = 2 * FEAS_TOL + 2e-9 * L + 1e-7 * np.maximum(1.0, W * W) / L
-    return z_r[..., None] - 0.5 * np.sqrt((L + delta) ** 2 - dot(gap, gap)) - ENERGY_TOL
+    return z_r - 0.5 * np.sqrt((L + delta) ** 2 - dot(gap, gap)) - ENERGY_TOL
 
 
 def _select_best(v, z_r, r, z, u, q, ok, rank):
     """Row of the best candidate of each formation that validates, or -1.
 
-    The arrays carry a leading formation axis: sheets `v`, teams `r` and
-    heights `z_r` per formation, candidates `z`, `u`, `q` and `ok` per
-    formation and table row. A candidate validates when it is `ok`, its
-    contact lies on the sheet, no cable is longer than its geodesic, and its
-    height is the lowest point of the cable balls for its contact. The
-    lowest points of all candidates of the stack that pass the first three
-    checks come from one batched kernel call, each with its formation's
-    robots as ball centers, robot 0 of each at the origin (far from it the
-    squared drop of a flat row rounds off by more than ENERGY_TOL**2). The
-    best is the lowest, then the one of lowest `rank`, then the first row;
-    heights within ENERGY_TOL of the holding height tie as flat, since a
-    row's depth near a flat sheet is the root of a rounding error.
+    The sheet `v` and its height `z_r` are shared; the teams `r`, and the
+    candidates `z`, `u`, `q` and `ok`, carry a leading formation axis. A
+    candidate validates when it is `ok`, its contact lies on the sheet, no
+    cable is longer than its geodesic, and its height is the lowest point of
+    the cable balls for its contact. The lowest points of all candidates of
+    the stack that pass the first three checks come from one batched kernel
+    call, with one center set per formation mapped to its rows (one shared
+    set for a stack of one): its robots, robot 0 at the origin (far from it
+    the squared drop of a flat row rounds off by more than ENERGY_TOL**2).
+    The best is the lowest, then the one of lowest `rank`, then the first
+    row; heights within ENERGY_TOL of the holding height tie as flat, since
+    a row's depth near a flat sheet is the root of a rounding error.
     """
     f, row = np.nonzero(ok)
-    v, z_r, r = v[f], z_r[f], r[f]
     u, z = u[f, row], z[f, row]
-    rho, d = _cables(v, z_r, r, u, q[f, row], z)
+    rho, d = _cables(v, z_r, r[f], u, q[f, row], z)
     fits = np.flatnonzero(points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1))
-    team = r[fits]
-    _, z_low = kernels.lowest_point_grid(team - team[:, :1], z_r[fits], rho[fits])
+    team = r - r[:, :1]
+    centers = kernels.Centers(team, f[fits]) if len(team) > 1 else kernels.Centers(team[0])
+    _, z_low = kernels.lowest_point_grid(centers, z_r, rho[fits])
     valid = fits[np.abs(z_low - z[fits]) <= ENERGY_TOL]
     level = np.minimum(z, z_r - ENERGY_TOL)     # rows this near flat tie
     valid = valid[np.lexsort((valid, rank[row[valid]], level[valid], f[valid]))]
@@ -446,16 +448,16 @@ def _select_best(v, z_r, r, z, u, q, ok, rank):
     return best
 
 
-def solve_equilibria(v, z_r, r):
-    """Equilibria of a stack of formations with one team size, as arrays.
+def solve_equilibria(layout: SheetLayout, robots):
+    """Equilibria of a stack of teams holding one sheet, as arrays.
 
-    `v` and `r` are (K, n, 2) and `z_r` is (K,): each formation's sheet,
-    team and holding height. Returns (at, u, q, z, l, taut, boundary) for
-    the F formations that solve, in stack order: their stack positions (F,),
-    sheet contacts and horizontal object positions (F, 2), heights (F,),
-    each cable's geodesic length and whether it is taut (F, n), and
-    whether the contact is pinned to the sheet boundary or hangs from a
-    fold line (F,). A formation that stretches the sheet past STRETCH_TOL,
+    `robots` (K, n, 2) holds one team per formation of the stack, each
+    holding the sheet of `layout` at its holding height. Returns (at, u, q,
+    z, l, taut, boundary) for the F formations that solve, in stack order:
+    their stack positions (F,), sheet contacts and horizontal object
+    positions (F, 2), heights (F,), each cable's geodesic length and
+    whether it is taut (F, n), and whether the contact is pinned to the
+    sheet boundary or hangs from a fold line (F,). A formation that stretches the sheet past STRETCH_TOL,
     or for which no candidate validates, is absent; each row has the bits
     of its own solve.
 
@@ -500,32 +502,33 @@ def solve_equilibria(v, z_r, r):
     floor is real. Every system rounds the same whatever it is stacked
     with, so the rows of both phases carry the bits of a solve of all.
     """
+    v, z_r, lv, n = layout.holding_points, layout.holding_height, layout.spacing, layout.n
     with np.errstate(over="ignore"):     # robots too far apart to square: inf apart
-        lv, lr = pair_distances(v), pair_distances(r)
+        lr = pair_distances(robots)
     stack = np.flatnonzero(~(np.max(lr - lv, axis=1) > STRETCH_TOL))   # as Formation.stretch()
-    K, n = len(stack), r.shape[1]
+    K = len(stack)
     if not K:     # every array empty, with its row shape
         return stack, *np.empty((2, 0, 2)), np.empty(0), *np.empty((2, 0, n)), np.empty(0, bool)
-    v, r, z_r, lv, lr = v[stack], r[stack], z_r[stack], lv[stack], lr[stack]
+    r, lr = robots[stack], lr[stack]
 
     sets, plan, hulls, ends, spans, rank = _solve_plan(n)
     ni, ne = len(hulls), ends.shape[1]
     # phase 1: the interior systems and the ridges
     interior = np.arange(ni + ne) < ni
     u, q, z, ok = _stationary_points(v, z_r, r, plan, np.broadcast_to(interior, (K, ni + ne)))
-    ok[:, :ni] &= points_in_polygon(u[:, :ni], v[:, hulls])
+    ok[:, :ni] &= points_in_polygon(u[:, :ni], v[hulls])
     stretched = np.abs(lv - lr) <= 1e-9
     for f in np.flatnonzero(stretched.any(axis=1)):
         # a fully stretched subset hangs flat, whatever its stationary point
         for k in np.flatnonzero(~np.any(spans[:, ~stretched[f]], axis=1)):
-            u[f, k], q[f, k], z[f, k] = _flat_candidate(v[f], z_r[f], r[f], sets[k])
+            u[f, k], q[f, k], z[f, k] = _flat_candidate(v, z_r, r[f], sets[k])
             ok[f, k] = True
 
     # two-cable fold-line ridges: the deepest point below each folded sheet chord
     fold = ~(lr >= lv - 1e-12)
     i, j = pair_index(n)
-    ridge = (0.5 * (v[:, i] + v[:, j]), 0.5 * (r[:, i] + r[:, j]),
-             z_r[:, None] - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
+    ridge = (np.broadcast_to(0.5 * (v[i] + v[j]), (K, len(i), 2)), 0.5 * (r[:, i] + r[:, j]),
+             z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
     u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
                    for x, rows in zip((u, q, z, ok), ridge))
     best = _select_best(v, z_r, r, z, u, q, ok, rank)
@@ -534,21 +537,21 @@ def solve_equilibria(v, z_r, r):
     need = _edge_floors(v, z_r, r) <= np.where(best >= 0, z[np.arange(K), best], np.inf)[:, None]
     g = np.flatnonzero(need.any(axis=1))
     if len(g):
-        v2, z2, r2, edge = v[g], z_r[g], r[g], slice(len(rank) - ne, None)
+        edge = slice(len(rank) - ne, None)
         solve = np.zeros((len(g), ni + ne), dtype=bool)
         solve[:, ni:] = need[g][:, ends[0]]
-        *solved, pinned = (x[:, ni:] for x in _stationary_points(v2, z2, r2, plan, solve))
+        *solved, pinned = (x[:, ni:] for x in _stationary_points(v, z_r, r[g], plan, solve))
         u[g, edge], q[g, edge], z[g, edge] = solved
-        a, ab = v2[:, ends[0]], v2[:, ends[1]] - v2[:, ends[0]]
+        a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
         s = dot(solved[0] - a, ab) / dot(ab, ab)
         keep = np.zeros((len(g), len(rank)), dtype=bool)
         keep[:, edge] = pinned & (s >= -1e-9) & (s <= 1 + 1e-9)
         won = np.flatnonzero(best[g] >= 0)
         keep[won, best[g[won]]] = True         # the phase-1 winner competes again
-        best[g] = _select_best(v2, z2, r2, z[g], u[g], q[g], keep, rank)
+        best[g] = _select_best(v, z_r, r[g], z[g], u[g], q[g], keep, rank)
     f = np.flatnonzero(best >= 0)
     best = best[f]
-    u, q, z, v, z_r = u[f, best], q[f, best], z[f, best], v[f], z_r[f]
+    u, q, z = u[f, best], q[f, best], z[f, best]
     l, d = _cables(v, z_r, r[f], u, q, z)
     return stack[f], u, q, z, l, _taut(l, d), (best >= ni) | ~points_in_polygon(u, v, tol=-1e-9)
 
@@ -569,14 +572,14 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     taut sets, then lexicographic order. This is the one-formation stack of
     `solve_equilibria`; InfeasibleFormation or NoEquilibrium when it is absent.
     """
-    z_r = formation.holding_height
-    _, u, q, z, l, taut, boundary = solve_equilibria(
-        formation.layout.holding_points[None], np.array([z_r]), formation.robot_positions[None])
+    _, u, q, z, l, taut, boundary = solve_equilibria(formation.layout,
+                                                     formation.robot_positions[None])
     if not len(z):
         _require_feasible(formation)
         raise NoEquilibrium("no candidate equilibrium validated; feasible input should always "
                             "admit one (solver bug signal)")
-    return _equilibrium(u[0], q[0], z[0], z_r, l[0], taut[0], bool(boundary[0]))
+    return _equilibrium(u[0], q[0], z[0], formation.holding_height, l[0], taut[0],
+                        bool(boundary[0]))
 
 
 # -------------------------------------------------------------- the oracle

@@ -8,16 +8,16 @@ drop, enumerated exactly over active subsets of size 1, 2 and 3.
 
 `lowest_point_grid` solves a batch, vectorized over the batch and over
 the active subsets; `lowest_point` is its batch of one. The batch shares
-its centers (one sheet-contact grid of the oracle) or carries one center
-set and height per row (the candidates of a stack of equilibrium solves,
-each row with its formation's robots), raw or as `Centers`, which a caller
-solving one team many times (the oracle) builds once. Its membership test
-is one boolean mask over the (candidate, row) entries, which each ball in
-turn narrows. Copying out the entries still inside after each ball would
-test fewer of them, but callers send tens of rows per call (a solve's
-candidate rows, or the contacts of an oracle scan that its floors did not
-rule out), and at that size the copy per ball costs more than the tests it
-skips.
+its centers (the contacts of an oracle scan, or the candidates of a
+one-formation solve) or maps each row to one of several center sets (the
+candidates of a stack of solves, each row with its formation's robots).
+The centers come raw or as `Centers`, whose terms the caller builds once
+per set, with the map of rows to sets. Its membership test is one boolean
+mask over the (candidate, row) entries, which each ball in turn narrows.
+Copying out the entries still inside after each ball would test fewer of
+them, but callers send tens of rows per call (a solve's candidate rows, or
+the contacts of an oracle scan that its floors did not rule out), and at
+that size the copy per ball costs more than the tests it skips.
 """
 import numpy as np
 
@@ -121,18 +121,15 @@ def _lowest_block(r, z_r, rho, pairs, triples):
 
 
 class Centers:
-    """Ball centers, (N, 2) shared or (G, N, 2) one set per row, with the
-    `_subset_terms` of each run of rows with equal centers (`run` maps the
-    rows to their set; None for one set shared by every row)."""
+    """Ball centers with the `_subset_terms` of each set: (N, 2), one set
+    shared by every row (`run` None), or (S, N, 2) sets, with `run` mapping
+    each row to its set (by default, set g to row g)."""
 
-    def __init__(self, points):
+    def __init__(self, points, run=None):
         r = np.asarray(points, dtype=float)
-        if r.ndim == 2 or (r == r[:1]).all():
-            self.points, self.run = r.reshape((-1,) + r.shape[-2:])[:1], None
-        else:
-            new = np.ones(len(r), dtype=bool)
-            new[1:] = (r[1:] != r[:-1]).reshape(len(r) - 1, -1).any(axis=1)
-            self.points, self.run = r[new], np.cumsum(new) - 1
+        if r.ndim == 3 and run is None:
+            run = np.arange(len(r))
+        self.points, self.run = r.reshape((-1,) + r.shape[-2:]), run
         self.pairs, self.triples = _subset_terms(self.points)
 
 
@@ -141,8 +138,9 @@ def lowest_point_grid(centers, z_r, rho_grid):
 
     Parameters
     ----------
-    centers : (N, 2) planar ball-center positions shared by every candidate,
-        or (G, N, 2), one center set per candidate; raw or as `Centers`
+    centers : `Centers` (one set shared by every candidate, or sets with a
+        map of each candidate to its set), or raw: (N, 2) planar ball-center
+        positions shared by every candidate, or (G, N, 2), one set each
     z_r : common center height, or (G,), one per candidate
     rho_grid : (G, N) radii, one row per candidate
 

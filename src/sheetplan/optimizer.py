@@ -160,9 +160,7 @@ class _Chart:
         robots, code = inverse_kinematics_stack(self.layout, points[:, :2], points[:, 2],
                                                 points[:, 3:])
         built = np.flatnonzero((code == 0) & (points[:, 2] > 0.0))
-        v = np.repeat(self.layout.holding_points[None], len(built), axis=0)
-        at, contacts, _, heights, _, taut, _ = solve_equilibria(
-            v, np.full(len(built), self.layout.holding_height), robots[built])
+        at, contacts, _, heights, _, taut, _ = solve_equilibria(self.layout, robots[built])
         taut = taut.all(axis=1)
         ok = np.zeros(len(points), dtype=bool)
         ok[built[at[taut]]] = True

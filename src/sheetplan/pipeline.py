@@ -62,7 +62,6 @@ class RunReport:
     centerline_rmse: float
     final_object: np.ndarray
     goal: np.ndarray
-    dt: float
 
 
 def _track_offset(pts_in, pts_out, lateral, margin):
@@ -453,7 +452,6 @@ def _build_report(scenario, timeline, modes, angles) -> RunReport:
         centerline_rmse=rmse,
         final_object=final_object,
         goal=np.asarray(scenario.goal, dtype=float),
-        dt=scenario.dt,
     )
 
 

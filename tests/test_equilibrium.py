@@ -332,7 +332,9 @@ class TestSolveEquilibrium:
 
         def no_lowest_for_f(centers, z_r, rho):
             q, z = lowest(centers, z_r, rho)
-            return q, np.where(np.all(centers == centers_f, axis=(1, 2)), np.inf, z)
+            # each row's team, or the one team shared by every row
+            own = centers.points if centers.run is None else centers.points[centers.run]
+            return q, np.where(np.all(own == centers_f, axis=(1, 2)), np.inf, z)
 
         f = equilateral_formation(triangle_layout, 1.2)
         path = tmp_path / "formation.txt"
@@ -491,22 +493,35 @@ def _state_bytes(eq):
 
 
 def _stacked(formations):
-    """`solve_equilibria` of a nonempty list of formations: each one's
-    `_state_bytes`, or None where it is absent from the result."""
-    v, z_r, r = (np.array(x) for x in zip(*[(f.layout.holding_points, f.holding_height,
-                                              f.robot_positions) for f in formations]))
-    at, *rows = solve_equilibria(v, z_r, r)
+    """`solve_equilibria` of a nonempty list of formations on one layout:
+    each one's `_state_bytes`, or None where it is absent from the result."""
+    layout = formations[0].layout
+    assert all(f.layout is layout for f in formations)
+    at, *rows = solve_equilibria(layout, np.array([f.robot_positions for f in formations]))
     assert np.all(np.diff(at) > 0)             # in stack order
     got = [None] * len(formations)
     for k, u, q, z, l, taut, boundary in zip(at.tolist(), *rows):
-        got[k] = _state_bytes(_equilibrium(u, q, z, z_r[k], l, taut, bool(boundary)))
+        got[k] = _state_bytes(_equilibrium(u, q, z, layout.holding_height, l, taut,
+                                           bool(boundary)))
     return got
+
+
+def _scaled(formation, factor):
+    """The formation scaled about its centroid: past the sheet spacing at 3."""
+    r = formation.robot_positions
+    return Formation(r.mean(axis=0) + factor * (r - r.mean(axis=0)), formation.layout)
 
 
 def _stretched(formation):
     """The formation scaled about its centroid past the sheet spacing."""
-    r = formation.robot_positions
-    return Formation(r.mean(axis=0) + 3.0 * (r - r.mean(axis=0)), formation.layout)
+    return _scaled(formation, 3.0)
+
+
+def _moved(formation, rng):
+    """The formation turned and shifted rigidly, at random."""
+    turn = rotation(rng.uniform(0.0, 2 * np.pi))
+    return Formation(formation.robot_positions @ turn.T + rng.uniform(-5.0, 5.0, 2),
+                     formation.layout)
 
 
 def old_select(z, sets, valid):
@@ -546,13 +561,13 @@ class TestCandidateTable:
             # the lowest point agrees with the candidate height on `energy` rows
             kept = np.flatnonzero(ok)
             assert len(rho) == len(kept)       # every `ok` row passed the cable checks
-            assert np.array_equal(centers, np.broadcast_to(r - r[0], (len(kept), n, 2)))
-            assert np.array_equal(z_r, np.full(len(kept), Z_R))
+            # one formation: its team, robot 0 at the origin, shared by every row
+            assert centers.run is None and np.array_equal(centers.points, (r - r[0])[None])
+            assert z_r == Z_R
             return np.zeros((len(kept), 2)), z[kept] + np.where(energy[kept], 0.0, 1.0)
 
         with mock.patch.object(kernels, "lowest_point_grid", kernel):
-            (best,) = _select_best(v[None], np.array([Z_R]), r[None], z[None], u[None],
-                                   q[None], ok[None], rank)
+            (best,) = _select_best(v, Z_R, r[None], z[None], u[None], q[None], ok[None], rank)
         expected = old_select(z, sets, np.flatnonzero(ok & energy))
         assert best == (-1 if expected is None else expected)
 
@@ -581,21 +596,20 @@ class TestFlatSheet:
 
 class TestStackedSolve:
     def test_stack_matches_one_at_a_time(self):
-        cases = list(_digest_cases())
-        one = [_state_bytes(solve_equilibrium(f)) for f in cases]
-        stacked = [None] * len(cases)
-        for n in range(3, 9):
-            at = [k for k, f in enumerate(cases) if f.n == n]
-            for order in (at, at[::-1]):
-                # every other row is absent: robots stretched past the sheet spacing
-                rows = [x for k in order for x in (cases[k], _stretched(cases[k]))]
-                got = _stacked(rows)
-                assert got[1::2] == [None] * len(order)
-                for k, state in zip(order, got[::2]):
-                    assert state == one[k]
-                    stacked[k] = state
+        # each digest case stacked on its layout with its stretched twin
+        # (absent), copies shrunk about its centroid and rigidly moved ones,
+        # in both orders: every row carries the bytes of its own solve
+        rng = np.random.default_rng(8)
+        stacked = []
+        for f in _digest_cases():
+            rows = [f, _stretched(f), _scaled(f, 0.97), _moved(f, rng),
+                    _scaled(_moved(f, rng), 0.9)]
+            one = [None if g is rows[1] else _state_bytes(solve_equilibrium(g)) for g in rows]
+            got = _stacked(rows)
+            assert got == one and got[1] is None
+            assert _stacked(rows[::-1]) == one[::-1]
+            stacked.append(got[0])
         assert hashlib.sha256(b"".join(stacked)).hexdigest() == SOLVE_DIGEST
-        assert hashlib.sha256(b"".join(one)).hexdigest() == SOLVE_DIGEST
 
     def test_failing_rows_are_absent(self):
         rng = np.random.default_rng(5)
@@ -606,18 +620,59 @@ class TestStackedSolve:
         assert _stacked([bad, f, bad]) == [None, _state_bytes(solve_equilibrium(f)), None]
         assert _stacked([bad, bad]) == [None, None]
         # the empty stack: every array empty, with its row shape
-        empty = solve_equilibria(np.zeros((0, 4, 2)), np.zeros(0), np.zeros((0, 4, 2)))
+        empty = solve_equilibria(f.layout, np.zeros((0, 4, 2)))
         assert [x.shape for x in empty] == [(0,), (0, 2), (0, 2), (0,), (0, 4), (0, 4), (0,)]
 
+    def test_kernel_gets_one_set_per_formation(self):
+        # a one-formation solve hands the kernel one shared set of centers
+        # (its team, robot 0 at the origin) and the scalar holding height; a
+        # stack hands it the teams of its formations, one set each, and maps
+        # every row to its formation's set
+        _, f = draw_transport_case(np.random.default_rng(6), 5)
+        stack = [f, _scaled(f, 0.95), _scaled(f, 0.9)]
+        lowest, calls = kernels.lowest_point_grid, []
+
+        def spy(centers, z_r, rho):
+            calls.append((centers, z_r, rho))
+            return lowest(centers, z_r, rho)
+
+        with mock.patch.object(kernels, "lowest_point_grid", spy):
+            one = [solve_equilibrium(g) for g in stack]
+            assert len(calls) == len(stack)     # every edge skipped: one selection each
+            for (centers, z_r, _), g in zip(calls, stack):
+                r = g.robot_positions
+                assert centers.run is None and np.array_equal(centers.points, (r - r[0])[None])
+                assert np.ndim(z_r) == 0 and z_r == g.holding_height
+            del calls[:]
+            _stacked(stack)
+        ((centers, z_r, rho),) = calls
+        teams = np.array([g.robot_positions for g in stack])
+        assert np.array_equal(centers.points, teams - teams[:, :1])
+        assert np.ndim(z_r) == 0 and z_r == f.holding_height
+        assert len(centers.run) == len(rho) and np.all(np.diff(centers.run) >= 0)
+        for k, eq in enumerate(one):
+            # the winning row of each formation (its radii are the winner's
+            # cable lengths) is mapped to that formation's set
+            won = np.flatnonzero(np.all(rho == eq.geodesic_lengths, axis=1))
+            assert len(won) and np.all(centers.run[won] == k)
+
     def test_phase_two_in_a_mixed_stack(self):
-        # formations whose every edge is skipped stacked with formations that
-        # solve some edges again: only the latter reach the second selection,
-        # and each row keeps the bits of its own solve
+        # on one sheet, teams whose every edge is skipped stacked with teams
+        # that solve some edges again: only the latter reach the second
+        # selection, and each row keeps the bits of its own solve. A folded
+        # draw that needs its edges gives the sheet, and the sheet shrunk
+        # about its centroid a team that skips them; with a rigidly moved
+        # copy of each
         rng = np.random.default_rng(23)
         for n in range(3, 9):
-            skip = _draws(lambda: draw_transport_case(rng, n, max_tries=5000), True)
-            need = _draws(lambda: draw_folded_case(rng, n, 5000, (0.4, 0.5)), False)
-            mixed = [need[0], skip[0], need[1], skip[1]]
+            skip = None
+            while skip is None:
+                need = draw_folded_case(rng, n, 5000, (0.4, 0.5))[1]
+                v = need.layout.holding_points
+                team = Formation(v.mean(axis=0) + 0.7 * (v - v.mean(axis=0)), need.layout)
+                if not _skips_every_edge(need) and _skips_every_edge(team):
+                    skip = team
+            mixed = [need, skip, _moved(need, rng), _moved(skip, rng)]
             one = [_state_bytes(solve_equilibrium(f)) for f in mixed]
             for order in (slice(None), slice(None, None, -1)):
                 sizes = []
@@ -645,26 +700,23 @@ class TestStackedSolve:
             assert row - interior in (1, 4)
             assert eq.sheet_contact.tobytes() == (0.5 * (v[i] + v[j])).tobytes()
             assert eq.horizontal.tobytes() == (0.5 * (r[i] + r[j])).tobytes()
-        stacked = _stacked(cases + [_stretched(cases[0])] + cases[::-1])
-        assert stacked[4] is None
-        for f, state, back in zip(cases, stacked, stacked[:4:-1]):
-            assert state == _state_bytes(solve_equilibrium(f)) == back
+            # stacked on its layout with a rigidly moved copy and its stretched
+            # twin, in both orders, it keeps the bytes of its own solve
+            rows = [f, _moved(f, rng), _stretched(f)]
+            one = [_state_bytes(solve_equilibrium(g)) for g in rows[:2]] + [None]
+            assert _stacked(rows) == one
+            assert _stacked(rows[::-1]) == one[::-1]
 
 
 def _floors(formation):
     """`_edge_floors` of one formation, one per sheet edge."""
-    return _edge_floors(formation.layout.holding_points[None],
-                        np.array([formation.holding_height]), formation.robot_positions[None])[0]
+    return _edge_floors(formation.layout.holding_points, formation.holding_height,
+                        formation.robot_positions[None])[0]
 
 
-def _draws(draw, skipped, count=2):
-    """`count` formations of `draw()` whose every edge is skipped (`skipped`) or not."""
-    got = []
-    while len(got) < count:
-        f = draw()[1]
-        if bool(np.all(_floors(f) > solve_equilibrium(f).z)) == skipped:
-            got.append(f)
-    return got
+def _skips_every_edge(formation):
+    """Whether the solve of `formation` skips every sheet edge."""
+    return bool(np.all(_floors(formation) > solve_equilibrium(formation).z))
 
 
 def full_table(formation):
@@ -676,29 +728,29 @@ def full_table(formation):
     validated rows, and the row that one `_select_best` call over the whole
     table picks. The draws have no fully stretched pair, so no row hangs flat.
     """
-    v, r = formation.layout.holding_points[None], formation.robot_positions[None]
-    z_r = np.array([formation.holding_height])
+    v, r = formation.layout.holding_points, formation.robot_positions[None]
+    z_r = formation.holding_height
     n = formation.n
     _, plan, hulls, ends, _, rank = _solve_plan(n)
     ni, ne = len(hulls), ends.shape[1]
     u, q, z, ok = _stationary_points(v, z_r, r, plan, np.ones((1, ni + ne), dtype=bool))
-    a, ab = v[:, ends[0]], v[:, ends[1]] - v[:, ends[0]]
+    a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
     s = dot(u[:, ni:] - a, ab) / dot(ab, ab)
-    ok &= np.concatenate([points_in_polygon(u[:, :ni], v[:, hulls]),
+    ok &= np.concatenate([points_in_polygon(u[:, :ni], v[hulls]),
                           (s >= -1e-9) & (s <= 1 + 1e-9)], axis=1)
     lv, lr = pair_distances(v), pair_distances(r)
     assert np.all(lr < lv - 1e-9)
     i, j = pair_index(n)
     fold = ~(lr >= lv - 1e-12)
-    ridge = (0.5 * (v[:, i] + v[:, j]), 0.5 * (r[:, i] + r[:, j]),
-             z_r[:, None] - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
+    ridge = (0.5 * (v[i] + v[j])[None], 0.5 * (r[:, i] + r[:, j]),
+             z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
     u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
                    for x, rows in zip((u, q, z, ok), ridge))
     best = _select_best(v, z_r, r, z, u, q, ok, rank)[0]
     u, q, z, ok = u[0], q[0], z[0], ok[0]
-    rho, d = _cables(v[0], z_r[0], r[0], u, q, z)
-    valid = ok & points_in_polygon(u, v[0]) & ~np.any(d > rho + FEAS_TOL, axis=1)
-    _, z_low = kernels.lowest_point_grid(r[0], z_r[0], rho[valid])
+    rho, d = _cables(v, z_r, r[0], u, q, z)
+    valid = ok & points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
+    _, z_low = kernels.lowest_point_grid(r[0], z_r, rho[valid])
     valid[valid] = np.abs(z_low - z[valid]) <= ENERGY_TOL
     return u, q, z, valid, best
 
@@ -789,7 +841,8 @@ def _lens_rows(rng, centers, rows):
     rho[:third, 1] *= rng.uniform(1.0, 1.1, third)
     share = rng.uniform(0.0, 1.0, third)
     stretch = 1.0 + rng.uniform(-1e-6, 1e-6, third)
-    rho[-third:, 0], rho[-third:, -1] = share * span * stretch, (1 - share) * span * stretch
+    rho[rows - third:, 0] = share * span * stretch
+    rho[rows - third:, -1] = (1 - share) * span * stretch
     return rho
 
 
@@ -887,7 +940,7 @@ class TestOracle:
             if rng.random() < 0.5:
                 centers[1] = centers[0] + 1e-9 * rng.normal(size=2)
             z_r = rng.uniform(-2.0, 2.0)
-            rho = _lens_rows(rng, centers, 30)
+            rho = np.vstack([_lens_rows(rng, centers, rows) for rows in (1, 2, 30)])
             _, z = kernels.lowest_point_grid(centers, z_r, rho)
             for floors in (_shortest_floors, _pair_floors):
                 assert np.all(z >= floors(centers, z_r, rho))

@@ -207,8 +207,10 @@ def test_prebuilt_centers_same_bytes():
     # `Centers` built once give the bytes of raw centers: on the pinned
     # inputs of both center forms they hash to GRID_DIGEST and ROWS_DIGEST,
     # one set of shared centers serves any number of calls, as the oracle's
-    # scans use it, and `lowest_point` takes them too
-    grid, rows = hashlib.sha256(), hashlib.sha256()
+    # scans use it, and `lowest_point` takes them too. Per-row centers hash
+    # alike as one set per row, or as their distinct sets with a run map
+    # from the caller, as the stacked solves pass them
+    grid, rows, runs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for centers, rho in _pinned_cases():
         team = kernels.Centers(centers)
         q, z = kernels.lowest_point_grid(team, 0.79, rho)
@@ -223,13 +225,15 @@ def test_prebuilt_centers_same_bytes():
             assert (q_one is None) == (q_raw is None)
             assert q_raw is None or q_one.tobytes() == q_raw.tobytes()
     for centers, z_r, rho in _row_center_cases():
-        team = kernels.Centers(centers)
-        assert len(team.points) < len(centers)      # each run of equal centers has one set
-        q, z = kernels.lowest_point_grid(team, z_r, rho)
-        rows.update(q.tobytes())
-        rows.update(z.tobytes())
+        sets, run = np.unique(centers, axis=0, return_inverse=True)
+        assert len(sets) < len(centers)
+        for team, digest in ((kernels.Centers(centers), rows),
+                             (kernels.Centers(sets, run.ravel()), runs)):
+            q, z = kernels.lowest_point_grid(team, z_r, rho)
+            digest.update(q.tobytes())
+            digest.update(z.tobytes())
     assert grid.hexdigest() == GRID_DIGEST
-    assert rows.hexdigest() == ROWS_DIGEST
+    assert rows.hexdigest() == runs.hexdigest() == ROWS_DIGEST
 
 
 def test_grid_split_rows_same_bytes():

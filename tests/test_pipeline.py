@@ -184,7 +184,6 @@ class TestExport:
             crossing_angles=(), min_vertical_clearance=np.inf,
             min_horizontal_clearance=np.inf, robot_path_lengths=np.zeros(3),
             centerline_rmse=0.0, final_object=np.zeros(3), goal=np.zeros(2),
-            dt=0.1,
         )
         paths = export_report(report, tmp_path / "empty")
         # the headers carry the team size of the (0, 3, 2) robot array

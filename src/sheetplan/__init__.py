@@ -27,13 +27,11 @@ from .geometry import (
     MAX_ROBOTS,
     Formation,
     FormationIndicators,
-    LocalFrame,
     SafetyParams,
     SheetLayout,
     circumscribed_diameter,
     indicators,
     min_enclosing_circle,
-    to_local_frame,
 )
 from .equilibrium import (
     ObjectEquilibrium,

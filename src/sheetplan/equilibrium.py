@@ -329,15 +329,15 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
 
     Minimizes the hang quadratic exactly on the taut-equality manifold of
     the first five taut cables (five equalities pin every unknown); any
-    further taut cable must agree within 1e-6 at that solution. The flags
-    are trusted; slack-cable admissibility is the caller's concern (see
-    solve_equilibrium for discovery + validation).
+    further taut cable must agree within 1e-6 at that solution. The flags,
+    one per robot, are trusted; slack-cable admissibility is the caller's
+    concern (see solve_equilibrium for discovery + validation).
     """
-    flags = [bool(f) for f in taut_flags]
-    if len(flags) != formation.n:
-        raise ValidationError("taut_flags", f"expected {formation.n} flags, got {len(flags)}")
+    flags = np.asarray(taut_flags)
+    if flags.shape != (formation.n,):
+        raise ValidationError("taut_flags", f"expected {formation.n} flags, got {flags.shape}")
     _require_feasible(formation)
-    taut = [i for i, f in enumerate(flags) if f]
+    taut = np.flatnonzero(flags).tolist()
     if len(taut) < 3:
         raise TooFewTaut(f"need at least 3 taut cables, got {len(taut)}")
     v = formation.layout.holding_points
@@ -862,24 +862,20 @@ def inverse_kinematics(
     anchor along direction phi_i, with h the hang depth. The result must be
     a strictly convex ccw formation, strictly inelastic, with the anchor
     strictly inside (necessary for the all-taut state to balance). The
-    one-row `inverse_kinematics_stack`, raising its first failed check.
+    one-row `inverse_kinematics_stack`, raising its first failed check; an
+    argument of the wrong shape is a ValidationError naming it.
     """
-    contact = np.asarray(contact, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-
-    def require_finite_inputs():
-        for name, value in (("contact", contact), ("object_height", object_height),
-                            ("phis", phis), ("anchor", anchor)):
-            require_finite(name, value)
-
-    if len(phis) != layout.n:
-        require_finite_inputs()
-        raise ValidationError("phis", f"expected {layout.n} angles, got {len(phis)}")
+    inputs = {"contact": (contact, (2,)), "object_height": (object_height, ()),
+              "phis": (phis, (layout.n,)), "anchor": (anchor, (2,))}
+    for name, (value, shape) in inputs.items():
+        if np.shape(value) != shape:
+            raise ValidationError(name, f"expected shape {shape}, got {np.shape(value)}")
+    contact, anchor, phis = (np.asarray(x, dtype=float) for x in (contact, anchor, phis))
     (robots,), (code,) = inverse_kinematics_stack(layout, contact[None], np.ravel(object_height),
                                                   phis[None], anchor)
     if code == IK_NONFINITE:
-        require_finite_inputs()
+        for name, (value, _) in inputs.items():
+            require_finite(name, value)
     if code == IK_OFF_SHEET:
         raise ValidationError("contact", "must lie strictly inside the sheet polygon")
     if code == IK_TOO_HIGH:

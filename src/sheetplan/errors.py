@@ -7,7 +7,7 @@ class SheetPlanError(Exception):
 
 # ---- geometry ----------------------------------------------------------
 class DegenerateFormation(SheetPlanError):
-    """Formation geometry too degenerate to define a frame (coincident robots)."""
+    """Point set with no enclosing circle (an empty or non-finite set)."""
 
 
 class InvalidHeight(SheetPlanError):

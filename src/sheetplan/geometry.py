@@ -1,4 +1,4 @@
-"""Formation geometry: frames, polygons, and the planning indicators.
+"""Formation geometry: point sets, polygons, and the planning indicators.
 
 Positions are numpy float64 arrays in meters. Sheet-frame coordinates live on
 the flat (undeformed) sheet, where geodesic distances are Euclidean; world
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DegenerateFormation, InvalidHeight, NonConvexResult, ValidationError
 
 AREA_TOL = 1e-9          # signed-area tolerance for convexity tests (m^2)
-FRAME_TOL = 1e-9         # coincident-point tolerance for frame construction (m)
 STRETCH_TOL = 1e-9       # Formation.stretch() above which the team stretches the sheet (m)
 MAX_ROBOTS = 8           # largest team the solver is tested and benchmarked for
 
@@ -233,44 +232,6 @@ class Formation:
         with np.errstate(over="ignore"):
             return float(np.max(pair_distances(self.robot_positions) - self.layout.spacing))
 
-    def translated(self, delta) -> "Formation":
-        return Formation(self.robot_positions + np.asarray(delta), self.layout)
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Canonical formation frame: robot 1 at the origin, robot 2 on +x."""
-
-    origin: np.ndarray
-    rotation: float
-    local_coords: np.ndarray = field(repr=False)
-
-    def to_world(self, local_points) -> np.ndarray:
-        return np.asarray(local_points) @ rotation(self.rotation).T + self.origin
-
-    def to_local(self, world_points) -> np.ndarray:
-        return (np.asarray(world_points) - self.origin) @ rotation(-self.rotation).T
-
-
-def to_local_frame(points) -> LocalFrame:
-    """Transform robot positions into the canonical local frame.
-
-    Accepts a Formation or an (N, 2) array with N >= 2. Raises
-    DegenerateFormation when the first two robots coincide.
-    """
-    if isinstance(points, Formation):
-        points = points.robot_positions
-    pts = as_points(points, "points")
-    if len(pts) < 2:
-        raise DegenerateFormation("need at least 2 points to define a frame")
-    d = pts[1] - pts[0]
-    if np.linalg.norm(d) < FRAME_TOL:
-        raise DegenerateFormation("first two robots coincide")
-    angle = float(np.arctan2(d[1], d[0]))
-    origin = pts[0].copy()
-    local = (pts - origin) @ rotation(-angle).T
-    return LocalFrame(origin=origin, rotation=angle, local_coords=local)
-
 
 def min_enclosing_circle(points):
     """Exact minimum enclosing circle by combinatorial search.
@@ -327,10 +288,8 @@ def min_enclosing_circle(points):
 
 
 def circumscribed_diameter(points):
-    """Diameter of the minimum circle enclosing the robot positions (a
-    Formation, an (N, 2) array, or a stack of them)."""
-    if isinstance(points, Formation):
-        points = points.robot_positions
+    """Diameter of the minimum circle enclosing (N, 2) robot positions, or
+    each of a stack of them."""
     _, radius = min_enclosing_circle(points)
     return 2.0 * radius
 

@@ -10,8 +10,10 @@ from sheetplan.kernels import DROP_TOL, FEAS_TOL
 
 # Repository files, located from this file so that pytest runs from any directory.
 REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = sorted((REPO / "scenarios").glob("*.txt"))
 CORRIDOR = str(REPO / "scenarios" / "corridor.txt")
 TURNED = str(REPO / "scenarios" / "turned_corridor.txt")
+BYPASS = str(REPO / "scenarios" / "bypass.txt")
 REFERENCE = str(REPO / "perfbench" / "reference.json")
 
 

@@ -373,7 +373,7 @@ class TestSolveEquilibrium:
             layout, f = draw_transport_case(rng, n)
             eq = solve_equilibrium(f)
             shift = rng.uniform(-5, 5, 2)
-            eq2 = solve_equilibrium(f.translated(shift))
+            eq2 = solve_equilibrium(Formation(f.robot_positions + shift, f.layout))
             assert np.allclose(eq2.horizontal, eq.horizontal + shift, atol=1e-12)
             assert eq2.z == pytest.approx(eq.z, abs=1e-12)
             assert np.allclose(eq2.sheet_contact, eq.sheet_contact, atol=1e-12)

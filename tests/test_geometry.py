@@ -1,4 +1,4 @@
-"""Frames, enclosing circles, pair and polygon arithmetic, planning indicators."""
+"""Enclosing circles, pair and polygon arithmetic, planning indicators."""
 import dataclasses
 import itertools
 
@@ -28,7 +28,6 @@ from sheetplan import (
     oracle_equilibrium,
     plan_local,
     select_sides,
-    to_local_frame,
 )
 from sheetplan.geometry import (
     cable_lengths,
@@ -45,86 +44,6 @@ from conftest import CORRIDOR, equilateral_formation, equilateral_layout, regula
 
 CONTACT = (0.0, 0.0)                              # center of the equilateral sheet
 PHIS = np.pi / 2 + 2 * np.pi / 3 * np.arange(3)   # bearings of its holding points
-
-
-class TestLocalFrame:
-    def test_canonical_input_unchanged(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
-        frame = to_local_frame(pts)
-        assert np.allclose(frame.local_coords, pts, atol=1e-15)
-
-    def test_rotated_translated_case(self):
-        # hand-derived: rotation by 90 degrees about (1, 1)
-        pts = np.array([[1.0, 1.0], [1.0, 2.0], [0.2, 1.5]])
-        frame = to_local_frame(pts)
-        expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
-        assert np.allclose(frame.local_coords, expected, atol=1e-12)
-
-    def test_coincident_origin_pair_rejected(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(DegenerateFormation):
-            to_local_frame(pts)
-
-    def test_one_point_rejected(self):
-        with pytest.raises(DegenerateFormation, match="at least 2 points"):
-            to_local_frame(np.array([[0.3, 0.4]]))
-
-    def test_first_two_coords_pinned(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(5, 2))
-        frame = to_local_frame(pts)
-        lc = frame.local_coords
-        assert abs(lc[0, 0]) < 1e-15 and abs(lc[0, 1]) < 1e-15
-        assert abs(lc[1, 1]) < 1e-15 and lc[1, 0] > 0
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_property(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-10, 10, size=(int(rng.integers(2, 8)), 2))
-        if np.linalg.norm(pts[1] - pts[0]) < 1e-6:
-            return
-        frame = to_local_frame(pts)
-        back = frame.to_world(frame.local_coords)
-        assert np.max(np.abs(back - pts)) < 1e-12
-
-    def test_round_trip_bulk(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(1000):
-            pts = rng.uniform(-5, 5, size=(int(rng.integers(2, 9)), 2))
-            if np.linalg.norm(pts[1] - pts[0]) < 1e-6:
-                continue
-            frame = to_local_frame(pts)
-            back = frame.to_world(frame.local_coords)
-            worst = max(worst, float(np.max(np.abs(back - pts))))
-        assert worst < 1e-12
-
-    def test_local_world_round_trip(self):
-        # points other than the frame's own map to the local frame and back
-        rng = np.random.default_rng(12)
-        frame = to_local_frame(rng.uniform(-5, 5, (4, 2)))
-        pts = rng.uniform(-5, 5, (50, 2))
-        local = frame.to_local(pts)
-        assert np.max(np.abs(frame.to_world(local) - pts)) < 1e-12
-        assert np.max(np.abs(frame.to_local(frame.origin))) == 0.0
-        assert np.allclose(np.linalg.norm(local, axis=1),
-                           np.linalg.norm(pts - frame.origin, axis=1), atol=1e-12)
-
-    def test_formation_input(self, triangle_layout):
-        f = equilateral_formation(triangle_layout, 1.2, center=(0.3, -0.4), phase=0.7)
-        frame = to_local_frame(f)
-        want = to_local_frame(f.robot_positions)
-        assert frame.local_coords.tobytes() == want.local_coords.tobytes()
-        assert frame.origin.tobytes() == want.origin.tobytes() and frame.rotation == want.rotation
-
-    def test_orientation_preserved(self):
-        pts = regular_polygon(4, 1.0)
-        lc = to_local_frame(pts).local_coords
-        area = 0.5 * np.sum(
-            lc[:, 0] * np.roll(lc[:, 1], -1) - np.roll(lc[:, 0], -1) * lc[:, 1]
-        )
-        assert area > 0
 
 
 def loop_enclosing_circle(pts, tol=1e-9):
@@ -210,11 +129,6 @@ class TestMinEnclosingCircle:
                 assert center.tobytes() == want[0].tobytes() and radius == want[1]
         diameters = circumscribed_diameter(pts)
         assert diameters.tobytes() == (2.0 * radii).tobytes()
-
-    def test_formation_diameter(self, triangle_layout):
-        f = equilateral_formation(triangle_layout, 1.2)
-        assert circumscribed_diameter(f) == circumscribed_diameter(f.robot_positions)
-        assert type(circumscribed_diameter(f)) is float
 
     def test_collinear_triple_has_no_circumcircle(self):
         # no diameter circle holds (1, 1.5), and the triple on y = 0 has d = 0 exactly
@@ -374,6 +288,13 @@ class TestPolygonValidation:
             ("object_height", lambda f: inverse_kinematics(f.layout, CONTACT, -np.inf, PHIS)),
             ("phis", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, PHIS + [np.nan, 0, 0])),
             ("anchor", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, PHIS, (np.nan, 0.0))),
+        )],
+        *[pytest.param(field, call, id=f"{field}-shape") for field, call in (
+            ("contact", lambda f: inverse_kinematics(f.layout, (0.0, 0.0, 5.0), 0.3, PHIS)),
+            ("object_height", lambda f: inverse_kinematics(f.layout, CONTACT, [0.3, 0.3], PHIS)),
+            ("phis", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, 0.0)),
+            ("anchor", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, PHIS, 0.0)),
+            ("taut_flags", lambda f: direct_kinematics(f, 5)),
         )],
     ])
     def test_bad_arguments_rejected(self, field, call):

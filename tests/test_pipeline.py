@@ -20,7 +20,28 @@ from sheetplan.geometry import rotation
 from sheetplan.pipeline import RunReport, _build_report, _track_offset
 from sheetplan.scenario import parse_scenario
 
-from conftest import CORRIDOR, REFERENCE, TURNED
+from conftest import BYPASS, CORRIDOR, REFERENCE, SCENARIOS, TURNED
+
+# sha256 of the exported files of the shipped scenarios that
+# perfbench/reference.json does not cover, recorded at 2e82485
+GOLDEN_DIGESTS = {
+    "bypass": {
+        "height_profile.csv": "03b820ae086e521b4fd5edd28dd0ba78d72b2b8133a2130dcb00ea0676a96d15",
+        "metrics.txt": "c665da16b2a53be1d395feab1f4d68a371ccb4f7db7c7dc94dbd6a046c6a76a9",
+        "pairwise_distances.csv": "d00ce3e9fb4684ddbab9a8dd7e3f896250b7c13b27f5c2e1276043cb5e015bb2",
+        "trajectory.csv": "cd00dacb652fd6fa38883916f8241343088e210e05e44e6380ba2c80bec4e6dd",
+    },
+    "hexagon_corridor": {
+        "height_profile.csv": "7cfd8a2c85f38ea9e5df1eafdbd3a21f703d8305a4fa6c117c1fc44c5fc60fcc",
+        "metrics.txt": "9f751daa5e24adf778948a29c78725f1a21c0a19bf069b06d9905d56b35e5763",
+        "pairwise_distances.csv": "ee657ec24d66414f56009f4880abdf3558bd6510566281a9c140c1014a1d85ed",
+        "trajectory.csv": "851c832b7800ffc42e865328d0908979f9d4c4df1798a1ae8befa38bb26f24c4",
+    },
+}
+
+# the module fixture that runs each shipped scenario, where one does
+REPORT_FIXTURES = {"corridor": "corridor_report", "turned_corridor": "turned_report",
+                   "bypass": "bypass_report"}
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +52,11 @@ def corridor_report():
 @pytest.fixture(scope="module")
 def turned_report():
     return run_pipeline(load_scenario(TURNED))
+
+
+@pytest.fixture(scope="module")
+def bypass_report():
+    return run_pipeline(load_scenario(BYPASS))
 
 
 @pytest.mark.parametrize("warm, path, ceiling_mb", [
@@ -98,19 +124,22 @@ class TestCorridorRun:
                 assert fa.read() == fb.read()
 
 
-@pytest.mark.parametrize("fixture, name", [
-    ("corridor_report", "corridor"),
-    ("turned_report", "turned_corridor"),
-])
-def test_golden_outputs(fixture, name, request, tmp_path):
-    """Every exported file matches the sha256 recorded in the reference."""
-    paths = export_report(request.getfixturevalue(fixture), tmp_path / name)
+@pytest.mark.parametrize("scenario", SCENARIOS,
+                         ids=lambda p: f"{REPORT_FIXTURES.get(p.stem, 'run')}-{p.stem}")
+def test_golden_outputs(scenario, request, tmp_path):
+    """Every exported file of every shipped scenario matches the sha256
+    recorded in the reference or, failing that, in GOLDEN_DIGESTS."""
+    name = scenario.stem
+    with open(REFERENCE) as fh:
+        recorded = {**GOLDEN_DIGESTS, **json.load(fh)["outputs"]}
+    assert name in recorded, f"no golden digests recorded for scenarios/{scenario.name}"
+    fixture = REPORT_FIXTURES.get(name)
+    report = request.getfixturevalue(fixture) if fixture else run_pipeline(load_scenario(scenario))
     digests = {}
-    for path in paths:
+    for path in export_report(report, tmp_path / name):
         with open(path, "rb") as fh:
             digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
-    with open(REFERENCE) as fh:
-        assert digests == json.load(fh)["outputs"][name]
+    assert digests == recorded[name]
 
 
 class TestTurnedCorridorRun:
@@ -343,25 +372,16 @@ class TestBuildReport:
 
 
 def bypass_text(width):
-    """One obstacle taller than any crossing height, in a corridor of `width`."""
-    text = open(CORRIDOR).read()
-    for old, new in (
-        ("corridor_point = 6.0 0.0", "corridor_point = 8.0 0.0"),
-        ("corridor_width = 2.0", f"corridor_width = {width}"),
-        ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
-        ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 3.5 0.0 0.1 0.76"),
-        ("goal = 5.6 0.0", "goal = 7.0 0.0"),
-    ):
-        assert old in text
-        text = text.replace(old, new)
-    return text
+    """scenarios/bypass.txt in a corridor of `width` in place of its 4 m."""
+    text = open(BYPASS).read()
+    assert "corridor_width = 4.0\n" in text
+    return text.replace("corridor_width = 4.0\n", f"corridor_width = {width}\n")
 
 
 class TestBypassRun:
-    def test_tall_obstacle_is_bypassed(self):
+    def test_tall_obstacle_is_bypassed(self, bypass_report):
         # a corridor wide enough to go around the obstacle
-        scenario = parse_scenario(bypass_text(4.0))
-        report = run_pipeline(scenario)
+        scenario, report = load_scenario(BYPASS), bypass_report
         assert report.obstacle_modes == ("bypassed",)
         assert report.min_horizontal_clearance >= scenario.safety.delta_r - 1e-9
         step = scenario.speed * scenario.dt

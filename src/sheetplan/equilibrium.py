@@ -9,9 +9,16 @@ height, which reduces every solve to small exact linear algebra:
 * anchored pairwise differencing makes the taut-equality system linear in
   (contact, horizontal object position); a rank-revealing SVD exposes the
   solution manifold, and the hang depth is a quadratic along it;
-* one generator (`_stationary_points`) solves every such system of a solve
-  as one stack per row count, with the same rounding as one system at a
-  time; `direct_kinematics` calls it with its one taut subset;
+* one generator (`_stationary_points`) solves the systems of a plan
+  (`_plan`) as one stack per subset size, with the same rounding as one
+  system at a time; the sheet's part of each system (`_sheet_systems`)
+  comes built, and `direct_kinematics` builds it for its one taut subset;
+* what a solve reads of the sheet alone (`_SheetTerms`: the sheet's part of
+  every system, the hull and sheet polygons with their sides, the ridge
+  midpoints, the widened edge lengths of the edge floors) is built once per
+  `SheetLayout` and kept for the last layout solved, so the solves of a
+  planning run, which all hold one sheet, build it once; the edge systems'
+  part waits for the first solve that needs an edge;
 * the global equilibrium is the deepest validated row of one candidate
   table per team size (`_solve_plan`): interior taut subsets, two-cable
   ridge hangs and contacts pinned to a sheet edge as fixed rows, validated
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +84,7 @@ from .geometry import (
     pair_distances,
     pair_index,
     points_in_polygon,
+    points_in_sides,
     polygon_sides,
     require_finite,
     require_positive,
@@ -172,23 +181,27 @@ def _frames(points, pairs):
     points[i2] lies on +x.
 
     `points` is (..., N, 2), one point set per leading index. Returns the
-    canonical points (..., P, N, 2); the same points rotated one at a time,
-    as the edge rows need (a 1-D product rounds differently from the 2-D
-    one); the origins (..., P, 2); and the rotations (..., P, 2, 2) back to
-    the original frame.
+    points relative to each origin (..., P, N, 2); the rotations
+    (..., P, 2, 2) that take them, as rows, to the canonical frame; the
+    origins (..., P, 2); and the rotations (..., P, 2, 2) back to the
+    original frame.
     """
     o = points[..., pairs[:, 0], :]
     d = points[..., pairs[:, 1], :] - o
     ang = np.arctan2(d[..., 1], d[..., 0])
-    fwd = _T(rotation(-ang))
-    rel = points[..., None, :, :] - o[..., None, :]
-    rows = (rel[..., None, :] @ fwd[..., None, :, :])[..., 0, :]
-    return rel @ fwd, rows, o, rotation(ang)
+    return points[..., None, :, :] - o[..., None, :], _T(rotation(-ang)), o, rotation(ang)
+
+
+def _canonical(points, pairs):
+    """The canonical points (..., P, N, 2) of `_frames`, its origins and its
+    rotations back."""
+    rel, fwd, o, back = _frames(points, pairs)
+    return rel @ fwd, o, back
 
 
 def _flat_candidate(v, z_r, r, idx):
     """Degenerate flat solution: contact at the taut centroid, zero drop."""
-    canon, _, origin, back = _frames(np.array([v, r]), np.array([idx[:2]]))
+    canon, origin, back = _canonical(np.array([v, r]), np.array([idx[:2]]))
     u_c = canon[0, 0, list(idx)].mean(axis=0)
     u, q = u_c @ _T(back[:, 0]) + origin[:, 0]
     return u, q, z_r
@@ -196,73 +209,100 @@ def _flat_candidate(v, z_r, r, idx):
 
 # ------------------------------------------------------- stationary points
 def _plan(systems):
-    """Stack the anchored difference systems of `systems` by row count.
+    """Stack the anchored difference systems of `systems`.
 
     A system (idx, e) is a taut subset idx (ascending cable indices) whose
     contact is pinned to the line of sheet edge e (from holding point e to
     e + 1), or free when e < 0. Its rows are one per cable of idx[1:], in
     order, then the edge row. Returns the anchor pairs (idx[0], idx[1]) as a
-    (P, 2) array, and one stack per row count: the positions of its systems
-    in `systems`, their anchor pairs, the cable of each row (0 in an edge
-    row) and their edges.
+    (P, 2) array, and one stack per subset size and kind (free or pinned):
+    the positions of its systems in `systems`, their anchor pairs, the
+    cables of their cable rows and their edges.
     """
     pairs = sorted({idx[:2] for idx, _ in systems})
     where = {p: k for k, p in enumerate(pairs)}
     groups = {}
     for s, (idx, e) in enumerate(systems):
-        groups.setdefault(len(idx) - 1 + (e >= 0), []).append(s)
+        groups.setdefault((len(idx), e >= 0), []).append(s)
     stacks = []
-    for k, sel in sorted(groups.items()):
+    for _, sel in sorted(groups.items()):
         idxs = [systems[s][0] for s in sel]
         pair = np.array([where[idx[:2]] for idx in idxs])
         edge = np.array([systems[s][1] for s in sel])
-        cables = np.array([idx[1:] + (0,) * (k + 1 - len(idx)) for idx in idxs])
-        stacks.append((np.array(sel), pair, cables, edge))
+        stacks.append((np.array(sel), pair, np.array([idx[1:] for idx in idxs]), edge))
     return np.array(pairs), stacks
 
 
-def _stationary_points(v, z_r, r, plan, solve):
+def _sheet_systems(v, plan):
+    """The sheet's part of the systems of `plan` (see `_plan`), which no
+    team changes.
+
+    Returns the plan's anchor pairs, the sheet's origins (P, 2) and
+    rotations back (P, 2, 2) in their canonical frames, and per stack of the
+    plan: the positions of its systems, their anchor pairs, the cables of
+    their cable rows, the first two columns of their matrices (S, k, 2) and
+    the sheet's part of their right sides (S, k). A cable row holds 2 v_k
+    and |v_k|^2; an edge row holds the line through its edge, from the
+    holding points rotated one at a time (a 1-D product rounds differently
+    from the 2-D one).
+    """
+    pairs, stacks = plan
+    rel, fwd, origin, back = _frames(v, pairs)
+    canon = rel @ fwd
+    if any(edge[0] >= 0 for *_, edge in stacks):
+        rows = (rel[..., None, :] @ fwd[:, None])[..., 0, :]
+    systems = []
+    for sel, pair, cables, edge in stacks:
+        vk = canon[pair[:, None], cables]
+        cols, rhs = 2 * vk, dot(vk, vk)
+        if edge[0] >= 0:
+            a, b = rows[pair, edge], rows[pair, (edge + 1) % len(v)]
+            cols = np.concatenate([cols, ((b - a)[..., ::-1] * (-1.0, 1.0))[:, None]], axis=1)
+            rhs = np.column_stack([rhs, b[..., 0] * a[..., 1] - b[..., 1] * a[..., 0]])
+        systems.append((sel, pair, cables, cols, rhs))
+    return pairs, origin, back, systems
+
+
+def _stationary_points(sheet, z_r, r, solve=None):
     """Minimum-energy point of the taut-equality manifold of chosen systems.
 
     Anchored differencing makes each system linear in the contact u and the
     local object position w; an edge row pins u to the line of a sheet edge.
     A rank-revealing SVD gives a particular solution and the null space, and
-    the hang quadratic J = |w|^2 - |u|^2 is minimized over it. The canonical
-    frames are computed once per anchor pair; all chosen systems with the
-    same number of rows are solved as one stack, and all with the same rank
-    are minimized as one. Each stacked product keeps the memory layout
+    the hang quadratic J = |w|^2 - |u|^2 is minimized over it. The team's
+    canonical frames are computed once per anchor pair, and the sheet's part
+    of every system comes built; the chosen systems of each stack of the
+    plan are solved as one stack, and all with the same rank are minimized
+    as one. Each stacked product keeps the memory layout
     (transposed views, not copies) of the 2-D or 1-D product of one system,
     so that a system rounds the same whatever it is stacked with: the golden
     outputs print round-off.
 
-    `v` (n, 2) is the sheet and `z_r` its holding height, shared by the
-    stack; `r` (K, n, 2) holds one team per formation, and `solve` (K, S)
-    marks the systems of the plan to solve for each formation. Returns the
-    contacts u (K, S, 2), object positions q (K, S, 2) and heights z (K, S)
-    in original coordinates (zero where not solved), and the mask of the
-    solved systems that have a minimum: consistent, with the hang quadratic
-    bounded below along the null space, at a real hang depth.
+    `sheet` is the `_sheet_systems` of the plan and `z_r` the sheet's
+    holding height, shared by the stack; `r` (K, n, 2) holds one team per
+    formation, and `solve` (K, S) marks the systems of the plan to solve for
+    each formation, or None for all of them. Returns the contacts u
+    (K, S, 2), object positions q (K, S, 2) and heights z (K, S) in original
+    coordinates (zero where not solved), and the mask of the solved systems
+    that have a minimum: consistent, with the hang quadratic bounded below
+    along the null space, at a real hang depth.
     """
-    pairs, stacks = plan
-    vcanon, vrows, vorigin, vback = _frames(v, pairs)      # the sheet's, shared
-    rcanon, _, rorigin, rback = _frames(r, pairs)
+    pairs, vorigin, vback, systems = sheet
+    rcanon, rorigin, rback = _canonical(r, pairs)
+    shape = (len(r), sum(len(sel) for sel, *_ in systems))
     # the chosen (formation, system, anchor pair) entries, stack by stack
     at, x0, Vt, rank, consistent = [], [], [], [], []
-    for sel, pair, cables, edge in stacks:
-        f, s = np.nonzero(solve[:, sel])
-        if not len(f):
-            continue
-        p, e = pair[s], edge[s]
-        vk, rk = vcanon[p[:, None], cables[s]], rcanon[f[:, None], p[:, None], cables[s]]
-        A = np.concatenate([2 * vk, -2 * rk], axis=2)
-        b = dot(vk, vk) - dot(rk, rk)
-        pinned = np.flatnonzero(e >= 0)
-        if len(pinned):
-            pp, ep = p[pinned], e[pinned]
-            a2, b2 = vrows[pp, ep], vrows[pp, (ep + 1) % len(v)]
-            A[pinned, -1, :2] = (b2 - a2)[..., ::-1] * (-1.0, 1.0)
-            A[pinned, -1, 2:] = 0.0
-            b[pinned, -1] = b2[..., 0] * a2[..., 1] - b2[..., 1] * a2[..., 0]
+    for sel, pair, cables, cols, rhs in systems:
+        # no stack is left empty: a mask marks every system of some edge, and
+        # each stack of the edge plan holds systems of every edge
+        f, s = (np.indices((len(r), len(sel))).reshape(2, -1) if solve is None
+                else np.nonzero(solve[:, sel]))
+        p, c = pair[s], cables.shape[1]
+        rk = rcanon[f[:, None], p[:, None], cables[s]]
+        A = np.zeros((len(f), cols.shape[1], 4))      # an edge row has no object columns
+        A[..., :2], A[:, :c, 2:] = cols[s], -2 * rk
+        b = rhs[s]
+        b[:, :c] -= dot(rk, rk)
         # overdetermined systems (redundant cables) pass through: the residual
         # test below keeps only geometrically consistent ones
         U, S, W = np.linalg.svd(A)
@@ -309,8 +349,8 @@ def _stationary_points(v, z_r, r, plan, solve):
         uw[0, g], uw[1, g] = uu, ww
         depth[g] = np.sqrt(np.maximum(drop2, 0.0))
         ok[g] = has & ~(drop2 < -1e-9)
-    u, q = np.zeros((2,) + solve.shape + (2,))
-    z, good = np.zeros(solve.shape), np.zeros(solve.shape, dtype=bool)
+    u, q = np.zeros((2,) + shape + (2,))
+    z, good = np.zeros(shape), np.zeros(shape, dtype=bool)
     u[f, s] = (uw[0, :, None] @ _T(vback[p]))[:, 0] + vorigin[p]
     q[f, s] = (uw[1, :, None] @ _T(rback[f, p]))[:, 0] + rorigin[f, p]
     z[f, s], good[f, s] = z_r - depth, ok
@@ -349,8 +389,7 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         l, d = _cables(v, z_r, r, u, q, z)
         return _equilibrium(u, q, z, z_r, l, _taut(l, d), False)
     base = taut[:5]
-    u, q, z, ok = _stationary_points(v, z_r, r[None], _plan([(tuple(base), -1)]),
-                                     np.ones((1, 1), dtype=bool))
+    u, q, z, ok = _stationary_points(_sheet_systems(v, _plan([(tuple(base), -1)])), z_r, r[None])
     if not ok[0, 0]:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
@@ -377,8 +416,9 @@ def _solve_plan(n):
     Rows: the interior systems (every taut subset of three or more cables,
     by decreasing size), one ridge per cable pair in `pair_index(n)` order,
     then the edge systems (for each sheet edge, every subset of two to four
-    cables). Returns (sets, plan, hulls, ends, spans, rank): each row's taut
-    set; the stacked systems; each interior subset padded to n cables by
+    cables). Returns (sets, plans, hulls, ends, spans, rank): each row's taut
+    set; the stacked interior systems and the stacked edge systems (two
+    `_plan`s); each interior subset padded to n cables by
     repeating its last one (a zero-length polygon side excludes no point);
     the two holding points of each edge system's edge; for each interior
     subset, the cable pairs of `pair_index(n)` with both cables in it; and
@@ -399,47 +439,102 @@ def _solve_plan(n):
     ends = np.array([(e, (e + 1) % n) for _, e in edge]).T
     member = np.any(hulls[:, :, None] == np.arange(n), axis=1)
     spans = member[:, pair_index(n)].all(axis=1)
-    plan = _plan([(idx, -1) for idx in interior] + edge)
-    return sets, plan, hulls, ends, spans, np.array([order[idx] for idx in sets])
+    plans = _plan([(idx, -1) for idx in interior]), _plan(edge)
+    return sets, plans, hulls, ends, spans, np.array([order[idx] for idx in sets])
 
 
-def _edge_floors(v, z_r, r):
+def _edge_floors(sheet, r):
     """Per team of `r` (K, n, 2) and sheet edge e, a height below which no
     row pinned to e validates: z_r - 1/2 sqrt((L_e + delta_e)^2 - D_e^2) -
-    ENERGY_TOL, as derived in `solve_equilibria`."""
-    side, gap = polygon_sides(v), polygon_sides(r)
-    L = np.sqrt(dot(side, side))
-    W = 0.5 * L.sum()     # half the perimeter: at least the sheet's width
-    delta = 2 * FEAS_TOL + 2e-9 * L + 1e-7 * np.maximum(1.0, W * W) / L
-    return z_r - 0.5 * np.sqrt((L + delta) ** 2 - dot(gap, gap)) - ENERGY_TOL
+    ENERGY_TOL, as derived in `solve_equilibria`; the `_SheetTerms` `sheet`
+    hold each L_e + delta_e."""
+    gap = polygon_sides(r)
+    return sheet.z_r - 0.5 * np.sqrt(sheet.reach ** 2 - dot(gap, gap)) - ENERGY_TOL
 
 
-def _select_best(v, z_r, r, z, u, q, ok, rank):
+class _SheetTerms:
+    """The terms of a solve that depend on one sheet and on no team, built
+    once per `SheetLayout` (see `_sheet_terms`).
+
+    Built at construction: the candidate table of the sheet's size
+    (`_solve_plan`), the `_sheet_systems` of its interior systems, the hull
+    polygon of each interior subset and the sheet's own polygon with their
+    sides, the ridge midpoints and each edge's L_e + delta_e (the widened
+    length of `_edge_floors`, as derived in `solve_equilibria`). Built at the
+    first read of `edges`: what only phase 2 reads. A sheet solved once
+    (each formation of a kinematics batch has its own) so builds no more
+    than its one solve reads.
+    """
+
+    def __init__(self, layout):
+        v, n = layout.holding_points, layout.n
+        self.v, self.z_r = v, layout.holding_height
+        self.sets, self.plans, hulls, self.ends, self.spans, self.rank = _solve_plan(n)
+        self.interior = _sheet_systems(v, self.plans[0])
+        hull = v[hulls]
+        self.hulls = hull, polygon_sides(hull)
+        self.side = polygon_sides(v)
+        i, j = pair_index(n)
+        self.ridge = 0.5 * (v[i] + v[j])
+        L = np.sqrt(dot(self.side, self.side))
+        W = 0.5 * L.sum()     # half the perimeter: at least the sheet's width
+        delta = 2 * FEAS_TOL + 2e-9 * L + 1e-7 * np.maximum(1.0, W * W) / L
+        self.reach = L + delta
+
+    @functools.cached_property
+    def edges(self):
+        """The `_sheet_systems` of the edge systems, and the start a, vector
+        ab and |ab|^2 of each one's edge."""
+        a, ab = self.v[self.ends[0]], self.v[self.ends[1]] - self.v[self.ends[0]]
+        return _sheet_systems(self.v, self.plans[1]), a, ab, dot(ab, ab)
+
+
+_TERMS = weakref.WeakKeyDictionary()     # the last SheetLayout solved -> its _SheetTerms
+
+
+def _sheet_terms(layout):
+    """The `_SheetTerms` of `layout`, built when a solve follows one on
+    another layout. Only the last layout's are kept, and only while it
+    lives: a planning run solves on one layout throughout, while a
+    kinematics batch has a layout per formation, whose terms would add up.
+    A layout never changes, so its terms never go stale."""
+    terms = _TERMS.get(layout)
+    if terms is None:
+        _TERMS.clear()
+        terms = _TERMS[layout] = _SheetTerms(layout)
+    return terms
+
+
+def _select_best(sheet, r, z, u, q, ok, centers=None):
     """Row of the best candidate of each formation that validates, or -1.
 
-    The sheet `v` and its height `z_r` are shared; the teams `r`, and the
-    candidates `z`, `u`, `q` and `ok`, carry a leading formation axis. A
-    candidate validates when it is `ok`, its contact lies on the sheet, no
-    cable is longer than its geodesic, and its height is the lowest point of
-    the cable balls for its contact. The lowest points of all candidates of
-    the stack that pass the first three checks come from one batched kernel
+    The `_SheetTerms` `sheet` are shared; the teams `r`, and the candidates
+    `z`, `u`, `q` and `ok`, carry a leading formation axis. A candidate
+    validates when it is `ok`, its contact lies on the sheet, no cable is
+    longer than its geodesic, and its height is the lowest point of the
+    cable balls for its contact. The lowest points of all candidates of the
+    stack that pass the first three checks come from one batched kernel
     call, with one center set per formation mapped to its rows (one shared
     set for a stack of one): its robots, robot 0 at the origin (far from it
     the squared drop of a flat row rounds off by more than ENERGY_TOL**2).
-    The best is the lowest, then the one of lowest `rank`, then the first
-    row; heights within ENERGY_TOL of the holding height tie as flat, since
-    a row's depth near a flat sheet is the root of a rounding error.
+    A stack of one may pass that set as `centers`, built once for both of
+    its selections. The best is the lowest, then the one of lowest rank,
+    then the first row; heights within ENERGY_TOL of the holding height tie
+    as flat, since a row's depth near a flat sheet is the root of a rounding
+    error.
     """
+    v, z_r = sheet.v, sheet.z_r
     f, row = np.nonzero(ok)
     u, z = u[f, row], z[f, row]
     rho, d = _cables(v, z_r, r[f], u, q[f, row], z)
-    fits = np.flatnonzero(points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1))
-    team = r - r[:, :1]
-    centers = kernels.Centers(team, f[fits]) if len(team) > 1 else kernels.Centers(team[0])
+    fits = np.flatnonzero(points_in_sides(u, v, sheet.side) & ~np.any(d > rho + FEAS_TOL, axis=1))
+    if centers is None:
+        team = r - r[:, :1]
+        centers = kernels.Centers(team, f[fits]) if len(team) > 1 else kernels.Centers(team[0])
     _, z_low = kernels.lowest_point_grid(centers, z_r, rho[fits])
     valid = fits[np.abs(z_low - z[fits]) <= ENERGY_TOL]
     level = np.minimum(z, z_r - ENERGY_TOL)     # rows this near flat tie
-    valid = valid[np.lexsort((valid, rank[row[valid]], level[valid], f[valid]))]
+    valid = valid[np.lexsort((valid, sheet.rank[row[valid]], level[valid], f[valid]))]
     f = f[valid]
     head = np.ones(len(f), dtype=bool)         # the first row of each formation
     head[1:] = f[1:] != f[:-1]
@@ -461,7 +556,8 @@ def solve_equilibria(layout: SheetLayout, robots):
     or for which no candidate validates, is absent; each row has the bits
     of its own solve.
 
-    The solve has two phases. Phase 1 solves the interior systems, adds
+    The solve reads what depends on the sheet alone from `_sheet_terms`,
+    and has two phases. Phase 1 solves the interior systems, adds
     the ridge rows and ranks them: each formation's best validated height
     z*. Phase 2 solves the edge systems of each (formation, edge e) whose
     floor lies at or below z*, or of every edge when nothing validated,
@@ -503,6 +599,7 @@ def solve_equilibria(layout: SheetLayout, robots):
     with, so the rows of both phases carry the bits of a solve of all.
     """
     v, z_r, lv, n = layout.holding_points, layout.holding_height, layout.spacing, layout.n
+    sheet = _sheet_terms(layout)
     with np.errstate(over="ignore"):     # robots too far apart to square: inf apart
         lr = pair_distances(robots)
     stack = np.flatnonzero(~(np.max(lr - lv, axis=1) > STRETCH_TOL))   # as Formation.stretch()
@@ -511,49 +608,47 @@ def solve_equilibria(layout: SheetLayout, robots):
         return stack, *np.empty((2, 0, 2)), np.empty(0), *np.empty((2, 0, n)), np.empty(0, bool)
     r, lr = robots[stack], lr[stack]
 
-    sets, plan, hulls, ends, spans, rank = _solve_plan(n)
-    ni, ne = len(hulls), ends.shape[1]
+    ni, ne, rows = len(sheet.hulls[0]), sheet.ends.shape[1], len(sheet.rank)
+    ridge, edge = slice(ni, rows - ne), slice(rows - ne, None)
+    u, q = np.zeros((2, K, rows, 2))     # the candidate table, edge rows unsolved
+    z, ok = np.zeros((K, rows)), np.zeros((K, rows), dtype=bool)
     # phase 1: the interior systems and the ridges
-    interior = np.arange(ni + ne) < ni
-    u, q, z, ok = _stationary_points(v, z_r, r, plan, np.broadcast_to(interior, (K, ni + ne)))
-    ok[:, :ni] &= points_in_polygon(u[:, :ni], v[hulls])
+    u[:, :ni], q[:, :ni], z[:, :ni], ok[:, :ni] = _stationary_points(sheet.interior, z_r, r)
+    ok[:, :ni] &= points_in_sides(u[:, :ni], *sheet.hulls)
     stretched = np.abs(lv - lr) <= 1e-9
     for f in np.flatnonzero(stretched.any(axis=1)):
         # a fully stretched subset hangs flat, whatever its stationary point
-        for k in np.flatnonzero(~np.any(spans[:, ~stretched[f]], axis=1)):
-            u[f, k], q[f, k], z[f, k] = _flat_candidate(v, z_r, r[f], sets[k])
+        for k in np.flatnonzero(~np.any(sheet.spans[:, ~stretched[f]], axis=1)):
+            u[f, k], q[f, k], z[f, k] = _flat_candidate(v, z_r, r[f], sheet.sets[k])
             ok[f, k] = True
 
     # two-cable fold-line ridges: the deepest point below each folded sheet chord
     fold = ~(lr >= lv - 1e-12)
     i, j = pair_index(n)
-    ridge = (np.broadcast_to(0.5 * (v[i] + v[j]), (K, len(i), 2)), 0.5 * (r[:, i] + r[:, j]),
-             z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
-    u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
-                   for x, rows in zip((u, q, z, ok), ridge))
-    best = _select_best(v, z_r, r, z, u, q, ok, rank)
+    u[:, ridge], q[:, ridge], ok[:, ridge] = sheet.ridge, 0.5 * (r[:, i] + r[:, j]), fold
+    z[:, ridge] = z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0))
+    one = kernels.Centers(r[0] - r[0, 0]) if K == 1 else None   # the team of a stack of one
+    best = _select_best(sheet, r, z, u, q, ok, one)
 
     # phase 2: the edges whose floor does not lie above the phase-1 winner
-    need = _edge_floors(v, z_r, r) <= np.where(best >= 0, z[np.arange(K), best], np.inf)[:, None]
+    need = _edge_floors(sheet, r) <= np.where(best >= 0, z[np.arange(K), best], np.inf)[:, None]
     g = np.flatnonzero(need.any(axis=1))
     if len(g):
-        edge = slice(len(rank) - ne, None)
-        solve = np.zeros((len(g), ni + ne), dtype=bool)
-        solve[:, ni:] = need[g][:, ends[0]]
-        *solved, pinned = (x[:, ni:] for x in _stationary_points(v, z_r, r[g], plan, solve))
+        systems, a, ab, ab2 = sheet.edges
+        *solved, pinned = _stationary_points(systems, z_r, r[g], need[g][:, sheet.ends[0]])
         u[g, edge], q[g, edge], z[g, edge] = solved
-        a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
-        s = dot(solved[0] - a, ab) / dot(ab, ab)
-        keep = np.zeros((len(g), len(rank)), dtype=bool)
+        s = dot(solved[0] - a, ab) / ab2
+        keep = np.zeros((len(g), rows), dtype=bool)
         keep[:, edge] = pinned & (s >= -1e-9) & (s <= 1 + 1e-9)
         won = np.flatnonzero(best[g] >= 0)
         keep[won, best[g[won]]] = True         # the phase-1 winner competes again
-        best[g] = _select_best(v, z_r, r[g], z[g], u[g], q[g], keep, rank)
+        best[g] = _select_best(sheet, r[g], z[g], u[g], q[g], keep, one)
     f = np.flatnonzero(best >= 0)
     best = best[f]
     u, q, z = u[f, best], q[f, best], z[f, best]
     l, d = _cables(v, z_r, r[f], u, q, z)
-    return stack[f], u, q, z, l, _taut(l, d), (best >= ni) | ~points_in_polygon(u, v, tol=-1e-9)
+    return (stack[f], u, q, z, l, _taut(l, d),
+            (best >= ni) | ~points_in_sides(u, v, sheet.side, tol=-1e-9))
 
 
 def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
@@ -812,12 +907,20 @@ def inverse_kinematics_stack(layout: SheetLayout, contacts, heights, phis, ancho
     cables long enough, strict inelasticity, a strictly convex ccw formation,
     anchor inside it (IK_NONFINITE .. IK_ANCHOR_OUTSIDE). Each row rounds as
     alone; a rejected row's robots mean nothing. Rows that pass the first
-    three checks have finite robots: no cable outreaches the sheet.
+    three checks have finite robots: no cable outreaches the sheet. An
+    argument of another shape is a ValidationError naming it.
     """
     contacts = np.asarray(contacts, dtype=float)
     heights = np.asarray(heights, dtype=float)
     phis = np.asarray(phis, dtype=float)
     anchors = np.asarray(anchors, dtype=float)
+    m = contacts.shape[:1]       # M, the number of rows
+    for name, value, shapes, want in (
+            ("contacts", contacts, [m + (2,)], "(M, 2)"), ("heights", heights, [m], "(M,)"),
+            ("phis", phis, [m + (layout.n,)], "(M, n)"),
+            ("anchors", anchors, [(2,), m + (2,)], "(2,) or (M, 2)")):
+        if value.shape not in shapes:
+            raise ValidationError(name, f"expected shape {want}, got {value.shape}")
     v, z_r = layout.holding_points, layout.holding_height
     bearing = np.empty(phis.shape + (2,))
     every = np.logical_and.reduce

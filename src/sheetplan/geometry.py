@@ -126,7 +126,12 @@ def points_in_polygon(points, polygon, tol=1e-9) -> np.ndarray:
     `polygon` is one polygon (m, 2) for every point, or one per point
     (..., m, 2). A NaN point is outside.
     """
-    side = polygon_sides(polygon)
+    return points_in_sides(points, polygon, polygon_sides(polygon), tol)
+
+
+def points_in_sides(points, polygon, side, tol=1e-9) -> np.ndarray:
+    """`points_in_polygon` of a polygon whose `polygon_sides` the caller
+    holds already, as a solve does for the polygons of its sheet."""
     # per coordinate, as in `cable_lengths`: products of the columns of a
     # (..., m, 2) difference run strided, and cost more
     x, y = points[..., None, 0], points[..., None, 1]
@@ -146,13 +151,17 @@ class SafetyParams:
             require_positive(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SheetLayout:
     """Holding-point coordinates on the flat sheet and the holding height.
 
-    holding_points: (N, 2) array in the sheet frame, counterclockwise convex.
+    holding_points: (N, 2) array in the sheet frame, counterclockwise convex;
+        a read-only copy of the points given.
     holding_height: height of every holding point above the ground plane.
     spacing: read-only `pair_distances` of the holding points, derived.
+
+    A layout never changes after construction, and equality is identity, so
+    a layout can key what is derived from it (the solve's per-sheet terms).
     """
 
     holding_points: np.ndarray
@@ -160,7 +169,8 @@ class SheetLayout:
     spacing: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = as_points(self.holding_points, "holding_points")
+        pts = as_points(self.holding_points, "holding_points").copy()
+        pts.setflags(write=False)
         object.__setattr__(self, "holding_points", pts)
         object.__setattr__(self, "holding_height", float(self.holding_height))
         require_finite("holding_points", pts)
@@ -193,15 +203,17 @@ class Formation:
     """Planar robot positions matched one-to-one with sheet holding points.
 
     Construction enforces the convex/counterclockwise invariants as hard
-    errors. Inelasticity (every robot pair no farther apart than its sheet
-    pair) is a solver-level feasibility question, queried via stretch().
+    errors, and keeps a read-only copy of the positions given. Inelasticity
+    (every robot pair no farther apart than its sheet pair) is a
+    solver-level feasibility question, queried via stretch().
     """
 
     robot_positions: np.ndarray
     layout: SheetLayout
 
     def __post_init__(self):
-        pts = as_points(self.robot_positions, "robot_positions")
+        pts = as_points(self.robot_positions, "robot_positions").copy()
+        pts.setflags(write=False)
         object.__setattr__(self, "robot_positions", pts)
         require_finite("robot_positions", pts)
         if len(pts) != self.layout.n:

@@ -1,5 +1,7 @@
 """Equilibrium solvers: known taut sets, discovery, oracle agreement."""
+import gc
 import hashlib
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,9 @@ from sheetplan import (
     SingularSystem,
     TooFewTaut,
     direct_kinematics,
+    load_scenario,
     oracle_equilibrium,
+    run_pipeline,
     solve_equilibrium,
 )
 from sheetplan.equilibrium import (
@@ -32,6 +36,7 @@ from sheetplan.equilibrium import (
     _pair_floors,
     _scan_contacts,
     _select_best,
+    _sheet_terms,
     _shortest_floors,
     _solve_plan,
     _stationary_points,
@@ -52,6 +57,7 @@ from sheetplan import equilibrium, kernels
 from sheetplan.cli import main as cli_main
 
 from conftest import (
+    CORRIDOR,
     draw_consistent_target,
     draw_folded_case,
     draw_ridge_case,
@@ -548,7 +554,7 @@ class TestCandidateTable:
         # centroid: each cable stays within FEAS_TOL of its geodesic for a
         # hang of up to 3e-4 m, so only `ok` and the kernel decide validity
         rng = np.random.default_rng(seed)
-        sets, _, _, _, _, rank = _solve_plan(n)
+        sets = _solve_plan(n)[0]
         v = r = regular_polygon(n, 1.0)
         rows = len(sets)
         u = np.tile(v.mean(axis=0), (rows, 1))
@@ -567,7 +573,8 @@ class TestCandidateTable:
             return np.zeros((len(kept), 2)), z[kept] + np.where(energy[kept], 0.0, 1.0)
 
         with mock.patch.object(kernels, "lowest_point_grid", kernel):
-            (best,) = _select_best(v, Z_R, r[None], z[None], u[None], q[None], ok[None], rank)
+            (best,) = _select_best(_sheet_terms(SheetLayout(v, Z_R)), r[None], z[None], u[None],
+                                   q[None], ok[None])
         expected = old_select(z, sets, np.flatnonzero(ok & energy))
         assert best == (-1 if expected is None else expected)
 
@@ -592,6 +599,78 @@ class TestFlatSheet:
                 dk = direct_kinematics(f, [1] * len(v))
                 assert _state_bytes(eq) == _state_bytes(dk)
                 assert eq.geodesic_lengths.tobytes() == dk.geodesic_lengths.tobytes()
+
+
+class TestSheetTerms:
+    def test_terms_follow_their_layout(self):
+        # each digest case solved on its layout A twice (a build, then a
+        # read), again after a solve of the case before it (layout B, whose
+        # build replaces A's), and on a fresh layout with A's points: every
+        # solve keeps the bits of the digest
+        cases = list(_digest_cases())
+        h, before = hashlib.sha256(), cases[-1]
+        for f in cases:
+            first = _state_bytes(solve_equilibrium(f))
+            again = _state_bytes(solve_equilibrium(f))
+            solve_equilibrium(before)
+            after = _state_bytes(solve_equilibrium(f))
+            twin = Formation(f.robot_positions, SheetLayout(f.layout.holding_points, Z_R))
+            assert first == again == after == _state_bytes(solve_equilibrium(twin))
+            h.update(first)
+            before = f
+        assert h.hexdigest() == SOLVE_DIGEST
+
+    def test_one_build_per_layout(self):
+        # every solve of a `corridor` run (timeline samples, the final
+        # placement, the optimizer's polls) reads the terms of the
+        # scenario's one layout, built once at its first solve; the edge
+        # systems' part is built at most once more
+        reads, builds, systems = [], [], []
+        terms, build, sheet_systems = (equilibrium._sheet_terms, equilibrium._SheetTerms,
+                                       equilibrium._sheet_systems)
+
+        def spy(calls, fn):
+            def record(*args):
+                calls.append(args[0])
+                return fn(*args)
+            return record
+
+        scenario = load_scenario(CORRIDOR)
+        with mock.patch.object(equilibrium, "_sheet_terms", spy(reads, terms)), \
+                mock.patch.object(equilibrium, "_SheetTerms", spy(builds, build)), \
+                mock.patch.object(equilibrium, "_sheet_systems", spy(systems, sheet_systems)):
+            run_pipeline(scenario)
+        assert builds == [scenario.initial_formation.layout]
+        assert len(reads) > 600 and all(layout is builds[0] for layout in reads)
+        assert len(systems) <= 2
+
+    def test_edge_terms_built_on_first_use(self):
+        # a solve that skips every edge builds no edge terms; the first solve
+        # on the sheet that needs an edge builds them
+        rng = np.random.default_rng(23)
+        while True:
+            need = draw_folded_case(rng, 4, 5000, (0.4, 0.5))[1]
+            v = need.layout.holding_points
+            layout = SheetLayout(v, Z_R)
+            skip = Formation(v.mean(axis=0) + 0.7 * (v - v.mean(axis=0)), layout)
+            if not _skips_every_edge(need) and _skips_every_edge(skip):
+                break
+        sheet = _sheet_terms(layout)
+        assert "edges" not in vars(sheet)
+        solve_equilibrium(Formation(need.robot_positions, layout))
+        assert "edges" in vars(sheet)
+
+    def test_terms_of_the_last_layout_only(self):
+        # the terms of one layout are kept: the last one solved, and only
+        # while it lives
+        a, b = (SheetLayout(regular_polygon(n, 1.0), Z_R) for n in (4, 5))
+        for layout in (a, b):
+            solve_equilibrium(Formation(0.6 * layout.holding_points, layout))
+        assert list(equilibrium._TERMS) == [b]
+        gone = weakref.ref(b), weakref.ref(_sheet_terms(b))
+        del layout, b
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None] and not len(equilibrium._TERMS)
 
 
 class TestStackedSolve:
@@ -679,7 +758,7 @@ class TestStackedSolve:
                 select = equilibrium._select_best
 
                 def spy(*args):
-                    sizes.append(len(args[6]))
+                    sizes.append(len(args[5]))
                     return select(*args)
 
                 with mock.patch.object(equilibrium, "_select_best", spy):
@@ -710,8 +789,7 @@ class TestStackedSolve:
 
 def _floors(formation):
     """`_edge_floors` of one formation, one per sheet edge."""
-    return _edge_floors(formation.layout.holding_points, formation.holding_height,
-                        formation.robot_positions[None])[0]
+    return _edge_floors(_sheet_terms(formation.layout), formation.robot_positions[None])[0]
 
 
 def _skips_every_edge(formation):
@@ -731,9 +809,11 @@ def full_table(formation):
     v, r = formation.layout.holding_points, formation.robot_positions[None]
     z_r = formation.holding_height
     n = formation.n
-    _, plan, hulls, ends, _, rank = _solve_plan(n)
+    sheet = _sheet_terms(formation.layout)
+    hulls, ends = _solve_plan(n)[2:4]
     ni, ne = len(hulls), ends.shape[1]
-    u, q, z, ok = _stationary_points(v, z_r, r, plan, np.ones((1, ni + ne), dtype=bool))
+    u, q, z, ok = (np.concatenate(x, axis=1) for x in zip(
+        _stationary_points(sheet.interior, z_r, r), _stationary_points(sheet.edges[0], z_r, r)))
     a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
     s = dot(u[:, ni:] - a, ab) / dot(ab, ab)
     ok &= np.concatenate([points_in_polygon(u[:, :ni], v[hulls]),
@@ -746,7 +826,7 @@ def full_table(formation):
              z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
     u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
                    for x, rows in zip((u, q, z, ok), ridge))
-    best = _select_best(v, z_r, r, z, u, q, ok, rank)[0]
+    best = _select_best(sheet, r, z, u, q, ok)[0]
     u, q, z, ok = u[0], q[0], z[0], ok[0]
     rho, d = _cables(v, z_r, r[0], u, q, z)
     valid = ok & points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
@@ -805,7 +885,7 @@ class TestEdgeSkip:
         select = equilibrium._select_best
 
         def spy(*args):
-            sizes.append(int(np.count_nonzero(args[6])))
+            sizes.append(int(np.count_nonzero(args[5])))
             won = select(*args)
             assert won[0] == best
             return won

@@ -29,6 +29,7 @@ from sheetplan import (
     plan_local,
     select_sides,
 )
+from sheetplan.equilibrium import inverse_kinematics_stack
 from sheetplan.geometry import (
     cable_lengths,
     check_convex_ccw,
@@ -190,6 +191,32 @@ class TestMinEnclosingCircle:
         assert radius == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSheetLayout:
+    def test_points_are_read_only_copies(self):
+        # changing the caller's arrays afterwards changes neither the layout
+        # (which would turn clockwise under a stale spacing) nor the formation
+        v = regular_polygon(3, 1.0)
+        r = 0.6 * v
+        layout = SheetLayout(v, 0.79)
+        f = Formation(r, layout)
+        spacing = layout.spacing.copy()
+        v[2], r[2] = [0.5, -0.9], [0.0, 0.0]
+        assert np.array_equal(layout.holding_points, regular_polygon(3, 1.0))
+        assert np.array_equal(f.robot_positions, 0.6 * regular_polygon(3, 1.0))
+        assert np.array_equal(layout.spacing, spacing)
+        for points in (layout.holding_points, f.robot_positions, layout.spacing):
+            with pytest.raises(ValueError):
+                points[0] = 1.0
+
+    def test_equality_is_identity(self):
+        # a layout hashes, and equals only itself: the solve keys its
+        # per-sheet terms on it
+        v = regular_polygon(4, 1.0)
+        a, b = SheetLayout(v, 0.79), SheetLayout(v, 0.79)
+        assert hash(a) == hash(a) and a == a
+        assert a != b and len({a, b, a}) == 2
+
+
 class TestPolygonValidation:
     def test_clockwise_rejected(self):
         pts = regular_polygon(3, 1.0)[::-1]
@@ -295,6 +322,21 @@ class TestPolygonValidation:
             ("phis", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, 0.0)),
             ("anchor", lambda f: inverse_kinematics(f.layout, CONTACT, 0.3, PHIS, 0.0)),
             ("taut_flags", lambda f: direct_kinematics(f, 5)),
+        )],
+        # the stacked inverse kinematics: rows of M = 1 command
+        *[pytest.param(field, call, id=f"{field}-stack-{what}") for field, what, call in (
+            ("contacts", "shape", lambda f: inverse_kinematics_stack(
+                f.layout, [[0.0, 0.0, 5.0]], [0.3], [PHIS])),
+            ("contacts", "ndim", lambda f: inverse_kinematics_stack(f.layout, CONTACT, [0.3],
+                                                                    [PHIS])),
+            ("heights", "shape", lambda f: inverse_kinematics_stack(f.layout, [CONTACT], 0.3,
+                                                                    [PHIS])),
+            ("phis", "shape", lambda f: inverse_kinematics_stack(f.layout, [CONTACT], [0.3],
+                                                                 PHIS)),
+            ("phis", "count", lambda f: inverse_kinematics_stack(f.layout, [CONTACT], [0.3],
+                                                                 [PHIS[:2]])),
+            ("anchors", "shape", lambda f: inverse_kinematics_stack(
+                f.layout, [CONTACT], [0.3], [PHIS], [CONTACT, CONTACT])),
         )],
     ])
     def test_bad_arguments_rejected(self, field, call):

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -489,23 +488,17 @@ class _SheetTerms:
         return _sheet_systems(self.v, self.plans[1]), a, ab, dot(ab, ab)
 
 
-_TERMS = weakref.WeakKeyDictionary()     # the last SheetLayout solved -> its _SheetTerms
-
-
+@functools.lru_cache(maxsize=1)
 def _sheet_terms(layout):
     """The `_SheetTerms` of `layout`, built when a solve follows one on
-    another layout. Only the last layout's are kept, and only while it
-    lives: a planning run solves on one layout throughout, while a
-    kinematics batch has a layout per formation, whose terms would add up.
-    A layout never changes, so its terms never go stale."""
-    terms = _TERMS.get(layout)
-    if terms is None:
-        _TERMS.clear()
-        terms = _TERMS[layout] = _SheetTerms(layout)
-    return terms
+    another layout. Only the last layout's are kept: a planning run solves
+    on one layout throughout, while a kinematics batch has a layout per
+    formation, whose terms would add up. A layout hashes by identity and
+    never changes, so its terms never go stale."""
+    return _SheetTerms(layout)
 
 
-def _select_best(sheet, r, z, u, q, ok, centers=None):
+def _select_best(sheet, r, z, u, q, ok):
     """Row of the best candidate of each formation that validates, or -1.
 
     The `_SheetTerms` `sheet` are shared; the teams `r`, and the candidates
@@ -514,24 +507,19 @@ def _select_best(sheet, r, z, u, q, ok, centers=None):
     longer than its geodesic, and its height is the lowest point of the
     cable balls for its contact. The lowest points of all candidates of the
     stack that pass the first three checks come from one batched kernel
-    call, with one center set per formation mapped to its rows (one shared
-    set for a stack of one): its robots, robot 0 at the origin (far from it
-    the squared drop of a flat row rounds off by more than ENERGY_TOL**2).
-    A stack of one may pass that set as `centers`, built once for both of
-    its selections. The best is the lowest, then the one of lowest rank,
-    then the first row; heights within ENERGY_TOL of the holding height tie
-    as flat, since a row's depth near a flat sheet is the root of a rounding
-    error.
+    call, with one center set per formation mapped to its rows: its robots,
+    robot 0 at the origin (far from it the squared drop of a flat row rounds
+    off by more than ENERGY_TOL**2). The best is the lowest, then the one of
+    lowest rank, then the first row; heights within ENERGY_TOL of the
+    holding height tie as flat, since a row's depth near a flat sheet is the
+    root of a rounding error.
     """
     v, z_r = sheet.v, sheet.z_r
     f, row = np.nonzero(ok)
     u, z = u[f, row], z[f, row]
     rho, d = _cables(v, z_r, r[f], u, q[f, row], z)
     fits = np.flatnonzero(points_in_sides(u, v, sheet.side) & ~np.any(d > rho + FEAS_TOL, axis=1))
-    if centers is None:
-        team = r - r[:, :1]
-        centers = kernels.Centers(team, f[fits]) if len(team) > 1 else kernels.Centers(team[0])
-    _, z_low = kernels.lowest_point_grid(centers, z_r, rho[fits])
+    _, z_low = kernels.lowest_point_grid(kernels.Centers(r - r[:, :1], f[fits]), z_r, rho[fits])
     valid = fits[np.abs(z_low - z[fits]) <= ENERGY_TOL]
     level = np.minimum(z, z_r - ENERGY_TOL)     # rows this near flat tie
     valid = valid[np.lexsort((valid, sheet.rank[row[valid]], level[valid], f[valid]))]
@@ -627,8 +615,7 @@ def solve_equilibria(layout: SheetLayout, robots):
     i, j = pair_index(n)
     u[:, ridge], q[:, ridge], ok[:, ridge] = sheet.ridge, 0.5 * (r[:, i] + r[:, j]), fold
     z[:, ridge] = z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0))
-    one = kernels.Centers(r[0] - r[0, 0]) if K == 1 else None   # the team of a stack of one
-    best = _select_best(sheet, r, z, u, q, ok, one)
+    best = _select_best(sheet, r, z, u, q, ok)
 
     # phase 2: the edges whose floor does not lie above the phase-1 winner
     need = _edge_floors(sheet, r) <= np.where(best >= 0, z[np.arange(K), best], np.inf)[:, None]
@@ -642,7 +629,7 @@ def solve_equilibria(layout: SheetLayout, robots):
         keep[:, edge] = pinned & (s >= -1e-9) & (s <= 1 + 1e-9)
         won = np.flatnonzero(best[g] >= 0)
         keep[won, best[g[won]]] = True         # the phase-1 winner competes again
-        best[g] = _select_best(sheet, r[g], z[g], u[g], q[g], keep, one)
+        best[g] = _select_best(sheet, r[g], z[g], u[g], q[g], keep)
     f = np.flatnonzero(best >= 0)
     best = best[f]
     u, q, z = u[f, best], q[f, best], z[f, best]

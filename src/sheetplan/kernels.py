@@ -6,11 +6,11 @@ the lowest point of the balls' intersection. Because all centers are
 coplanar, every candidate is a planar trilateration point plus a vertical
 drop, enumerated exactly over active subsets of size 1, 2 and 3.
 
-`lowest_point_grid` solves a batch, vectorized over the batch and over
-the active subsets; `lowest_point` is its batch of one. The batch shares
-its centers (the contacts of an oracle scan, or the candidates of a
-one-formation solve) or maps each row to one of several center sets (the
-candidates of a stack of solves, each row with its formation's robots).
+`lowest_point_grid` solves a batch at one center height, vectorized over
+the batch and over the active subsets; `lowest_point` is its batch of one.
+The batch shares one center set (an oracle scan's contacts, or the
+candidates of a one-formation solve), with no gather, or maps each row to
+one of several (a stack of solves, each row with its formation's robots).
 The centers come raw or as `Centers`, whose terms the caller builds once
 per set, with the map of rows to sets. Its membership test is one boolean
 mask over the (candidate, row) entries, which each ball in turn narrows.
@@ -121,15 +121,16 @@ def _lowest_block(r, z_r, rho, pairs, triples):
 
 
 class Centers:
-    """Ball centers with the `_subset_terms` of each set: (N, 2), one set
-    shared by every row (`run` None), or (S, N, 2) sets, with `run` mapping
-    each row to its set (by default, set g to row g)."""
+    """Ball centers with the `_subset_terms` of each set: (N, 2), or
+    (S, N, 2) sets with `run` mapping each row to its set (by default, set g
+    to row g). A single set serves every row with no gather (`run` None)."""
 
     def __init__(self, points, run=None):
         r = np.asarray(points, dtype=float)
         if r.ndim == 3 and run is None:
             run = np.arange(len(r))
-        self.points, self.run = r.reshape((-1,) + r.shape[-2:]), run
+        self.points = r.reshape((-1,) + r.shape[-2:])
+        self.run = run if len(self.points) > 1 else None
         self.pairs, self.triples = _subset_terms(self.points)
 
 
@@ -141,7 +142,7 @@ def lowest_point_grid(centers, z_r, rho_grid):
     centers : `Centers` (one set shared by every candidate, or sets with a
         map of each candidate to its set), or raw: (N, 2) planar ball-center
         positions shared by every candidate, or (G, N, 2), one set each
-    z_r : common center height, or (G,), one per candidate
+    z_r : the centers' common height, one float for every candidate
     rho_grid : (G, N) radii, one row per candidate
 
     Returns
@@ -153,7 +154,6 @@ def lowest_point_grid(centers, z_r, rho_grid):
         centers = Centers(centers)
     r, run = centers.points, centers.run
     (pi, pf), (ti, tf) = centers.pairs, centers.triples
-    z_r = np.asarray(z_r, dtype=float)
     rho = np.asarray(rho_grid, dtype=float)
     G, n = rho.shape
     width = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6    # candidates per row
@@ -170,6 +170,6 @@ def lowest_point_grid(centers, z_r, rho_grid):
         rows = slice(lo, lo + step)
         own = slice(None) if run is None else run[rows]
         best_q[rows], best_z[rows] = _lowest_block(
-            r[own], z_r[rows] if z_r.ndim else z_r, rho[rows],
+            r[own], z_r, rho[rows],
             (pi, pf[..., own]), (ti, tf[..., own]))
     return best_q, best_z

@@ -9,7 +9,8 @@ rule is then replayed over the values, so the search accepts the points,
 and counts the evaluations, of probing one point at a time. Crossing mode
 must satisfy the corridor-width and obstacle traversability constraints
 exactly; when no crossing formation exists the same machinery sizes a
-bypass formation that fits beside the obstacle.
+bypass formation that fits beside the obstacle with the object z_safe above
+the ground.
 
 The reported cost terms (j_trans, j_pass, j_cross) keep the clearance-reward
 sign convention of the cost definitions. Internally the search minimizes a
@@ -178,9 +179,10 @@ def crossing_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_con
 
 def bypass_constraints(ind: FormationIndicators, obstacle: ObstacleSpec, w_convex: float,
                        safety: SafetyParams):
-    """Bypass constraint value: the outline W fits the half corridor beside the
-    obstacle, delta_r clear of it, when it does not exceed CONSTRAINT_TOL."""
-    return (ind.W - (w_convex / 2.0 - obstacle.radius - safety.delta_r),)
+    """Bypass constraint values; a formation may bypass when none exceeds
+    CONSTRAINT_TOL: the outline W fits the half corridor beside the obstacle,
+    delta_r clear of it, and the object clears the ground by z_safe."""
+    return (ind.W - (w_convex / 2.0 - obstacle.radius - safety.delta_r), -ind.z_obsmax)
 
 
 def _pattern_search(x, fun, budget, steps0):

@@ -401,7 +401,7 @@ def _sample_segments(segments, layout, dt, mode, schedule) -> PlanTimeline:
 
 def _build_report(scenario, timeline, modes, angles) -> RunReport:
     """Derive the run metrics and re-check every clearance on the samples,
-    the robots' to the corridor walls included.
+    the object's to the ground and the robots' to the corridor walls included.
 
     Checks are written as `not (x >= bound)` so that a NaN fails them.
     """
@@ -413,6 +413,11 @@ def _build_report(scenario, timeline, modes, angles) -> RunReport:
             raise PipelineInfeasible(
                 index, f"object clearance {vert:.4f} below z_safe over obstacle {index}"
             )
+    low = np.flatnonzero(~(timeline.objects[:, 2] >= safety.z_safe - 1e-9))
+    if len(low):
+        k = low[0]
+        raise PipelineInfeasible(None, f"object {timeline.objects[k, 2]:.4f} m above the ground, "
+                                       f"below z_safe, at t = {timeline.times[k]:.2f} s")
     min_vert = min(vertical, default=np.inf)
     min_horiz = np.inf
     if robot_clearances:

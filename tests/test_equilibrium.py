@@ -1,7 +1,5 @@
 """Equilibrium solvers: known taut sets, discovery, oracle agreement."""
-import gc
 import hashlib
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -661,16 +659,20 @@ class TestSheetTerms:
         assert "edges" in vars(sheet)
 
     def test_terms_of_the_last_layout_only(self):
-        # the terms of one layout are kept: the last one solved, and only
-        # while it lives
+        # only the last layout's terms are kept: solves on it read them, and
+        # a solve on another layout rebuilds them, also on going back
         a, b = (SheetLayout(regular_polygon(n, 1.0), Z_R) for n in (4, 5))
-        for layout in (a, b):
-            solve_equilibrium(Formation(0.6 * layout.holding_points, layout))
-        assert list(equilibrium._TERMS) == [b]
-        gone = weakref.ref(b), weakref.ref(_sheet_terms(b))
-        del layout, b
-        gc.collect()
-        assert [ref() for ref in gone] == [None, None] and not len(equilibrium._TERMS)
+        built, build = [], equilibrium._SheetTerms
+
+        def spy(layout):
+            built.append(layout)
+            return build(layout)
+
+        with mock.patch.object(equilibrium, "_SheetTerms", spy):
+            for layout in (a, a, b, b, a):
+                solve_equilibrium(Formation(0.6 * layout.holding_points, layout))
+            assert _sheet_terms(a) is _sheet_terms(a)
+        assert built == [a, b, a]
 
 
 class TestStackedSolve:

@@ -1,6 +1,7 @@
 """The lowest-point kernels: the batched kernel and its batch of one match the
 reference and first principles."""
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,20 +187,32 @@ def _row_center_cases():
     return cases
 
 
+def _per_height(centers_of, z_r, rho):
+    """`lowest_point_grid` called once per distinct height of `z_r`, its rows
+    put back in order; `centers_of(at)` gives the centers of the rows `at`."""
+    q, z = np.zeros((len(rho), 2)), np.zeros(len(rho))
+    for h in np.unique(z_r):
+        at = z_r == h
+        q[at], z[at] = kernels.lowest_point_grid(centers_of(at), h, rho[at])
+    return q, z
+
+
 def test_grid_rows_bytes_pinned():
-    # the per-row-centers path the stacked solves take, pinned to the byte
+    # the per-row-centers path the stacked solves take, pinned to the byte;
+    # each row is solved alone, so the calls of each height give the bytes
+    # of the rows as recorded in one call
     h = hashlib.sha256()
-    split = empty = 0
-    for centers, z_r, rho in _row_center_cases():
-        assert (centers != centers[:1]).any()
-        q, z = kernels.lowest_point_grid(centers, z_r, rho)
-        # a row with its own centers takes at least two candidates' entries
-        split += len(rho) * 2 * _candidates(centers.shape[1]) > kernels.BLOCK
-        empty += np.isinf(z).sum()
-        assert np.isfinite(z).any()
-        h.update(q.tobytes())
-        h.update(z.tobytes())
-    assert split >= 2 and empty > 0
+    calls = empty = 0
+    with mock.patch.object(kernels, "_lowest_block", wraps=kernels._lowest_block) as block:
+        for centers, z_r, rho in _row_center_cases():
+            assert (centers != centers[:1]).any()
+            q, z = _per_height(lambda at: centers[at], z_r, rho)
+            calls += len(np.unique(z_r))
+            empty += np.isinf(z).sum()
+            assert np.isfinite(z).any()
+            h.update(q.tobytes())
+            h.update(z.tobytes())
+    assert block.call_count >= calls + 2 and empty > 0     # some calls split into blocks
     assert h.hexdigest() == ROWS_DIGEST
 
 
@@ -207,15 +220,21 @@ def test_prebuilt_centers_same_bytes():
     # `Centers` built once give the bytes of raw centers: on the pinned
     # inputs of both center forms they hash to GRID_DIGEST and ROWS_DIGEST,
     # one set of shared centers serves any number of calls, as the oracle's
-    # scans use it, and `lowest_point` takes them too. Per-row centers hash
-    # alike as one set per row, or as their distinct sets with a run map
-    # from the caller, as the stacked solves pass them
-    grid, rows, runs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    # scans use it, and `lowest_point` takes them too. One set with a run
+    # map is shared, with no gather. Per-row centers hash alike as one set
+    # per row, or as their distinct sets with a run map from the caller, as
+    # the stacked solves pass them
+    grid, mapped = hashlib.sha256(), hashlib.sha256()
+    rows, runs = hashlib.sha256(), hashlib.sha256()
     for centers, rho in _pinned_cases():
         team = kernels.Centers(centers)
         q, z = kernels.lowest_point_grid(team, 0.79, rho)
         grid.update(q.tobytes())
         grid.update(z.tobytes())
+        one = kernels.Centers(centers[None], np.zeros(len(rho), dtype=int))
+        assert one.run is None
+        for part in kernels.lowest_point_grid(one, 0.79, rho):
+            mapped.update(part.tobytes())
         parts = [kernels.lowest_point_grid(team, 0.79, part) for part in np.array_split(rho, 3)]
         assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
         for row in rho[::11]:
@@ -226,13 +245,14 @@ def test_prebuilt_centers_same_bytes():
             assert q_raw is None or q_one.tobytes() == q_raw.tobytes()
     for centers, z_r, rho in _row_center_cases():
         sets, run = np.unique(centers, axis=0, return_inverse=True)
+        run = run.ravel()
         assert len(sets) < len(centers)
-        for team, digest in ((kernels.Centers(centers), rows),
-                             (kernels.Centers(sets, run.ravel()), runs)):
-            q, z = kernels.lowest_point_grid(team, z_r, rho)
+        for team, digest in ((lambda at: kernels.Centers(centers[at]), rows),
+                             (lambda at: kernels.Centers(sets, run[at]), runs)):
+            q, z = _per_height(team, z_r, rho)
             digest.update(q.tobytes())
             digest.update(z.tobytes())
-    assert grid.hexdigest() == GRID_DIGEST
+    assert grid.hexdigest() == mapped.hexdigest() == GRID_DIGEST
     assert rows.hexdigest() == runs.hexdigest() == ROWS_DIGEST
 
 
@@ -249,14 +269,15 @@ def test_grid_split_rows_same_bytes():
 
 
 def test_grid_rows_with_own_centers():
-    # one center set and one center height per row, in runs of equal sets or
-    # shuffled, gives each row the bytes of its own shared-center call
+    # one center set per row, in runs of equal sets or shuffled, gives each
+    # row the bytes of its own shared-center call; the sets take two heights
+    # in turn, so each call of a height mixes sets
     rng = np.random.default_rng(49)
     by_n = {}
     for centers, rho in _pinned_cases():
         by_n.setdefault(len(centers), []).append((centers, rho[:200]))
     for cases in by_n.values():
-        heights = [0.79 + 0.31 * k for k in range(len(cases))]
+        heights = [0.79 + 0.31 * (k % 2) for k in range(len(cases))]
         centers = np.concatenate([np.broadcast_to(c, (len(rho),) + c.shape)
                                   for c, rho in cases])
         z_r = np.concatenate([np.full(len(rho), h) for (_, rho), h in zip(cases, heights)])
@@ -265,10 +286,10 @@ def test_grid_rows_with_own_centers():
         q = np.concatenate([p[0] for p in parts])
         z = np.concatenate([p[1] for p in parts])
         for order in (np.arange(len(rho)), rng.permutation(len(rho))):
-            q_rows, z_rows = kernels.lowest_point_grid(centers[order], z_r[order], rho[order])
+            q_rows, z_rows = _per_height(lambda at: centers[order][at], z_r[order], rho[order])
             assert q_rows.tobytes() == q[order].tobytes()
             assert z_rows.tobytes() == z[order].tobytes()
-    q, z = kernels.lowest_point_grid(np.zeros((0, 3, 2)), np.zeros(0), np.zeros((0, 3)))
+    q, z = kernels.lowest_point_grid(np.zeros((0, 3, 2)), 0.79, np.zeros((0, 3)))
     assert q.shape == (0, 2) and z.shape == (0,)
 
 

@@ -21,9 +21,11 @@ height, which reduces every solve to small exact linear algebra:
   part waits for the first solve that needs an edge;
 * the global equilibrium is the deepest validated row of one candidate
   table per team size (`_solve_plan`): interior taut subsets, two-cable
-  ridge hangs and contacts pinned to a sheet edge as fixed rows, validated
-  in batched calls and ranked by one lexsort on height and each row's
-  precomputed taut-set rank;
+  ridge hangs and contacts pinned to a sheet edge as fixed rows, ranked by
+  one lexsort on height and each row's precomputed taut-set rank and
+  validated lowest first (`_select_best`): the cable checks run over every
+  row, the kernel only on each team's next rows in rank order, in rounds
+  of 1, 2, 4, ... rows per team, until a row validates;
 * rows pinned to a sheet edge are solved only where they can win. A
   contact on edge e (from v_e to v_e+1, length L_e) splits L_e between
   cables e and e+1, and a point at depth h inside both of their balls has
@@ -187,8 +189,10 @@ def _frames(points, pairs):
     """
     o = points[..., pairs[:, 0], :]
     d = points[..., pairs[:, 1], :] - o
-    ang = np.arctan2(d[..., 1], d[..., 0])
-    return points[..., None, :, :] - o[..., None, :], _T(rotation(-ang)), o, rotation(ang)
+    back = rotation(np.arctan2(d[..., 1], d[..., 0]))
+    # forward: the bits of `back`, laid out as a C-contiguous stack's transpose,
+    # since a product rounds by its operands' layout and the digests hold this one
+    return points[..., None, :, :] - o[..., None, :], _T(_T(back).copy()), o, back
 
 
 def _canonical(points, pairs):
@@ -505,30 +509,40 @@ def _select_best(sheet, r, z, u, q, ok):
     `z`, `u`, `q` and `ok`, carry a leading formation axis. A candidate
     validates when it is `ok`, its contact lies on the sheet, no cable is
     longer than its geodesic, and its height is the lowest point of the
-    cable balls for its contact. The lowest points of all candidates of the
-    stack that pass the first three checks come from one batched kernel
-    call, with one center set per formation mapped to its rows: its robots,
-    robot 0 at the origin (far from it the squared drop of a flat row rounds
-    off by more than ENERGY_TOL**2). The best is the lowest, then the one of
+    cable balls for its contact. The best is the lowest, then the one of
     lowest rank, then the first row; heights within ENERGY_TOL of the
     holding height tie as flat, since a row's depth near a flat sheet is the
     root of a rounding error.
+
+    The first three checks run over every row at once. The rows that pass
+    are put in that order and go to the kernel lowest first, in rounds: each
+    round sends the next 1, 2, 4, ... untried rows of every formation with
+    no valid row yet in one batched call, with one center set per formation
+    mapped to its rows: its robots, robot 0 at the origin (far from it the
+    squared drop of a flat row rounds off by more than ENERGY_TOL**2). A
+    formation's first valid row is its best, and a kernel row rounds the
+    same in any batch, so the pick is the one of validating every row.
     """
     v, z_r = sheet.v, sheet.z_r
     f, row = np.nonzero(ok)
     u, z = u[f, row], z[f, row]
     rho, d = _cables(v, z_r, r[f], u, q[f, row], z)
     fits = np.flatnonzero(points_in_sides(u, v, sheet.side) & ~np.any(d > rho + FEAS_TOL, axis=1))
-    _, z_low = kernels.lowest_point_grid(kernels.Centers(r - r[:, :1], f[fits]), z_r, rho[fits])
-    valid = fits[np.abs(z_low - z[fits]) <= ENERGY_TOL]
     level = np.minimum(z, z_r - ENERGY_TOL)     # rows this near flat tie
-    valid = valid[np.lexsort((valid, sheet.rank[row[valid]], level[valid], f[valid]))]
-    f = f[valid]
-    head = np.ones(len(f), dtype=bool)         # the first row of each formation
-    head[1:] = f[1:] != f[:-1]
+    fits = fits[np.lexsort((fits, sheet.rank[row[fits]], level[fits], f[fits]))]
+    g = f[fits]
+    place = np.arange(len(g)) - np.searchsorted(g, g)     # each row's place in its formation
     best = np.full(len(ok), -1)
-    best[f[head]] = row[valid[head]]
-    return best
+    tried, size = 0, 1
+    while True:
+        send = fits[(place >= tried) & (place < tried + size) & (best[g] < 0)]
+        if not len(send):
+            return best
+        _, z_low = kernels.lowest_point_grid(kernels.Centers(r - r[:, :1], f[send]), z_r, rho[send])
+        valid = send[np.abs(z_low - z[send]) <= ENERGY_TOL]
+        first = np.unique(f[valid], return_index=True)[1]    # each formation's first valid row
+        best[f[valid[first]]] = row[valid[first]]
+        tried, size = tried + size, 2 * size
 
 
 def solve_equilibria(layout: SheetLayout, robots):
@@ -549,7 +563,9 @@ def solve_equilibria(layout: SheetLayout, robots):
     the ridge rows and ranks them: each formation's best validated height
     z*. Phase 2 solves the edge systems of each (formation, edge e) whose
     floor lies at or below z*, or of every edge when nothing validated,
-    and ranks them together with the phase-1 winner. A skipped row would
+    and ranks them together with the phase-1 winner. Each ranking
+    (`_select_best`) sends the kernel a formation's rows lowest first and
+    stops at the first that validates. A skipped row would
     validate only at a height above its floor, hence above z*: it could
     neither win nor tie, and the pick is the one of ranking every row.
     (When z* is within ENERGY_TOL of the holding height, so that rows tie
@@ -648,7 +664,8 @@ def solve_equilibrium(formation: Formation) -> ObjectEquilibrium:
     cables with the contact pinned to a sheet edge (contact on that edge).
     One stacked generator, `_stationary_points`, solves the systems; rows
     are validated against the cable inequalities and the exact lowest-point
-    kernel by `_select_best`, and the lowest-energy survivor is returned.
+    kernel by `_select_best`, lowest first, and the first survivor, the
+    lowest-energy one, is returned.
     Edge systems are solved only where their floor does not lie above the
     best interior or ridge row (see `solve_equilibria`). Ties favor larger
     taut sets, then lexicographic order. This is the one-formation stack of

@@ -15,9 +15,9 @@ The centers come raw or as `Centers`, whose terms the caller builds once
 per set, with the map of rows to sets. Its membership test is one boolean
 mask over the (candidate, row) entries, which each ball in turn narrows.
 Copying out the entries still inside after each ball would test fewer of
-them, but callers send tens of rows per call (a solve's candidate rows, or
-the contacts of an oracle scan that its floors did not rule out), and at
-that size the copy per ball costs more than the tests it skips.
+them, but callers send few rows per call (a solve's next candidate rows of
+each team, or the contacts of an oracle scan that its floors did not rule
+out), and at that size the copy per ball costs more than the tests it skips.
 """
 import numpy as np
 

@@ -14,6 +14,7 @@ SCENARIOS = sorted((REPO / "scenarios").glob("*.txt"))
 CORRIDOR = str(REPO / "scenarios" / "corridor.txt")
 TURNED = str(REPO / "scenarios" / "turned_corridor.txt")
 BYPASS = str(REPO / "scenarios" / "bypass.txt")
+OCTAGON = str(REPO / "scenarios" / "octagon_corridor.txt")
 REFERENCE = str(REPO / "perfbench" / "reference.json")
 
 

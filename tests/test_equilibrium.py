@@ -404,6 +404,24 @@ class TestSolveEquilibrium:
         assert np.max(np.abs(rolled.sheet_contact - eq.sheet_contact)) <= 1e-9
         assert np.max(np.abs(rolled.horizontal - eq.horizontal)) <= 1e-9
         assert rolled.taut_indices == tuple(sorted((i + k) % n for i in eq.taut_indices))
+        # mirror the sheet and the team (x -> -x), in reversed order to stay
+        # counterclockwise: index i becomes n - 1 - i
+        flip = np.array([-1.0, 1.0])
+        mirrored = solve_equilibrium(Formation(
+            (f.robot_positions * flip)[::-1],
+            SheetLayout((layout.holding_points * flip)[::-1], layout.holding_height)))
+        assert abs(mirrored.z - eq.z) <= 1e-9
+        assert np.max(np.abs(mirrored.sheet_contact - eq.sheet_contact * flip)) <= 1e-9
+        assert np.max(np.abs(mirrored.horizontal - eq.horizontal * flip)) <= 1e-9
+        assert mirrored.taut_indices == tuple(sorted(n - 1 - i for i in eq.taut_indices))
+        # scale the sheet, the team and the holding height alike
+        scaled = solve_equilibrium(Formation(
+            2.5 * f.robot_positions,
+            SheetLayout(2.5 * layout.holding_points, 2.5 * layout.holding_height)))
+        assert abs(scaled.z - 2.5 * eq.z) <= 1e-9
+        assert np.max(np.abs(scaled.sheet_contact - 2.5 * eq.sheet_contact)) <= 1e-9
+        assert np.max(np.abs(scaled.horizontal - 2.5 * eq.horizontal)) <= 1e-9
+        assert scaled.taut_indices == eq.taut_indices
 
     def test_constraint_satisfaction(self):
         rng = np.random.default_rng(33)
@@ -548,33 +566,41 @@ class TestCandidateTable:
     @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_selection_matches_old_rule(self, n, seed):
-        # robots on their holding points with every contact at the sheet
-        # centroid: each cable stays within FEAS_TOL of its geodesic for a
-        # hang of up to 3e-4 m, so only `ok` and the kernel decide validity
+        # robots on their holding points with every contact within a
+        # nanometre of the sheet centroid, each row at its own offset: each
+        # cable stays within FEAS_TOL of its geodesic for a hang of up to
+        # 3e-4 m (about 5e-8 m to spare), so only `ok` and the kernel decide
+        # validity, and a row's radii tell which row it is
         rng = np.random.default_rng(seed)
         sets = _solve_plan(n)[0]
         v = r = regular_polygon(n, 1.0)
         rows = len(sets)
-        u = np.tile(v.mean(axis=0), (rows, 1))
+        u = v.mean(axis=0) + rng.uniform(-5e-10, 5e-10, (rows, 2))
         q = np.tile(r.mean(axis=0), (rows, 1))
         z = Z_R - 1e-4 * rng.integers(0, 4, rows)      # four heights: forced ties
         ok = rng.random(rows) < 0.7
-        energy = rng.random(rows) < 0.5
+        energy = rng.random(rows) < rng.choice([0.0, 0.1, 0.5])    # 0: every round runs
+        radii, calls = cable_lengths(v, u), []
 
         def kernel(centers, z_r, rho):
             # the lowest point agrees with the candidate height on `energy` rows
-            kept = np.flatnonzero(ok)
-            assert len(rho) == len(kept)       # every `ok` row passed the cable checks
+            sent, k = np.nonzero(np.all(rho[:, None] == radii, axis=2))
+            assert np.array_equal(sent, np.arange(len(rho))) and np.all(ok[k])
+            calls.append(k)
             # one formation: its team, robot 0 at the origin, shared by every row
             assert centers.run is None and np.array_equal(centers.points, (r - r[0])[None])
             assert z_r == Z_R
-            return np.zeros((len(kept), 2)), z[kept] + np.where(energy[kept], 0.0, 1.0)
+            return np.zeros((len(k), 2)), z[k] + np.where(energy[k], 0.0, 1.0)
 
         with mock.patch.object(kernels, "lowest_point_grid", kernel):
             (best,) = _select_best(_sheet_terms(SheetLayout(v, Z_R)), r[None], z[None], u[None],
                                    q[None], ok[None])
         expected = old_select(z, sets, np.flatnonzero(ok & energy))
         assert best == (-1 if expected is None else expected)
+        # no row twice, and rounds of 1, 2, 4, ... rows: a log of the rows
+        sent = np.concatenate(calls or [[]])
+        assert len(np.unique(sent)) == len(sent)
+        assert len(calls) <= np.ceil(np.log2(np.count_nonzero(ok) + 1))
 
 
 class TestFlatSheet:

@@ -22,11 +22,12 @@ from sheetplan.geometry import rotation
 from sheetplan.pipeline import RunReport, _build_report, _track_offset
 from sheetplan.scenario import parse_scenario
 
-from conftest import BYPASS, CORRIDOR, REFERENCE, SCENARIOS, TURNED
+from conftest import BYPASS, CORRIDOR, OCTAGON, REFERENCE, SCENARIOS, TURNED
 
 # sha256 of the exported files of the shipped scenarios that
 # perfbench/reference.json does not cover, recorded at 2e82485; `bypass`
-# re-recorded when its bypass began to keep the object z_safe off the ground
+# re-recorded when its bypass began to keep the object z_safe off the ground;
+# `octagon_corridor` recorded at c3c9f57
 GOLDEN_DIGESTS = {
     "bypass": {
         "height_profile.csv": "e74d0e6cafc5f486712bab2ea77dd2c945e0b49d729c55d99791fd940e9bff2f",
@@ -40,11 +41,17 @@ GOLDEN_DIGESTS = {
         "pairwise_distances.csv": "ee657ec24d66414f56009f4880abdf3558bd6510566281a9c140c1014a1d85ed",
         "trajectory.csv": "851c832b7800ffc42e865328d0908979f9d4c4df1798a1ae8befa38bb26f24c4",
     },
+    "octagon_corridor": {
+        "height_profile.csv": "10fa94530025d0f7d6d7f7f5f4f4b814374f4e8d8c83f6a5cff985929b016536",
+        "metrics.txt": "8675161d06e339578234da03bff6b52d58213d73cdcd175010f6fde44ab5f871",
+        "pairwise_distances.csv": "e12ee23f2640862c394f39f8c74fa6758983169e4ed33c9ba77d4c16ab0a1583",
+        "trajectory.csv": "c6b0d607bed19a8933674e6f821e872c93ae6f9e50b3aa3f6e26027d92f8dd03",
+    },
 }
 
 # the module fixture that runs each shipped scenario, where one does
 REPORT_FIXTURES = {"corridor": "corridor_report", "turned_corridor": "turned_report",
-                   "bypass": "bypass_report"}
+                   "bypass": "bypass_report", "octagon_corridor": "octagon_report"}
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +67,11 @@ def turned_report():
 @pytest.fixture(scope="module")
 def bypass_report():
     return run_pipeline(load_scenario(BYPASS))
+
+
+@pytest.fixture(scope="module")
+def octagon_report():
+    return run_pipeline(load_scenario(OCTAGON))
 
 
 @pytest.mark.parametrize("warm, path, ceiling_mb", [

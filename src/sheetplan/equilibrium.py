@@ -40,7 +40,9 @@ height, which reduces every solve to small exact linear algebra:
 * every step carries a leading formation axis over the teams of one sheet:
   `solve_equilibria` solves a stack of teams holding one `SheetLayout` (the
   optimizer's probes of one poll) in one pass over arrays, each to the same
-  bits as alone, and `solve_equilibrium` is its one-formation case;
+  bits as alone, and `solve_equilibrium` is its one-formation case. A
+  one-team call is almost all fixed cost (at n = 3, 45 times a team's share
+  of a stack of 128), so the solve calls array methods, not numpy wrappers;
 * a brute-force grid oracle (`oracle_equilibrium`) checks the solve
   independently of it: a nested search over a grid of sheet contacts, built
   from per-axis terms to the bit of a per-point build, and the edge samples
@@ -138,12 +140,12 @@ def _cables(v, z_r, r, u, q, z):
     """Geodesic length l and robot-to-object distance d of every cable.
 
     Contacts u, object positions q and heights z may carry leading
-    candidate axes; the cables are the last axis of l and d.
+    candidate axes; the cables are the last axis of l and d, both summed
+    per coordinate, as in `cable_lengths` (a reduction costs more per row).
     """
-    l = cable_lengths(v, u)
-    d = np.sqrt(np.sum((r - np.asarray(q)[..., None, :]) ** 2, axis=-1)
-                + ((z_r - np.asarray(z)) ** 2)[..., None])
-    return l, d
+    q, h = np.asarray(q), z_r - np.asarray(z)
+    e0, e1 = r[..., 0] - q[..., None, 0], r[..., 1] - q[..., None, 1]
+    return cable_lengths(v, u), np.sqrt(e0 * e0 + e1 * e1 + (h * h)[..., None])
 
 
 def cable_distances(formation: Formation, eq: ObjectEquilibrium):
@@ -173,7 +175,7 @@ def _equilibrium(u, q, z, z_r, l, taut, boundary):
 # ------------------------------------------------------------------ frames
 def _T(a):
     """Transpose of each matrix of a stack, as a view."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _frames(points, pairs):
@@ -266,7 +268,7 @@ def _sheet_systems(v, plan):
     return pairs, origin, back, systems
 
 
-def _stationary_points(sheet, z_r, r, solve=None):
+def _stationary_points(sheet, z_r, r, solve):
     """Minimum-energy point of the taut-equality manifold of chosen systems.
 
     Anchored differencing makes each system linear in the contact u and the
@@ -284,22 +286,20 @@ def _stationary_points(sheet, z_r, r, solve=None):
     `sheet` is the `_sheet_systems` of the plan and `z_r` the sheet's
     holding height, shared by the stack; `r` (K, n, 2) holds one team per
     formation, and `solve` (K, S) marks the systems of the plan to solve for
-    each formation, or None for all of them. Returns the contacts u
-    (K, S, 2), object positions q (K, S, 2) and heights z (K, S) in original
-    coordinates (zero where not solved), and the mask of the solved systems
-    that have a minimum: consistent, with the hang quadratic bounded below
-    along the null space, at a real hang depth.
+    each formation. Returns, for the solved (formation, system) entries,
+    stack by stack: their formations and systems (E,), contacts u and object
+    positions q (E, 2) and heights z (E,) in original coordinates, and the
+    mask of those with a minimum: consistent, with the hang quadratic
+    bounded below along the null space, at a real hang depth.
     """
     pairs, vorigin, vback, systems = sheet
     rcanon, rorigin, rback = _canonical(r, pairs)
-    shape = (len(r), sum(len(sel) for sel, *_ in systems))
     # the chosen (formation, system, anchor pair) entries, stack by stack
     at, x0, Vt, rank, consistent = [], [], [], [], []
     for sel, pair, cables, cols, rhs in systems:
         # no stack is left empty: a mask marks every system of some edge, and
         # each stack of the edge plan holds systems of every edge
-        f, s = (np.indices((len(r), len(sel))).reshape(2, -1) if solve is None
-                else np.nonzero(solve[:, sel]))
+        f, s = solve[:, sel].nonzero()
         p, c = pair[s], cables.shape[1]
         rk = rcanon[f[:, None], p[:, None], cables[s]]
         A = np.zeros((len(f), cols.shape[1], 4))      # an edge row has no object columns
@@ -327,7 +327,7 @@ def _stationary_points(sheet, z_r, r, solve=None):
     depth = np.zeros(len(x0))
     ok = np.zeros(len(x0), dtype=bool)
     for rk_ in set(rank[consistent].tolist()):
-        g = np.flatnonzero(consistent & (rank == rk_))
+        g = (consistent & (rank == rk_)).nonzero()[0]
         Zt = Vt[g, rk_:]                     # null-space basis, one row each
         Zu, Zw = Zt[:, :, :2], Zt[:, :, 2:]
         u0, w0 = x0[g, :2], x0[g, 2:]
@@ -337,13 +337,13 @@ def _stationary_points(sheet, z_r, r, solve=None):
             H = 2.0 * (Zw @ _T(Zw) - Zu @ _T(Zu))
             grad = 2.0 * (Zw @ w0[..., None] - Zu @ u0[..., None])[..., 0]
             evals = np.linalg.eigvalsh(H)
-            has = np.all(evals > 1e-12, axis=1)
+            has = (evals > 1e-12).all(axis=1)
             t[has] = np.linalg.solve(H[has], -grad[has][..., None])[..., 0]
-            for s in np.flatnonzero(~has & np.all(evals > -1e-12, axis=1)):
+            for k in (~has & (evals > -1e-12).all(axis=1)).nonzero()[0]:
                 # positive semidefinite with a flat direction: minimum-norm minimizer
-                ts = -np.linalg.pinv(H[s]) @ grad[s]
-                if np.linalg.norm(H[s] @ ts + grad[s]) <= 1e-8:
-                    t[s], has[s] = ts, True
+                tk = -np.linalg.pinv(H[k]) @ grad[k]
+                if np.linalg.norm(H[k] @ tk + grad[k]) <= 1e-8:
+                    t[k], has[k] = tk, True
             # indefinite H: no interior minimum on this manifold; the
             # edge-pinned systems cover those equilibria
         uu = u0 + (_T(Zu) @ t[..., None])[..., 0]
@@ -352,12 +352,8 @@ def _stationary_points(sheet, z_r, r, solve=None):
         uw[0, g], uw[1, g] = uu, ww
         depth[g] = np.sqrt(np.maximum(drop2, 0.0))
         ok[g] = has & ~(drop2 < -1e-9)
-    u, q = np.zeros((2,) + shape + (2,))
-    z, good = np.zeros(shape), np.zeros(shape, dtype=bool)
-    u[f, s] = (uw[0, :, None] @ _T(vback[p]))[:, 0] + vorigin[p]
-    q[f, s] = (uw[1, :, None] @ _T(rback[f, p]))[:, 0] + rorigin[f, p]
-    z[f, s], good[f, s] = z_r - depth, ok
-    return u, q, z, good
+    return (f, s, (uw[0, :, None] @ _T(vback[p]))[:, 0] + vorigin[p],
+            (uw[1, :, None] @ _T(rback[f, p]))[:, 0] + rorigin[f, p], z_r - depth, ok)
 
 
 # --------------------------------------------------------- known taut set
@@ -392,11 +388,11 @@ def direct_kinematics(formation: Formation, taut_flags) -> ObjectEquilibrium:
         l, d = _cables(v, z_r, r, u, q, z)
         return _equilibrium(u, q, z, z_r, l, _taut(l, d), False)
     base = taut[:5]
-    u, q, z, ok = _stationary_points(_sheet_systems(v, _plan([(tuple(base), -1)])), z_r, r[None])
-    if not ok[0, 0]:
+    systems = _sheet_systems(v, _plan([(tuple(base), -1)]))
+    *_, (u,), (q,), (z,), (ok,) = _stationary_points(systems, z_r, r[None], np.ones((1, 1), bool))
+    if not ok:
         # inconsistent taut system or indefinite hang Hessian
         raise SingularSystem("no interior minimum on the taut manifold")
-    u, q, z = u[0, 0], q[0, 0], z[0, 0]
     if not points_in_polygon(u, v[taut], tol=1e-9):
         raise ContactOutsideHull(f"contact {u} outside taut hull")
     l, d = _cables(v, z_r, r, u, q, z)
@@ -503,7 +499,8 @@ def _sheet_terms(layout):
 
 
 def _select_best(sheet, r, z, u, q, ok):
-    """Row of the best candidate of each formation that validates, or -1.
+    """Row of the best candidate of each formation that validates, or -1,
+    and its cable lengths and robot-to-object distances (K, n), else zero.
 
     The `_SheetTerms` `sheet` are shared; the teams `r`, and the candidates
     `z`, `u`, `q` and `ok`, carry a leading formation axis. A candidate
@@ -524,25 +521,27 @@ def _select_best(sheet, r, z, u, q, ok):
     same in any batch, so the pick is the one of validating every row.
     """
     v, z_r = sheet.v, sheet.z_r
-    f, row = np.nonzero(ok)
+    f, row = ok.nonzero()
     u, z = u[f, row], z[f, row]
     rho, d = _cables(v, z_r, r[f], u, q[f, row], z)
-    fits = np.flatnonzero(points_in_sides(u, v, sheet.side) & ~np.any(d > rho + FEAS_TOL, axis=1))
+    fits = (points_in_sides(u, v, sheet.side) & ~(d > rho + FEAS_TOL).any(axis=1)).nonzero()[0]
     level = np.minimum(z, z_r - ENERGY_TOL)     # rows this near flat tie
     fits = fits[np.lexsort((fits, sheet.rank[row[fits]], level[fits], f[fits]))]
     g = f[fits]
-    place = np.arange(len(g)) - np.searchsorted(g, g)     # each row's place in its formation
-    best = np.full(len(ok), -1)
-    tried, size = 0, 1
-    while True:
-        send = fits[(place >= tried) & (place < tried + size) & (best[g] < 0)]
-        if not len(send):
-            return best
-        _, z_low = kernels.lowest_point_grid(kernels.Centers(r - r[:, :1], f[send]), z_r, rho[send])
+    place = np.arange(len(g)) - g.searchsorted(g)     # each row's place in its formation
+    best, cables = np.full(len(ok), -1), np.zeros((2,) + r.shape[:2])
+    team, size = r - r[:, :1], 1
+    while len(fits):     # the untried rows of the formations with no valid row yet
+        first = place < size
+        send = fits[first]
+        _, z_low = kernels.lowest_point_grid(kernels.Centers(team, f[send]), z_r, rho[send])
         valid = send[np.abs(z_low - z[send]) <= ENERGY_TOL]
-        first = np.unique(f[valid], return_index=True)[1]    # each formation's first valid row
-        best[f[valid[first]]] = row[valid[first]]
-        tried, size = tried + size, 2 * size
+        fv = f[valid]      # in formation order: a formation's first valid row heads its run
+        won = valid[fv.searchsorted(fv) == np.arange(len(fv))]
+        best[f[won]], cables[:, f[won]] = row[won], (rho[won], d[won])
+        left = ~first & (best[g] < 0)
+        fits, g, place, size = fits[left], g[left], place[left] - size, 2 * size
+    return best, *cables
 
 
 def solve_equilibria(layout: SheetLayout, robots):
@@ -554,9 +553,9 @@ def solve_equilibria(layout: SheetLayout, robots):
     their stack positions (F,), sheet contacts and horizontal object
     positions (F, 2), heights (F,), each cable's geodesic length and
     whether it is taut (F, n), and whether the contact is pinned to the
-    sheet boundary or hangs from a fold line (F,). A formation that stretches the sheet past STRETCH_TOL,
-    or for which no candidate validates, is absent; each row has the bits
-    of its own solve.
+    sheet boundary or hangs from a fold line (F,). A formation that
+    stretches the sheet past STRETCH_TOL, or for which no candidate
+    validates, is absent; each row has the bits of its own solve.
 
     The solve reads what depends on the sheet alone from `_sheet_terms`,
     and has two phases. Phase 1 solves the interior systems, adds
@@ -606,23 +605,24 @@ def solve_equilibria(layout: SheetLayout, robots):
     sheet = _sheet_terms(layout)
     with np.errstate(over="ignore"):     # robots too far apart to square: inf apart
         lr = pair_distances(robots)
-    stack = np.flatnonzero(~(np.max(lr - lv, axis=1) > STRETCH_TOL))   # as Formation.stretch()
+    stack = (~((lr - lv).max(axis=1) > STRETCH_TOL)).nonzero()[0]   # as Formation.stretch()
     K = len(stack)
     if not K:     # every array empty, with its row shape
         return stack, *np.empty((2, 0, 2)), np.empty(0), *np.empty((2, 0, n)), np.empty(0, bool)
     r, lr = robots[stack], lr[stack]
 
     ni, ne, rows = len(sheet.hulls[0]), sheet.ends.shape[1], len(sheet.rank)
-    ridge, edge = slice(ni, rows - ne), slice(rows - ne, None)
+    ridge = slice(ni, rows - ne)
     u, q = np.zeros((2, K, rows, 2))     # the candidate table, edge rows unsolved
     z, ok = np.zeros((K, rows)), np.zeros((K, rows), dtype=bool)
     # phase 1: the interior systems and the ridges
-    u[:, :ni], q[:, :ni], z[:, :ni], ok[:, :ni] = _stationary_points(sheet.interior, z_r, r)
+    f, s, *solved = _stationary_points(sheet.interior, z_r, r, np.ones((K, ni), dtype=bool))
+    u[f, s], q[f, s], z[f, s], ok[f, s] = solved
     ok[:, :ni] &= points_in_sides(u[:, :ni], *sheet.hulls)
     stretched = np.abs(lv - lr) <= 1e-9
-    for f in np.flatnonzero(stretched.any(axis=1)):
+    for f in stretched.any(axis=1).nonzero()[0]:
         # a fully stretched subset hangs flat, whatever its stationary point
-        for k in np.flatnonzero(~np.any(sheet.spans[:, ~stretched[f]], axis=1)):
+        for k in (~sheet.spans[:, ~stretched[f]].any(axis=1)).nonzero()[0]:
             u[f, k], q[f, k], z[f, k] = _flat_candidate(v, z_r, r[f], sheet.sets[k])
             ok[f, k] = True
 
@@ -631,26 +631,26 @@ def solve_equilibria(layout: SheetLayout, robots):
     i, j = pair_index(n)
     u[:, ridge], q[:, ridge], ok[:, ridge] = sheet.ridge, 0.5 * (r[:, i] + r[:, j]), fold
     z[:, ridge] = z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0))
-    best = _select_best(sheet, r, z, u, q, ok)
+    best, l, d = _select_best(sheet, r, z, u, q, ok)
 
     # phase 2: the edges whose floor does not lie above the phase-1 winner
     need = _edge_floors(sheet, r) <= np.where(best >= 0, z[np.arange(K), best], np.inf)[:, None]
-    g = np.flatnonzero(need.any(axis=1))
+    g = need.any(axis=1).nonzero()[0]
     if len(g):
         systems, a, ab, ab2 = sheet.edges
-        *solved, pinned = _stationary_points(systems, z_r, r[g], need[g][:, sheet.ends[0]])
-        u[g, edge], q[g, edge], z[g, edge] = solved
-        s = dot(solved[0] - a, ab) / ab2
+        e, s, *solved, pinned = _stationary_points(systems, z_r, r[g], need[g][:, sheet.ends[0]])
+        k = s + (rows - ne)     # the table rows of the solved edge systems
+        u[g[e], k], q[g[e], k], z[g[e], k] = solved
+        t = dot(solved[0] - a[s], ab[s]) / ab2[s]
         keep = np.zeros((len(g), rows), dtype=bool)
-        keep[:, edge] = pinned & (s >= -1e-9) & (s <= 1 + 1e-9)
-        won = np.flatnonzero(best[g] >= 0)
+        keep[e, k] = pinned & (t >= -1e-9) & (t <= 1 + 1e-9)
+        won = (best[g] >= 0).nonzero()[0]
         keep[won, best[g[won]]] = True         # the phase-1 winner competes again
-        best[g] = _select_best(sheet, r[g], z[g], u[g], q[g], keep)
-    f = np.flatnonzero(best >= 0)
-    best = best[f]
+        best[g], l[g], d[g] = _select_best(sheet, r[g], z[g], u[g], q[g], keep)
+    f = (best >= 0).nonzero()[0]
+    best, l = best[f], l[f]
     u, q, z = u[f, best], q[f, best], z[f, best]
-    l, d = _cables(v, z_r, r[f], u, q, z)
-    return (stack[f], u, q, z, l, _taut(l, d),
+    return (stack[f], u, q, z, l, _taut(l, d[f]),
             (best >= ni) | ~points_in_sides(u, v, sheet.side, tol=-1e-9))
 
 

@@ -33,7 +33,7 @@ def rotation(angle) -> np.ndarray:
     An array of angles gives a C-contiguous (..., 2, 2) stack of them.
     """
     c, s = np.cos(angle), np.sin(angle)
-    out = np.empty(np.shape(angle) + (2, 2))
+    out = np.empty(c.shape + (2, 2))
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
     return out
 

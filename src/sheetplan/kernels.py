@@ -112,7 +112,7 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     # +inf where no candidate is inside every ball
     z = np.where(inside, z_r - np.sqrt(drop2), np.inf)
     # the first lowest candidate wins, in singles, pairs, triples order
-    best = np.argmin(z, axis=0)
+    best = z.argmin(axis=0)
     at = np.arange(rows)
     best_z = z[best, at]
     best_q = q[:, best, at].T

@@ -14,6 +14,7 @@ SCENARIOS = sorted((REPO / "scenarios").glob("*.txt"))
 CORRIDOR = str(REPO / "scenarios" / "corridor.txt")
 TURNED = str(REPO / "scenarios" / "turned_corridor.txt")
 BYPASS = str(REPO / "scenarios" / "bypass.txt")
+HEXAGON = str(REPO / "scenarios" / "hexagon_corridor.txt")
 OCTAGON = str(REPO / "scenarios" / "octagon_corridor.txt")
 REFERENCE = str(REPO / "perfbench" / "reference.json")
 
@@ -278,7 +279,7 @@ def winning_row(formation):
 
     with mock.patch.object(equilibrium, "_select_best", spy):
         equilibrium.solve_equilibrium(formation)
-    return int(won[-1][0]), len(equilibrium._solve_plan(formation.n)[2])
+    return int(won[-1][0][0]), len(equilibrium._solve_plan(formation.n)[2])
 
 
 def random_square_case(rng):

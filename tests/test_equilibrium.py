@@ -26,6 +26,7 @@ from sheetplan import (
 from sheetplan.equilibrium import (
     ENERGY_TOL,
     FEAS_TOL,
+    SLACK_BAND,
     TAUT_TOL,
     _cables,
     _edge_floors,
@@ -270,8 +271,8 @@ class TestDirectKinematics:
         # a stationary point 1e-8 m off in height misses its taut cables by
         # more than TAUT_TOL
         def nudged(*args):
-            u, q, z, ok = _stationary_points(*args)
-            return u, q, z + 1e-8, ok
+            *entries, z, ok = _stationary_points(*args)
+            return *entries, z + 1e-8, ok
 
         f = equilateral_formation(triangle_layout, 1.2)
         with mock.patch.object(equilibrium, "_stationary_points", nudged), \
@@ -593,8 +594,8 @@ class TestCandidateTable:
             return np.zeros((len(k), 2)), z[k] + np.where(energy[k], 0.0, 1.0)
 
         with mock.patch.object(kernels, "lowest_point_grid", kernel):
-            (best,) = _select_best(_sheet_terms(SheetLayout(v, Z_R)), r[None], z[None], u[None],
-                                   q[None], ok[None])
+            (best,), _, _ = _select_best(_sheet_terms(SheetLayout(v, Z_R)), r[None], z[None],
+                                         u[None], q[None], ok[None])
         expected = old_select(z, sets, np.flatnonzero(ok & energy))
         assert best == (-1 if expected is None else expected)
         # no row twice, and rounds of 1, 2, 4, ... rows: a log of the rows
@@ -613,7 +614,7 @@ class TestFlatSheet:
         # every pair is fully stretched, so the object sits at the holding
         # height with every cable taut, as direct kinematics puts it
         layout = SheetLayout(v, Z_R)
-        rng = np.random.default_rng(len(v))
+        rng, twin_rng = np.random.default_rng(len(v)), np.random.default_rng(10 + len(v))
         for offset in (0.0, 2.0, 40.0):
             for angle in rng.uniform(0.0, 2 * np.pi, 30):
                 shift = rng.uniform(-offset, offset, 2)
@@ -623,6 +624,12 @@ class TestFlatSheet:
                 dk = direct_kinematics(f, [1] * len(v))
                 assert _state_bytes(eq) == _state_bytes(dk)
                 assert eq.geodesic_lengths.tobytes() == dk.geodesic_lengths.tobytes()
+            # stacked, each team keeps the bits of its own solve: its flat
+            # candidates land in its own rows of the candidate table
+            shifts = twin_rng.uniform(-offset, offset, (8, 2))
+            teams = [Formation(v @ rotation(angle).T + shift, layout)
+                     for angle, shift in zip(twin_rng.uniform(0.0, 2 * np.pi, 8), shifts)]
+            assert _stacked(teams) == [_state_bytes(solve_equilibrium(f)) for f in teams]
 
 
 class TestSheetTerms:
@@ -717,6 +724,25 @@ class TestStackedSolve:
             assert _stacked(rows[::-1]) == one[::-1]
             stacked.append(got[0])
         assert hashlib.sha256(b"".join(stacked)).hexdigest() == SOLVE_DIGEST
+
+    def test_cables_of_the_returned_state(self):
+        # the selection hands down the winner's cables: alone and stacked
+        # with a stretched twin (absent) and moved, shrunk copies, every
+        # returned state's lengths and taut flags are the bits of a fresh
+        # `cable_distances` of that state and its SLACK_BAND test
+        def check(formation, eq):
+            l, d = cable_distances(formation, eq)
+            assert eq.geodesic_lengths.tobytes() == l.tobytes()
+            assert eq.taut.tobytes() == (d >= l - SLACK_BAND).tobytes()
+
+        rng = np.random.default_rng(9)
+        for f in _digest_cases():
+            check(f, solve_equilibrium(f))
+            rows = [f, _stretched(f), _moved(f, rng), _scaled(_moved(f, rng), 0.9)]
+            at, *states = solve_equilibria(f.layout, np.array([g.robot_positions for g in rows]))
+            assert at.tolist() == [0, 2, 3]
+            for k, u, q, z, l, taut, boundary in zip(at.tolist(), *states):
+                check(rows[k], _equilibrium(u, q, z, f.holding_height, l, taut, bool(boundary)))
 
     def test_failing_rows_are_absent(self):
         rng = np.random.default_rng(5)
@@ -825,6 +851,17 @@ def _skips_every_edge(formation):
     return bool(np.all(_floors(formation) > solve_equilibrium(formation).z))
 
 
+def _every_system(sheet, z_r, r):
+    """`_stationary_points` of every system of `sheet` for the teams `r`,
+    as (K, S) tables of contacts, object positions, heights and minima."""
+    every = np.ones((len(r), sum(len(sel) for sel, *_ in sheet[3])), dtype=bool)
+    f, s, *solved = _stationary_points(sheet, z_r, r, every)
+    tables = [np.zeros(every.shape + x.shape[1:], x.dtype) for x in solved]
+    for table, x in zip(tables, solved):
+        table[f, s] = x
+    return tables
+
+
 def full_table(formation):
     """The one-phase solve, kept as the reference of the edge skip rule.
 
@@ -841,7 +878,7 @@ def full_table(formation):
     hulls, ends = _solve_plan(n)[2:4]
     ni, ne = len(hulls), ends.shape[1]
     u, q, z, ok = (np.concatenate(x, axis=1) for x in zip(
-        _stationary_points(sheet.interior, z_r, r), _stationary_points(sheet.edges[0], z_r, r)))
+        _every_system(sheet.interior, z_r, r), _every_system(sheet.edges[0], z_r, r)))
     a, ab = v[ends[0]], v[ends[1]] - v[ends[0]]
     s = dot(u[:, ni:] - a, ab) / dot(ab, ab)
     ok &= np.concatenate([points_in_polygon(u[:, :ni], v[hulls]),
@@ -854,7 +891,7 @@ def full_table(formation):
              z_r - 0.5 * np.sqrt(np.where(fold, lv * lv - lr * lr, 0.0)), fold)
     u, q, z, ok = (np.concatenate([x[:, :ni], rows, x[:, ni:]], axis=1)
                    for x, rows in zip((u, q, z, ok), ridge))
-    best = _select_best(sheet, r, z, u, q, ok)[0]
+    best = _select_best(sheet, r, z, u, q, ok)[0][0]
     u, q, z, ok = u[0], q[0], z[0], ok[0]
     rho, d = _cables(v, z_r, r[0], u, q, z)
     valid = ok & points_in_polygon(u, v) & ~np.any(d > rho + FEAS_TOL, axis=1)
@@ -915,7 +952,7 @@ class TestEdgeSkip:
         def spy(*args):
             sizes.append(int(np.count_nonzero(args[5])))
             won = select(*args)
-            assert won[0] == best
+            assert won[0][0] == best
             return won
 
         with mock.patch.object(equilibrium, "_select_best", spy):

@@ -22,7 +22,7 @@ from sheetplan.geometry import rotation
 from sheetplan.pipeline import RunReport, _build_report, _track_offset
 from sheetplan.scenario import parse_scenario
 
-from conftest import BYPASS, CORRIDOR, OCTAGON, REFERENCE, SCENARIOS, TURNED
+from conftest import BYPASS, CORRIDOR, HEXAGON, OCTAGON, REFERENCE, SCENARIOS, TURNED
 
 # sha256 of the exported files of the shipped scenarios that
 # perfbench/reference.json does not cover, recorded at 2e82485; `bypass`
@@ -51,7 +51,8 @@ GOLDEN_DIGESTS = {
 
 # the module fixture that runs each shipped scenario, where one does
 REPORT_FIXTURES = {"corridor": "corridor_report", "turned_corridor": "turned_report",
-                   "bypass": "bypass_report", "octagon_corridor": "octagon_report"}
+                   "bypass": "bypass_report", "hexagon_corridor": "hexagon_report",
+                   "octagon_corridor": "octagon_report"}
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,11 @@ def turned_report():
 @pytest.fixture(scope="module")
 def bypass_report():
     return run_pipeline(load_scenario(BYPASS))
+
+
+@pytest.fixture(scope="module")
+def hexagon_report():
+    return run_pipeline(load_scenario(HEXAGON))
 
 
 @pytest.fixture(scope="module")

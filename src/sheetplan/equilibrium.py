@@ -47,7 +47,7 @@ height, which reduces every solve to small exact linear algebra:
   independently of it: a nested search over a grid of sheet contacts, built
   from per-axis terms to the bit of a per-point build, and the edge samples
   of the scan's window, made only there. The kernel gives each contact's
-  lowest point, from team terms built once per oracle. A contact goes to
+  lowest point, the team's centers shared by every row. A contact goes to
   the kernel only when its floors lie at or below an incumbent height,
   tested cheapest first: the depth of its shortest cable, of the three
   balls of each triple of the incumbent's taut cables, then of every robot
@@ -514,8 +514,8 @@ def _select_best(sheet, r, z, u, q, ok):
     The first three checks run over every row at once. The rows that pass
     are put in that order and go to the kernel lowest first, in rounds: each
     round sends the next 1, 2, 4, ... untried rows of every formation with
-    no valid row yet in one batched call, with one center set per formation
-    mapped to its rows: its robots, robot 0 at the origin (far from it the
+    no valid row yet in one batched call, each row with the center set of
+    its formation: its robots, robot 0 at the origin (far from it the
     squared drop of a flat row rounds off by more than ENERGY_TOL**2). A
     formation's first valid row is its best, and a kernel row rounds the
     same in any batch, so the pick is the one of validating every row.
@@ -534,7 +534,7 @@ def _select_best(sheet, r, z, u, q, ok):
     while len(fits):     # the untried rows of the formations with no valid row yet
         first = place < size
         send = fits[first]
-        _, z_low = kernels.lowest_point_grid(kernels.Centers(team, f[send]), z_r, rho[send])
+        _, z_low = kernels.lowest_point_grid(team[f[send]], z_r, rho[send])
         valid = send[np.abs(z_low - z[send]) <= ENERGY_TOL]
         fv = f[valid]      # in formation order: a formation's first valid row heads its run
         won = valid[fv.searchsorted(fv) == np.arange(len(fv))]
@@ -850,7 +850,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     strictly above the incumbent, hence strictly above the scan's lowest
     point (or the best so far): it can neither win nor tie, and the oracle
     returns the bits of a scan of every contact. Every kernel call of the
-    oracle takes one `kernels.Centers` of the team, its terms built once.
+    oracle shares the team's centers between its rows.
     """
     require_positive("grid_resolution", grid_resolution)
     _require_feasible(formation)
@@ -862,13 +862,12 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
     n0 = max(int(np.ceil(extent / (25.0 * grid_resolution))) + 1, 41)
     side = polygon_sides(v)
     length = np.sqrt(dot(side, side))
-    team = kernels.Centers(r)     # the terms of every kernel call of the oracle
 
     def scan(center, half, npts, best=None):
         pts, rho = _scan_contacts(v, side, length, center, half, npts)
         if best is None:   # the first scan: the best of the few contacts of longest shortest cable
             few = np.argsort(functools.reduce(np.minimum, rho.T))[-8:]
-            q, z = kernels.lowest_point_grid(team, z_r, rho[few])
+            q, z = kernels.lowest_point_grid(r, z_r, rho[few])
             k = int(np.argmin(z))
             best = pts[few[k]], q[k], z[k]
         bound = best[2]
@@ -879,7 +878,7 @@ def oracle_equilibrium(formation: Formation, grid_resolution: float = 1e-3) -> O
         if len(send):
             send = send[_pair_floors(r, z_r, rho[send]) <= bound]
         q, z = np.zeros((len(pts), 2)), np.full(len(pts), np.inf)
-        q[send], z[send] = kernels.lowest_point_grid(team, z_r, rho[send])
+        q[send], z[send] = kernels.lowest_point_grid(r, z_r, rho[send])
         k = int(np.argmin(z))
         return pts[k], q[k], float(z[k])
 

@@ -8,12 +8,11 @@ drop, enumerated exactly over active subsets of size 1, 2 and 3.
 
 `lowest_point_grid` solves a batch at one center height, vectorized over
 the batch and over the active subsets; `lowest_point` is its batch of one.
-The batch shares one center set (an oracle scan's contacts, or the
-candidates of a one-formation solve), with no gather, or maps each row to
-one of several (a stack of solves, each row with its formation's robots).
-The centers come raw or as `Centers`, whose terms the caller builds once
-per set, with the map of rows to sets. Its membership test is one boolean
-mask over the (candidate, row) entries, which each ball in turn narrows.
+The batch shares one center set (an oracle scan's contacts), or each row
+brings its own (a solve's candidate rows, each with its formation's
+robots); either way a block of rows takes its sets as a slice, with no
+gather. Its membership test is one boolean mask over the (candidate, row)
+entries, which each ball in turn narrows.
 Copying out the entries still inside after each ball would test fewer of
 them, but callers send few rows per call (a solve's next candidate rows of
 each team, or the contacts of an oracle scan that its floors did not rule
@@ -120,28 +119,13 @@ def _lowest_block(r, z_r, rho, pairs, triples):
     return best_q, best_z
 
 
-class Centers:
-    """Ball centers with the `_subset_terms` of each set: (N, 2), or
-    (S, N, 2) sets with `run` mapping each row to its set (by default, set g
-    to row g). A single set serves every row with no gather (`run` None)."""
-
-    def __init__(self, points, run=None):
-        r = np.asarray(points, dtype=float)
-        if r.ndim == 3 and run is None:
-            run = np.arange(len(r))
-        self.points = r.reshape((-1,) + r.shape[-2:])
-        self.run = run if len(self.points) > 1 else None
-        self.pairs, self.triples = _subset_terms(self.points)
-
-
 def lowest_point_grid(centers, z_r, rho_grid):
     """Lowest points of G ball intersections, one per candidate row.
 
     Parameters
     ----------
-    centers : `Centers` (one set shared by every candidate, or sets with a
-        map of each candidate to its set), or raw: (N, 2) planar ball-center
-        positions shared by every candidate, or (G, N, 2), one set each
+    centers : (N, 2) planar ball-center positions shared by every
+        candidate, or (G, N, 2), one set each ((1, N, 2) is shared)
     z_r : the centers' common height, one float for every candidate
     rho_grid : (G, N) radii, one row per candidate
 
@@ -150,14 +134,14 @@ def lowest_point_grid(centers, z_r, rho_grid):
     (q, z) : (G, 2) lowest-point positions and (G,) heights; +inf height and
         a zero position where the intersection is empty.
     """
-    if not isinstance(centers, Centers):
-        centers = Centers(centers)
-    r, run = centers.points, centers.run
-    (pi, pf), (ti, tf) = centers.pairs, centers.triples
+    r = np.asarray(centers, dtype=float)
+    r = r.reshape((-1,) + r.shape[-2:])
+    (pi, pf), (ti, tf) = _subset_terms(r)
     rho = np.asarray(rho_grid, dtype=float)
     G, n = rho.shape
     width = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6    # candidates per row
-    if run is not None:
+    own = len(r) > 1     # one center set per row
+    if own:
         # a row with its own centers brings its subset terms (five floats per
         # pair and ten per triple, as many as two and four candidates), and
         # such rows come from the stacked solves of every optimizer poll:
@@ -168,8 +152,8 @@ def lowest_point_grid(centers, z_r, rho_grid):
     best_z = np.full(G, np.inf)
     for lo in range(0, G, step):
         rows = slice(lo, lo + step)
-        own = slice(None) if run is None else run[rows]
+        sets = rows if own else slice(None)
         best_q[rows], best_z[rows] = _lowest_block(
-            r[own], z_r, rho[rows],
-            (pi, pf[..., own]), (ti, tf[..., own]))
+            r[sets], z_r, rho[rows],
+            (pi, pf[..., sets]), (ti, tf[..., sets]))
     return best_q, best_z

@@ -1,5 +1,6 @@
 """Equilibrium solvers: known taut sets, discovery, oracle agreement."""
 import hashlib
+import importlib.util
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,7 @@ from sheetplan.cli import main as cli_main
 
 from conftest import (
     CORRIDOR,
+    REPO,
     draw_consistent_target,
     draw_folded_case,
     draw_ridge_case,
@@ -76,6 +78,10 @@ SOLVE_DIGEST = "cef1e4834f8005a4d970e7a3f92363f258682efd2eecbeb1ffbdfa1faea6f201
 # sha256 of the `_state_bytes` of `oracle_equilibrium` on `_oracle_cases()`
 # at 1 mm, recorded before the oracle's scans skipped contacts
 ORACLE_DIGEST = "84c2f28d9de519968044e355f625292bbaf1f94752f62acd63154e13c50102e2"
+# sha256 of perfbench's seed-1 kinematics batch: each formation's holding
+# points and robots, then its solve and 1 mm oracle states as the
+# benchmark's kinematics pass hashes them (recorded at 1c1e4d3)
+KINEMATICS_DIGEST = "a83c2eda64384606f9c694249b5d2eb90341af2f05f2db5b6f309a66880bd8ac"
 
 
 def residuals(formation, eq):
@@ -337,9 +343,9 @@ class TestSolveEquilibrium:
 
         def no_lowest_for_f(centers, z_r, rho):
             q, z = lowest(centers, z_r, rho)
-            # each row's team, or the one team shared by every row
-            own = centers.points if centers.run is None else centers.points[centers.run]
-            return q, np.where(np.all(own == centers_f, axis=(1, 2)), np.inf, z)
+            # each row comes with its own team
+            assert centers.shape == (len(rho),) + centers_f.shape
+            return q, np.where(np.all(centers == centers_f, axis=(1, 2)), np.inf, z)
 
         f = equilateral_formation(triangle_layout, 1.2)
         path = tmp_path / "formation.txt"
@@ -588,8 +594,8 @@ class TestCandidateTable:
             sent, k = np.nonzero(np.all(rho[:, None] == radii, axis=2))
             assert np.array_equal(sent, np.arange(len(rho))) and np.all(ok[k])
             calls.append(k)
-            # one formation: its team, robot 0 at the origin, shared by every row
-            assert centers.run is None and np.array_equal(centers.points, (r - r[0])[None])
+            # one formation: each row with its team, robot 0 at the origin
+            assert centers.shape == (len(k), n, 2) and np.all(centers == r - r[0])
             assert z_r == Z_R
             return np.zeros((len(k), 2)), z[k] + np.where(energy[k], 0.0, 1.0)
 
@@ -757,10 +763,9 @@ class TestStackedSolve:
         assert [x.shape for x in empty] == [(0,), (0, 2), (0, 2), (0,), (0, 4), (0, 4), (0,)]
 
     def test_kernel_gets_one_set_per_formation(self):
-        # a one-formation solve hands the kernel one shared set of centers
-        # (its team, robot 0 at the origin) and the scalar holding height; a
-        # stack hands it the teams of its formations, one set each, and maps
-        # every row to its formation's set
+        # a one-formation solve hands the kernel its team (robot 0 at the
+        # origin) with every row, and the scalar holding height; a stack
+        # hands every row its own formation's team, the rows in stack order
         _, f = draw_transport_case(np.random.default_rng(6), 5)
         stack = [f, _scaled(f, 0.95), _scaled(f, 0.9)]
         lowest, calls = kernels.lowest_point_grid, []
@@ -772,22 +777,25 @@ class TestStackedSolve:
         with mock.patch.object(kernels, "lowest_point_grid", spy):
             one = [solve_equilibrium(g) for g in stack]
             assert len(calls) == len(stack)     # every edge skipped: one selection each
-            for (centers, z_r, _), g in zip(calls, stack):
+            for (centers, z_r, rho), g in zip(calls, stack):
                 r = g.robot_positions
-                assert centers.run is None and np.array_equal(centers.points, (r - r[0])[None])
+                assert centers.shape == (len(rho),) + r.shape and np.all(centers == r - r[0])
                 assert np.ndim(z_r) == 0 and z_r == g.holding_height
             del calls[:]
             _stacked(stack)
         ((centers, z_r, rho),) = calls
         teams = np.array([g.robot_positions for g in stack])
-        assert np.array_equal(centers.points, teams - teams[:, :1])
         assert np.ndim(z_r) == 0 and z_r == f.holding_height
-        assert len(centers.run) == len(rho) and np.all(np.diff(centers.run) >= 0)
+        # each row's centers are exactly one formation's team
+        match = np.all(centers[:, None] == (teams - teams[:, :1])[None], axis=(2, 3))
+        assert len(centers) == len(rho) and np.all(match.sum(axis=1) == 1)
+        which = match.argmax(axis=1)
+        assert np.all(np.diff(which) >= 0)
         for k, eq in enumerate(one):
             # the winning row of each formation (its radii are the winner's
-            # cable lengths) is mapped to that formation's set
+            # cable lengths) comes with that formation's team
             won = np.flatnonzero(np.all(rho == eq.geodesic_lengths, axis=1))
-            assert len(won) and np.all(centers.run[won] == k)
+            assert len(won) and np.all(which[won] == k)
 
     def test_phase_two_in_a_mixed_stack(self):
         # on one sheet, teams whose every edge is skipped stacked with teams
@@ -1027,6 +1035,27 @@ class TestOracle:
         for f in _oracle_cases():
             h.update(_state_bytes(oracle_equilibrium(f, 1e-3)))
         assert h.hexdigest() == ORACLE_DIGEST
+
+    def test_benchmark_kinematics_pinned(self):
+        # the benchmark draws its all-taut formations through the kernel, so
+        # a kernel change could change what it measures: its seed-1 inputs
+        # and their solve and oracle states are pinned to the byte
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        batch = workloads.kinematics_batch(1)
+        assert len(batch) == sum(workloads.KINEMATICS_COUNTS.values())
+        h = hashlib.sha256()
+        for f in batch:
+            h.update(f.layout.holding_points.tobytes())
+            h.update(f.robot_positions.tobytes())
+            for state in (solve_equilibrium(f),
+                          oracle_equilibrium(f, workloads.ORACLE_RESOLUTION)):
+                h.update(state.world_position.tobytes())
+                h.update(state.sheet_contact.tobytes())
+                h.update(bytes([*state.taut_indices, state.boundary_contact]))
+        assert h.hexdigest() == KINEMATICS_DIGEST
 
     def test_scans_send_few_rows(self):
         # on `_oracle_cases()` the scans hold 61,900 contacts, all of which

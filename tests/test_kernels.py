@@ -216,44 +216,15 @@ def test_grid_rows_bytes_pinned():
     assert h.hexdigest() == ROWS_DIGEST
 
 
-def test_prebuilt_centers_same_bytes():
-    # `Centers` built once give the bytes of raw centers: on the pinned
-    # inputs of both center forms they hash to GRID_DIGEST and ROWS_DIGEST,
-    # one set of shared centers serves any number of calls, as the oracle's
-    # scans use it, and `lowest_point` takes them too. One set with a run
-    # map is shared, with no gather. Per-row centers hash alike as one set
-    # per row, or as their distinct sets with a run map from the caller, as
-    # the stacked solves pass them
-    grid, mapped = hashlib.sha256(), hashlib.sha256()
-    rows, runs = hashlib.sha256(), hashlib.sha256()
+def test_one_set_in_a_batch_same_bytes():
+    # one set of centers given as a batch of one, (1, N, 2), is shared by
+    # every row: on the pinned inputs it hashes to GRID_DIGEST, as (N, 2) does
+    h = hashlib.sha256()
     for centers, rho in _pinned_cases():
-        team = kernels.Centers(centers)
-        q, z = kernels.lowest_point_grid(team, 0.79, rho)
-        grid.update(q.tobytes())
-        grid.update(z.tobytes())
-        one = kernels.Centers(centers[None], np.zeros(len(rho), dtype=int))
-        assert one.run is None
-        for part in kernels.lowest_point_grid(one, 0.79, rho):
-            mapped.update(part.tobytes())
-        parts = [kernels.lowest_point_grid(team, 0.79, part) for part in np.array_split(rho, 3)]
-        assert np.concatenate([p[1] for p in parts]).tobytes() == z.tobytes()
-        for row in rho[::11]:
-            q_one, z_one = kernels.lowest_point(team, 0.79, row)
-            q_raw, z_raw = kernels.lowest_point(centers, 0.79, row)
-            assert np.asarray(z_one).tobytes() == np.asarray(z_raw).tobytes()
-            assert (q_one is None) == (q_raw is None)
-            assert q_raw is None or q_one.tobytes() == q_raw.tobytes()
-    for centers, z_r, rho in _row_center_cases():
-        sets, run = np.unique(centers, axis=0, return_inverse=True)
-        run = run.ravel()
-        assert len(sets) < len(centers)
-        for team, digest in ((lambda at: kernels.Centers(centers[at]), rows),
-                             (lambda at: kernels.Centers(sets, run[at]), runs)):
-            q, z = _per_height(team, z_r, rho)
-            digest.update(q.tobytes())
-            digest.update(z.tobytes())
-    assert grid.hexdigest() == mapped.hexdigest() == GRID_DIGEST
-    assert rows.hexdigest() == runs.hexdigest() == ROWS_DIGEST
+        q, z = kernels.lowest_point_grid(centers[None], 0.79, rho)
+        h.update(q.tobytes())
+        h.update(z.tobytes())
+    assert h.hexdigest() == GRID_DIGEST
 
 
 def test_grid_split_rows_same_bytes():

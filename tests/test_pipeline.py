@@ -1,16 +1,23 @@
 """End-to-end scenario runs, export formats, and the CLI."""
+import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetplan import (
+    ObstacleSpec,
     PipelineInfeasible,
     PlanTimeline,
+    SheetPlanError,
     export_report,
     load_scenario,
     run_pipeline,
@@ -22,7 +29,7 @@ from sheetplan.geometry import rotation
 from sheetplan.pipeline import RunReport, _build_report, _track_offset
 from sheetplan.scenario import parse_scenario
 
-from conftest import BYPASS, CORRIDOR, HEXAGON, OCTAGON, REFERENCE, SCENARIOS, TURNED
+from conftest import BYPASS, CORRIDOR, HEXAGON, OCTAGON, REFERENCE, REPO, SCENARIOS, TURNED
 
 # sha256 of the exported files of the shipped scenarios that
 # perfbench/reference.json does not cover, recorded at 2e82485; `bypass`
@@ -278,13 +285,7 @@ class TestInfeasiblePipeline:
     def test_crossing_without_channel(self, tmp_path, capsys):
         # the optimizer picks a crossing, but no robot-free channel through
         # the formation is wide enough for this obstacle's margin disc
-        text = open(CORRIDOR).read()
-        for old, new in (
-            ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
-            ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 2.2 0.0 0.2 0.02"),
-        ):
-            assert old in text
-            text = text.replace(old, new)
+        text = no_channel_text()
         with pytest.raises(PipelineInfeasible) as err:
             run_pipeline(parse_scenario(text))
         assert err.value.obstacle_index == 0
@@ -293,6 +294,31 @@ class TestInfeasiblePipeline:
         f.write_text(text)
         assert cli_main(["plan", str(f), "--out", str(tmp_path / "x")]) == 2
         assert "infeasible: obstacle 0" in capsys.readouterr().err
+
+
+def no_channel_text():
+    """The corridor with one obstacle the chosen crossing has no channel for."""
+    text = open(CORRIDOR).read()
+    for old, new in (
+        ("obstacle = 2.2 0.0 0.1 0.05\n", ""),
+        ("obstacle = 4.2 0.0 0.2 0.2", "obstacle = 2.2 0.0 0.2 0.02"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(1.5, 4.5), st.floats(-0.8, 0.8), st.floats(0.02, 0.4), st.floats(0.0, 0.8))
+def test_one_random_obstacle_plans_or_names_its_error(x, y, radius, height):
+    # the corridor with one obstacle anywhere on its way: a run ends in a
+    # report or a named error, never in another exception
+    scenario = dataclasses.replace(load_scenario(CORRIDOR),
+                                   obstacles=(ObstacleSpec((x, y), radius, height),))
+    try:
+        assert isinstance(run_pipeline(scenario), RunReport)
+    except SheetPlanError:
+        pass
 
 
 def loop_track_offset(ys, margin):
@@ -539,6 +565,19 @@ class TestCli:
         assert "no obstacles" in capsys.readouterr().out
         with open(tmp_path / "o" / "metrics.txt") as fh:
             assert "samples = 1\n" in fh.read()
+
+    def test_module_exit_status(self, tmp_path):
+        # `python -m sheetplan.cli` exits with the code `main` returns: 0 on
+        # a valid file, 1 on a missing one, 2 on an infeasible plan
+        path = tmp_path / "no_channel.txt"
+        path.write_text(no_channel_text())
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        for args, code in ((["validate", CORRIDOR], 0),
+                           (["validate", str(tmp_path / "missing.txt")], 1),
+                           (["plan", str(path), "--out", str(tmp_path / "x")], 2)):
+            run = subprocess.run([sys.executable, "-m", "sheetplan.cli", *args], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == code, run.stderr
 
     def test_plan_infeasible_exit_code(self, tmp_path):
         text = open(CORRIDOR).read().replace(

@@ -24,7 +24,8 @@ import threading
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "sheetplan")
 # (module, source) of the statements no test can run: the command line
-# entry point's call, which runs only under `python -m sheetplan.cli`
+# entry point's call, which runs only under `python -m sheetplan.cli`, in a
+# subprocess the trace does not follow
 EXEMPT = {("cli.py", "sys.exit(main())")}
 
 

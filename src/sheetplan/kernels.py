@@ -17,7 +17,18 @@ Copying out the entries still inside after each ball would test fewer of
 them, but callers send few rows per call (a solve's next candidate rows of
 each team, or the contacts of an oracle scan that its floors did not rule
 out), and at that size the copy per ball costs more than the tests it skips.
+
+`lowest_point_grid` keeps its last four results, keyed on the shape and
+bytes of its centers and radii and the eight bytes of its height. Over a
+rigid run the timeline sampler sends the same robot-0-relative team, radii
+and height at sample after sample: about nine of its calls in ten hit, on
+every shipped scenario. A hit returns the bits a miss computed from the same
+bytes; each call returns copies, so a caller that writes into its arrays
+leaves the cached ones as they were. The subset terms of the last center
+set are kept as well: the oracle's four calls per solve share one team.
 """
+import functools
+
 import numpy as np
 
 from .geometry import dot, pair_index, triple_index
@@ -38,19 +49,23 @@ def lowest_point(centers, z_r, rho):
     return (None, np.inf) if np.isinf(z[0]) else (q[0], z[0])
 
 
-def _subset_terms(r):
+@functools.lru_cache(maxsize=1)
+def _subset_terms(shape, data):
     """Radius-independent terms of every pair and triple of centers.
 
-    `r` is (R, N, 2), one center set per batch row, or R = 1 for centers
-    shared by every row. Returns, for the pairs and for the triples, an
-    index array (one row per member) and a float array with one column per
-    subset and one trailing column per center set: rows (x_i, y_i, dx, dy,
+    The centers `r`, of `shape` (R, N, 2) and float bytes `data`, are one
+    center set per batch row, or R = 1 for centers shared by every row.
+    Only the last set's terms are kept: the oracle's kernel calls all share
+    its team's centers. Returns, for the pairs and for the triples, an index
+    array (one row per member) and a float array with one column per subset
+    and one trailing column per center set: rows (x_i, y_i, dx, dy,
     L2) for a pair, and (x_i, y_i, ay, -ax, by, -bx, det, |r_i|^2, |r_j|^2,
     |r_k|^2) for a triple, (ax, ay) = 2 (r_j - r_i) and (bx, by) =
     2 (r_k - r_i). Pairs of coincident centers and triples of collinear ones
     have no trilateration point: their L2 or det is NaN, so that every
     candidate they make has a NaN drop and leaves with the negative drops.
     """
+    r = np.frombuffer(data).reshape(shape)
     n = r.shape[1]
     pij, tijk = pair_index(n), triple_index(n)
     rt = r.transpose(2, 1, 0)
@@ -133,11 +148,28 @@ def lowest_point_grid(centers, z_r, rho_grid):
     -------
     (q, z) : (G, 2) lowest-point positions and (G,) heights; +inf height and
         a zero position where the intersection is empty.
+
+    The last four calls' results are cached on the shape and bytes of each
+    input, the height by its eight bytes (0.0 and -0.0 apart): the timeline
+    sampler sends the same robot-0-relative team, radii and height at most
+    samples of a rigid run. A hit returns what a miss computed from the same
+    bytes, and the caller gets copies of it, arrays of its own.
     """
     r = np.asarray(centers, dtype=float)
-    r = r.reshape((-1,) + r.shape[-2:])
-    (pi, pf), (ti, tf) = _subset_terms(r)
     rho = np.asarray(rho_grid, dtype=float)
+    q, z = _lowest_points(r.shape, r.tobytes(), np.float64(z_r).tobytes(),
+                          rho.shape, rho.tobytes())
+    return q.copy(), z.copy()
+
+
+@functools.lru_cache(maxsize=4)
+def _lowest_points(shape, data, height, rho_shape, rho_data):
+    """`lowest_point_grid` of the inputs rebuilt from their bytes."""
+    r = np.frombuffer(data).reshape(shape)
+    r = r.reshape((-1,) + r.shape[-2:])
+    (pi, pf), (ti, tf) = _subset_terms(r.shape, data)
+    z_r = np.frombuffer(height)[0]
+    rho = np.frombuffer(rho_data).reshape(rho_shape)
     G, n = rho.shape
     width = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6    # candidates per row
     own = len(r) > 1     # one center set per row

@@ -389,6 +389,23 @@ class TestSolveEquilibrium:
             assert eq2.z == pytest.approx(eq.z, abs=1e-12)
             assert np.allclose(eq2.sheet_contact, eq.sheet_contact, atol=1e-12)
 
+    def test_shifted_team_hits_the_kernel_cache(self):
+        # the kernel sees a team with robot 0 at the origin: the `corridor`
+        # team on a 1/64 m grid, moved by exact offsets, sends it the same
+        # bytes, so the moved solves hit the cache, keep the contact and
+        # height bits, and move the object by exactly the offset
+        initial = load_scenario(CORRIDOR).initial_formation
+        r = np.round(initial.robot_positions * 64.0) / 64.0
+        shifts = (0.0, 0.5, 1.0)
+        kernels._lowest_points.cache_clear()
+        eqs = [solve_equilibrium(Formation(r + [dx, 0.0], initial.layout)) for dx in shifts]
+        assert kernels._lowest_points.cache_info()[:2] == (2, 1)     # hits, misses
+        first = eqs[0]
+        for dx, eq in zip(shifts, eqs):
+            assert eq.sheet_contact.tobytes() == first.sheet_contact.tobytes()
+            assert np.float64(eq.z).tobytes() == np.float64(first.z).tobytes()
+            assert np.all(eq.horizontal == first.horizontal + [dx, 0.0])
+
     @given(st.integers(0, 2**32 - 1), st.integers(3, 6))
     @settings(max_examples=20, deadline=None)
     def test_rigid_motion_and_relabelling_invariance(self, seed, n):

@@ -18,6 +18,14 @@ GRID_DIGEST = "d9c0274b9561f0dd31d075c3019b49d38ddb32dc69d0cf0ce50acf9951ee395f"
 ROWS_DIGEST = "dbedd314a6a37cb569e5961097c950028704fb424f33771862d59b517c89d21c"
 
 
+@pytest.fixture(autouse=True)
+def _cleared_caches():
+    # a result or subset terms left by an earlier test would spare a call of
+    # `_lowest_block` that a test here counts, or of an internal it patches
+    kernels._lowest_points.cache_clear()
+    kernels._subset_terms.cache_clear()
+
+
 def _random_instance(rng, n):
     centers = rng.uniform(-1, 1, (n, 2))
     # contact point near the middle so radii are mutually consistent
@@ -287,3 +295,78 @@ def test_lowest_point_is_one_grid_row():
             else:
                 assert q.tobytes() == q_g[0].tobytes()
     assert 0 < empty < rows
+
+
+def _cold_and_warm(centers, z_r, rho):
+    """`lowest_point_grid` on a cleared cache, then the same call on the
+    warm one, which must hit."""
+    kernels._lowest_points.cache_clear()
+    cold = kernels.lowest_point_grid(centers, z_r, rho)
+    warm = kernels.lowest_point_grid(centers, z_r, rho)
+    assert kernels._lowest_points.cache_info()[:2] == (1, 1)     # hits, misses
+    return cold, warm
+
+
+def test_pinned_bytes_on_a_cleared_and_a_warm_cache():
+    # a hit returns the bits of the miss: every pinned call, made on a
+    # cleared cache and again on the warm one, hashes to its digest both times
+    grid = [hashlib.sha256() for _ in range(2)]
+    for centers, rho in _pinned_cases():
+        for h, (q, z) in zip(grid, _cold_and_warm(centers, 0.79, rho)):
+            h.update(q.tobytes())
+            h.update(z.tobytes())
+    rows = [hashlib.sha256() for _ in range(2)]
+    for centers, z_r, rho in _row_center_cases():
+        q, z = np.zeros((2, len(rho), 2)), np.zeros((2, len(rho)))
+        for height in np.unique(z_r):
+            at = z_r == height
+            for k, out in enumerate(_cold_and_warm(centers[at], height, rho[at])):
+                q[k][at], z[k][at] = out
+        for k, h in enumerate(rows):
+            h.update(q[k].tobytes())
+            h.update(z[k].tobytes())
+    assert [h.hexdigest() for h in grid] == [GRID_DIGEST] * 2
+    assert [h.hexdigest() for h in rows] == [ROWS_DIGEST] * 2
+
+
+def test_returned_arrays_are_the_callers():
+    # the cache keeps its own arrays: writing into a result leaves the next
+    # identical call's result as computed
+    centers, rho = _pinned_cases()[12]
+    q, z = kernels.lowest_point_grid(centers, 0.79, rho)
+    expected = q.tobytes(), z.tobytes()
+    q[:] = 7.0
+    z[:] = -7.0
+    q, z = kernels.lowest_point_grid(centers, 0.79, rho)
+    assert kernels._lowest_points.cache_info().hits == 1
+    assert (q.tobytes(), z.tobytes()) == expected
+    q_1, _ = kernels.lowest_point(centers, 0.79, rho[0])
+    assert q.flags.writeable and z.flags.writeable and q_1.flags.writeable
+
+
+def test_heights_key_by_bits():
+    # ball 0 has no radius, so its bottom, at the height itself, is the
+    # lowest point: 0.0 and -0.0 each return their own zero, as a key on
+    # float equality would not
+    centers, rho = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 2.0, 2.0]]
+    signs = []
+    for z_r in (0.0, -0.0, 0.0):
+        q, z = kernels.lowest_point_grid(centers, z_r, rho)
+        assert q.tolist() == [[0.0, 0.0]] and z[0] == 0.0
+        signs.append(bool(np.signbit(z[0])))
+    assert signs == [False, True, False]
+    assert kernels._lowest_points.cache_info()[:2] == (1, 2)     # -0.0 missed
+
+
+def test_list_and_array_inputs_same_bytes():
+    # the key is the float bytes in C order: lists, and arrays in any memory
+    # order, give the bits of one computation
+    centers, rho = _pinned_cases()[9]
+    q, z = kernels.lowest_point_grid(centers.tolist(), 0.79, rho.tolist())
+    kernels._lowest_points.cache_clear()
+    expected = kernels.lowest_point_grid(centers, 0.79, rho)
+    assert (q.tobytes(), z.tobytes()) == tuple(a.tobytes() for a in expected)
+    for args in ((centers.tolist(), rho.tolist()), (centers, np.asfortranarray(rho))):
+        q, z = kernels.lowest_point_grid(args[0], 0.79, args[1])
+        assert (q.tobytes(), z.tobytes()) == tuple(a.tobytes() for a in expected)
+    assert kernels._lowest_points.cache_info()[:2] == (2, 1)
